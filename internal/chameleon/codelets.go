@@ -21,6 +21,15 @@ const (
 	cpuEffPotf = 0.80
 )
 
+// Access-mode lists shared by every task of the same shape.  The
+// runtime only reads Task.Modes, so one backing array per shape serves
+// the whole DAG instead of one allocation per task.
+var (
+	modesRW   = []starpu.AccessMode{starpu.RW}
+	modesRRW  = []starpu.AccessMode{starpu.R, starpu.RW}
+	modesRRRW = []starpu.AccessMode{starpu.R, starpu.R, starpu.RW}
+)
+
 var (
 	codeletOnce sync.Once
 	codelets    map[string]*starpu.Codelet

@@ -31,7 +31,7 @@ func Gemm[T linalg.Float](rt *starpu.Runtime, alpha T, a, b *Desc[T], beta T, c 
 				t := &starpu.Task{
 					Codelet: cl,
 					Handles: []*starpu.Handle{a.Handle(i, k), b.Handle(k, j), c.Handle(i, j)},
-					Modes:   []starpu.AccessMode{starpu.R, starpu.R, starpu.RW},
+					Modes:   modesRRRW,
 					Work:    units.Flops(linalg.GemmFlops(c.TileRows(i), c.TileCols(j), a.TileCols(k))),
 					// Chains progress together: earlier k first.
 					Priority: kt - k,

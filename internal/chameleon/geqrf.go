@@ -64,7 +64,7 @@ func Geqrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) (*QRWork[T], error) {
 			tu := &starpu.Task{
 				Codelet:  clUnmqr,
 				Handles:  []*starpu.Handle{a.Handle(k, k), w.panelTau[k].handle, a.Handle(k, j)},
-				Modes:    []starpu.AccessMode{starpu.R, starpu.R, starpu.RW},
+				Modes:    modesRRRW,
 				Work:     units.Flops(linalg.UnmqrFlops(nb)),
 				Priority: prio(k, 2),
 				Tag:      fmt.Sprintf("unmqr(%d,%d)", k, j),

@@ -36,7 +36,7 @@ func Getrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 		tf := &starpu.Task{
 			Codelet:  clGetrf,
 			Handles:  []*starpu.Handle{a.Handle(k, k)},
-			Modes:    []starpu.AccessMode{starpu.RW},
+			Modes:    modesRW,
 			Work:     units.Flops(linalg.GetrfFlops(a.TileDim(k))),
 			Priority: prio(k, 3),
 			Tag:      fmt.Sprintf("getrf(%d)", k),
@@ -52,7 +52,7 @@ func Getrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 			tr := &starpu.Task{
 				Codelet:  clTrsm,
 				Handles:  []*starpu.Handle{a.Handle(k, k), a.Handle(i, k)},
-				Modes:    []starpu.AccessMode{starpu.R, starpu.RW},
+				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(a.TileDim(i), a.TileDim(k))),
 				Priority: prio(k, 2),
 				Tag:      fmt.Sprintf("trsmR(%d,%d)", i, k),
@@ -72,7 +72,7 @@ func Getrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 			tl := &starpu.Task{
 				Codelet:  clTrsm,
 				Handles:  []*starpu.Handle{a.Handle(k, k), a.Handle(k, j)},
-				Modes:    []starpu.AccessMode{starpu.R, starpu.RW},
+				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(a.TileDim(j), a.TileDim(k))),
 				Priority: prio(k, 2),
 				Tag:      fmt.Sprintf("trsmL(%d,%d)", k, j),
@@ -93,7 +93,7 @@ func Getrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 				tg := &starpu.Task{
 					Codelet:  clGemm,
 					Handles:  []*starpu.Handle{a.Handle(i, k), a.Handle(k, j), a.Handle(i, j)},
-					Modes:    []starpu.AccessMode{starpu.R, starpu.R, starpu.RW},
+					Modes:    modesRRRW,
 					Work:     units.Flops(linalg.GemmFlops(a.TileDim(i), a.TileDim(j), a.TileDim(k))),
 					Priority: prio(k, 0),
 					Tag:      fmt.Sprintf("gemm(%d,%d,%d)", i, j, k),

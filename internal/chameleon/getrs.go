@@ -27,7 +27,7 @@ func Getrs[T linalg.Float](rt *starpu.Runtime, lu, b *Desc[T]) error {
 			ts := &starpu.Task{
 				Codelet:  clTrsm,
 				Handles:  []*starpu.Handle{lu.Handle(k, k), b.Handle(k, j)},
-				Modes:    []starpu.AccessMode{starpu.R, starpu.RW},
+				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(b.TileCols(j), lu.TileDim(k))),
 				Priority: 2 * (nt - k),
 				Tag:      fmt.Sprintf("lu-fwd-trsm(%d,%d)", k, j),
@@ -48,7 +48,7 @@ func Getrs[T linalg.Float](rt *starpu.Runtime, lu, b *Desc[T]) error {
 				tg := &starpu.Task{
 					Codelet:  clGemm,
 					Handles:  []*starpu.Handle{lu.Handle(i, k), b.Handle(k, j), b.Handle(i, j)},
-					Modes:    []starpu.AccessMode{starpu.R, starpu.R, starpu.RW},
+					Modes:    modesRRRW,
 					Work:     units.Flops(linalg.GemmFlops(b.TileRows(i), b.TileCols(j), lu.TileDim(k))),
 					Priority: 2*(nt-k) - 1,
 					Tag:      fmt.Sprintf("lu-fwd-gemm(%d,%d,%d)", i, j, k),
@@ -73,7 +73,7 @@ func Getrs[T linalg.Float](rt *starpu.Runtime, lu, b *Desc[T]) error {
 			ts := &starpu.Task{
 				Codelet:  clTrsm,
 				Handles:  []*starpu.Handle{lu.Handle(k, k), b.Handle(k, j)},
-				Modes:    []starpu.AccessMode{starpu.R, starpu.RW},
+				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(b.TileCols(j), lu.TileDim(k))),
 				Priority: 2 * (k + 1),
 				Tag:      fmt.Sprintf("lu-bwd-trsm(%d,%d)", k, j),
@@ -94,7 +94,7 @@ func Getrs[T linalg.Float](rt *starpu.Runtime, lu, b *Desc[T]) error {
 				tg := &starpu.Task{
 					Codelet:  clGemm,
 					Handles:  []*starpu.Handle{lu.Handle(i, k), b.Handle(k, j), b.Handle(i, j)},
-					Modes:    []starpu.AccessMode{starpu.R, starpu.R, starpu.RW},
+					Modes:    modesRRRW,
 					Work:     units.Flops(linalg.GemmFlops(b.TileRows(i), b.TileCols(j), lu.TileDim(k))),
 					Priority: 2*(k+1) - 1,
 					Tag:      fmt.Sprintf("lu-bwd-gemm(%d,%d,%d)", i, j, k),

@@ -170,7 +170,7 @@ func PosvMixed(rt *starpu.Runtime, aD, bD *Desc[float64], iters int) error {
 		}
 		if err := forEachTile(workS.MT, workS.NT, clAdd, fmt.Sprintf("geadd_x%d", it),
 			func(i, j int) ([]*starpu.Handle, []starpu.AccessMode) {
-				return []*starpu.Handle{workS.Handle(i, j), xD.Handle(i, j)}, []starpu.AccessMode{starpu.R, starpu.RW}
+				return []*starpu.Handle{workS.Handle(i, j), xD.Handle(i, j)}, modesRRW
 			},
 			func(i, j int) func() error {
 				return func() error {

@@ -45,7 +45,7 @@ func Potrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 		tp := &starpu.Task{
 			Codelet:  clPotrf,
 			Handles:  []*starpu.Handle{a.Handle(k, k)},
-			Modes:    []starpu.AccessMode{starpu.RW},
+			Modes:    modesRW,
 			Work:     units.Flops(linalg.PotrfFlops(a.TileDim(k))),
 			Priority: prio(k, 3),
 			Tag:      fmt.Sprintf("potrf(%d)", k),
@@ -61,7 +61,7 @@ func Potrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 			tt := &starpu.Task{
 				Codelet:  clTrsm,
 				Handles:  []*starpu.Handle{a.Handle(k, k), a.Handle(i, k)},
-				Modes:    []starpu.AccessMode{starpu.R, starpu.RW},
+				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(a.TileDim(i), a.TileDim(k))),
 				Priority: prio(k, 2),
 				Tag:      fmt.Sprintf("trsm(%d,%d)", i, k),
@@ -81,7 +81,7 @@ func Potrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 			ts := &starpu.Task{
 				Codelet:  clSyrk,
 				Handles:  []*starpu.Handle{a.Handle(i, k), a.Handle(i, i)},
-				Modes:    []starpu.AccessMode{starpu.R, starpu.RW},
+				Modes:    modesRRW,
 				Work:     units.Flops(linalg.SyrkFlops(a.TileDim(i), a.TileDim(k))),
 				Priority: prio(k, 1),
 				Tag:      fmt.Sprintf("syrk(%d,%d)", i, k),
@@ -100,7 +100,7 @@ func Potrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 				tg := &starpu.Task{
 					Codelet:  clGemm,
 					Handles:  []*starpu.Handle{a.Handle(i, k), a.Handle(j, k), a.Handle(i, j)},
-					Modes:    []starpu.AccessMode{starpu.R, starpu.R, starpu.RW},
+					Modes:    modesRRRW,
 					Work:     units.Flops(linalg.GemmFlops(a.TileDim(i), a.TileDim(j), a.TileDim(k))),
 					Priority: prio(k, 0),
 					Tag:      fmt.Sprintf("gemm(%d,%d,%d)", i, j, k),

@@ -28,7 +28,7 @@ func Potrs[T linalg.Float](rt *starpu.Runtime, l, b *Desc[T]) error {
 			ts := &starpu.Task{
 				Codelet:  clTrsm,
 				Handles:  []*starpu.Handle{l.Handle(k, k), b.Handle(k, j)},
-				Modes:    []starpu.AccessMode{starpu.R, starpu.RW},
+				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(b.TileCols(j), l.TileDim(k))),
 				Priority: 2 * (nt - k),
 				Tag:      fmt.Sprintf("fwd-trsm(%d,%d)", k, j),
@@ -49,7 +49,7 @@ func Potrs[T linalg.Float](rt *starpu.Runtime, l, b *Desc[T]) error {
 				tg := &starpu.Task{
 					Codelet:  clGemm,
 					Handles:  []*starpu.Handle{l.Handle(i, k), b.Handle(k, j), b.Handle(i, j)},
-					Modes:    []starpu.AccessMode{starpu.R, starpu.R, starpu.RW},
+					Modes:    modesRRRW,
 					Work:     units.Flops(linalg.GemmFlops(b.TileRows(i), b.TileCols(j), l.TileDim(k))),
 					Priority: 2*(nt-k) - 1,
 					Tag:      fmt.Sprintf("fwd-gemm(%d,%d,%d)", i, j, k),
@@ -75,7 +75,7 @@ func Potrs[T linalg.Float](rt *starpu.Runtime, l, b *Desc[T]) error {
 			ts := &starpu.Task{
 				Codelet:  clTrsm,
 				Handles:  []*starpu.Handle{l.Handle(k, k), b.Handle(k, j)},
-				Modes:    []starpu.AccessMode{starpu.R, starpu.RW},
+				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(b.TileCols(j), l.TileDim(k))),
 				Priority: 2 * (k + 1),
 				Tag:      fmt.Sprintf("bwd-trsm(%d,%d)", k, j),
@@ -97,7 +97,7 @@ func Potrs[T linalg.Float](rt *starpu.Runtime, l, b *Desc[T]) error {
 				tg := &starpu.Task{
 					Codelet:  clGemm,
 					Handles:  []*starpu.Handle{l.Handle(k, i), b.Handle(k, j), b.Handle(i, j)},
-					Modes:    []starpu.AccessMode{starpu.R, starpu.R, starpu.RW},
+					Modes:    modesRRRW,
 					Work:     units.Flops(linalg.GemmFlops(b.TileRows(i), b.TileCols(j), l.TileDim(k))),
 					Priority: 2*(k+1) - 1,
 					Tag:      fmt.Sprintf("bwd-gemm(%d,%d,%d)", i, j, k),

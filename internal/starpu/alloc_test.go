@@ -2,13 +2,15 @@ package starpu
 
 import (
 	"testing"
+
+	"repro/internal/units"
 )
 
 // fixedClassMachine overrides testMachine's WorkerClass (which renders
 // a fresh string per call) with preinterned class strings, matching the
-// platform package's cached classes.  The steady-state allocation
-// contract below only holds against a machine that — like the real
-// one — does not allocate per class query.
+// platform package's cached classes, and bounds the GPU memories.  The
+// steady-state allocation contract below only holds against a machine
+// that — like the real one — does not allocate per class query.
 type fixedClassMachine struct {
 	*testMachine
 	classes []string
@@ -16,11 +18,22 @@ type fixedClassMachine struct {
 
 func (m *fixedClassMachine) WorkerClass(i int) string { return m.classes[i] }
 
+// NodeCapacity bounds both GPU nodes to four tiles, so the run and the
+// checks below go through the bounded-memory paths (eviction, pins,
+// canFit).
+func (m *fixedClassMachine) NodeCapacity(n int) units.Bytes {
+	if n == 0 {
+		return 0
+	}
+	return 4 * tileBytes
+}
+
 // TestNoAllocsSteadyState pins the zero-allocation contract of the
 // dmdas scoring kernel: with the performance model warm, scoring one
 // ready task against every worker (estimate + transfer estimate +
-// locality bytes, the body of dmSched.Push) and cycling the per-worker
-// priority queue must not allocate.
+// locality bytes), the bounded-node memory-fit check, a whole
+// dmSched.Push with its per-node transfer memo, and cycling the
+// per-worker priority queue must not allocate.
 func TestNoAllocsSteadyState(t *testing.T) {
 	m := newTestMachine()
 	fm := &fixedClassMachine{
@@ -58,12 +71,49 @@ func TestNoAllocsSteadyState(t *testing.T) {
 	allocs := testing.AllocsPerRun(500, func() {
 		for i := 0; i < n; i++ {
 			rt.estimate(task, i)
-			rt.transferEstimate(task, i)
+			rt.transferEstimate(task, rt.workers[i].Info.Node)
 			rt.localBytes(task, i)
 		}
 	})
 	if allocs != 0 {
 		t.Errorf("warm dmdas scoring allocates %.2f times per task, want 0", allocs)
+	}
+
+	// Memory-fit check on both bounded GPU nodes.
+	if rt.memory[1] == nil || rt.memory[2] == nil {
+		t.Fatal("GPU nodes are not bounded")
+	}
+	allocs = testing.AllocsPerRun(500, func() {
+		rt.canFit(task, 1)
+		rt.canFit(task, 2)
+	})
+	if allocs != 0 {
+		t.Errorf("bounded-node canFit allocates %.2f times per call pair, want 0", allocs)
+	}
+
+	// A whole Push, then taking the task back off its queue.  Saturated
+	// pipelines keep WakeWorker from scheduling a poll event, so the
+	// cycle leaves the engine untouched.
+	sched := rt.sched.(*dmSched)
+	for _, w := range rt.workers {
+		w.inflight = w.pipelineDepth()
+	}
+	repop := func() {
+		for i := range sched.queues {
+			if sched.queues[i].pop() != nil {
+				return
+			}
+		}
+		t.Fatal("pushed task is on no queue")
+	}
+	sched.Push(task)
+	repop()
+	allocs = testing.AllocsPerRun(500, func() {
+		sched.Push(task)
+		repop()
+	})
+	if allocs != 0 {
+		t.Errorf("dmdas Push allocates %.2f times per task, want 0", allocs)
 	}
 
 	// Ready-queue steady state: push-one/pop-one through the sorted

@@ -143,7 +143,7 @@ func (rt *Runtime) EvictWorker(i int, reason string) Eviction {
 	// The model invalidation above spans every power class the dead
 	// worker ever calibrated under; evictions are rare, so flush the
 	// whole estimate cache rather than matching entries by prefix.
-	clear(rt.estCache)
+	rt.flushEstimates()
 
 	for _, t := range requeue {
 		if !rt.anyCanRun(t.Codelet) {

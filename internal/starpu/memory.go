@@ -15,15 +15,19 @@ type CapacityModel interface {
 }
 
 // nodeMemory tracks one bounded memory node: resident handles in LRU
-// order, pin counts for handles used by in-flight tasks, and the used
-// byte count.
+// order, pin counts for handles used by in-flight tasks, the used byte
+// count and, of those, the pinned byte count.
 type nodeMemory struct {
 	node     int
 	capacity units.Bytes
 	used     units.Bytes
-	lru      *list.List // *Handle, front = least recent
-	elems    map[*Handle]*list.Element
-	pins     map[*Handle]int
+	// pinned is the bytes of resident handles whose pin count is > 0.
+	// touch, drop, pin and unpin keep it current, so canFit reads the
+	// node's evictable bytes without walking the LRU list.
+	pinned units.Bytes
+	lru    *list.List // *Handle, front = least recent
+	elems  map[*Handle]*list.Element
+	pins   map[*Handle]int
 }
 
 func newNodeMemory(node int, capacity units.Bytes) *nodeMemory {
@@ -45,6 +49,9 @@ func (m *nodeMemory) touch(h *Handle) {
 	}
 	m.elems[h] = m.lru.PushBack(h)
 	m.used += h.bytes
+	if m.pins[h] > 0 {
+		m.pinned += h.bytes
+	}
 }
 
 // drop removes h from the node's accounting.
@@ -53,17 +60,59 @@ func (m *nodeMemory) drop(h *Handle) {
 		m.lru.Remove(e)
 		delete(m.elems, h)
 		m.used -= h.bytes
+		if m.pins[h] > 0 {
+			m.pinned -= h.bytes
+		}
 	}
 }
 
-// pin prevents h's eviction while a task uses it.
-func (m *nodeMemory) pin(h *Handle) { m.pins[h]++ }
-func (m *nodeMemory) unpin(h *Handle) {
-	if m.pins[h] > 1 {
-		m.pins[h]--
-	} else {
-		delete(m.pins, h)
+// pin prevents h's eviction while a task uses it.  A write elsewhere
+// can drop a pinned handle (dropInvalid), so pins may outlive
+// residency; only resident bytes count towards pinned.
+func (m *nodeMemory) pin(h *Handle) {
+	n := m.pins[h]
+	if _, resident := m.elems[h]; n == 0 && resident {
+		m.pinned += h.bytes
 	}
+	m.pins[h] = n + 1
+}
+
+func (m *nodeMemory) unpin(h *Handle) {
+	switch n := m.pins[h]; {
+	case n > 1:
+		m.pins[h] = n - 1
+	case n == 1:
+		delete(m.pins, h)
+		if _, resident := m.elems[h]; resident {
+			m.pinned -= h.bytes
+		}
+	}
+}
+
+// canFit reports whether a working set can be staged right now: its
+// missing bytes must fit into free plus evictable bytes, where
+// evictable is every resident unpinned byte outside the working set
+// itself.  The cost is O(len(hs)): evictable is used − pinned minus
+// the working set's own resident unpinned bytes (each handle counted
+// once).  Byte counts are integral and far below 2^53, so the float
+// sums are exact and the result equals an LRU walk's in any order.
+// Working sets are a handful of handles, so duplicates are found by
+// scanning the slice instead of building a set.
+func (m *nodeMemory) canFit(hs []*Handle) bool {
+	var needed, ownEvictable units.Bytes
+	for i, h := range hs {
+		if containsHandle(hs[:i], h) {
+			continue
+		}
+		if _, resident := m.elems[h]; !resident {
+			needed += h.bytes
+		} else if m.pins[h] == 0 {
+			ownEvictable += h.bytes
+		}
+	}
+	free := m.capacity - m.used
+	evictable := m.used - m.pinned - ownEvictable
+	return needed <= free+evictable
 }
 
 // victim picks the least-recently-used unpinned resident handle, or nil.
@@ -181,35 +230,13 @@ func (rt *Runtime) dropInvalid(h *Handle, node int) {
 }
 
 // canFit reports whether t's working set can be staged on node right
-// now: missing bytes must fit into free plus evictable (unpinned,
-// not-in-this-task) resident bytes.  Unbounded nodes always fit.
+// now (see nodeMemory.canFit).  Unbounded nodes always fit.
 func (rt *Runtime) canFit(t *Task, node int) bool {
 	mem, ok := rt.memory[node]
 	if !ok {
 		return true
 	}
-	// Working sets are a handful of handles, so membership tests scan the
-	// slice instead of building a set: canFit runs on every pop and every
-	// blocked-task retry, and the per-call map was a top-ten allocation
-	// site in the cell profile.
-	var needed units.Bytes
-	for i, h := range t.Handles {
-		if containsHandle(t.Handles[:i], h) {
-			continue
-		}
-		if _, resident := mem.elems[h]; !resident {
-			needed += h.bytes
-		}
-	}
-	free := mem.capacity - mem.used
-	var evictable units.Bytes
-	for e := mem.lru.Front(); e != nil; e = e.Next() {
-		h := e.Value.(*Handle)
-		if !containsHandle(t.Handles, h) && mem.pins[h] == 0 {
-			evictable += h.bytes
-		}
-	}
-	return needed <= free+evictable
+	return mem.canFit(t.Handles)
 }
 
 // containsHandle reports whether h appears in hs (identity match).

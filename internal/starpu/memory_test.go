@@ -184,3 +184,122 @@ func TestEvictionStressNeverLosesData(t *testing.T) {
 		}
 	}
 }
+
+// canFitLRUWalk is the reference formula nodeMemory.canFit replaced:
+// the same question answered by walking the whole LRU list and summing
+// every resident, unpinned byte outside the working set.
+func canFitLRUWalk(m *nodeMemory, hs []*Handle) bool {
+	var needed units.Bytes
+	for i, h := range hs {
+		if containsHandle(hs[:i], h) {
+			continue
+		}
+		if _, resident := m.elems[h]; !resident {
+			needed += h.bytes
+		}
+	}
+	free := m.capacity - m.used
+	var evictable units.Bytes
+	for e := m.lru.Front(); e != nil; e = e.Next() {
+		h := e.Value.(*Handle)
+		if !containsHandle(hs, h) && m.pins[h] == 0 {
+			evictable += h.bytes
+		}
+	}
+	return needed <= free+evictable
+}
+
+// pinnedByWalk recomputes nodeMemory.pinned from the LRU list.
+func pinnedByWalk(m *nodeMemory) units.Bytes {
+	var sum units.Bytes
+	for e := m.lru.Front(); e != nil; e = e.Next() {
+		if h := e.Value.(*Handle); m.pins[h] > 0 {
+			sum += h.bytes
+		}
+	}
+	return sum
+}
+
+// TestCanFitMatchesLRUWalk drives one bounded node through seeded random
+// sequences of the operations the runtime performs — staging a working
+// set (evict, touch, pin; a handle may repeat within a task), releasing
+// a task's pins, dropping a copy a remote write invalidated (pinned or
+// not), and bare LRU evictions — and after every step checks the
+// incremental canFit against the LRU walk and the pinned counter
+// against its recomputed sum.
+func TestCanFitMatchesLRUWalk(t *testing.T) {
+	var fits, misses int
+	for seed := int64(0); seed < 40; seed++ {
+		rng := newSeededRand(seed)
+		handles := make([]*Handle, 12)
+		for i := range handles {
+			handles[i] = &Handle{id: i, bytes: units.Bytes((1 + rng.Intn(3)) * tileBytes)}
+		}
+		m := newNodeMemory(1, units.Bytes(8*tileBytes))
+		workingSet := func() []*Handle {
+			hs := make([]*Handle, 1+rng.Intn(3))
+			for i := range hs {
+				hs[i] = handles[rng.Intn(len(handles))]
+			}
+			if rng.Intn(3) == 0 {
+				hs = append(hs, hs[rng.Intn(len(hs))])
+			}
+			return hs
+		}
+		var running [][]*Handle
+		for step := 0; step < 300; step++ {
+			switch rng.Intn(5) {
+			case 0, 1: // stage and pin a task's working set
+				hs := workingSet()
+				for _, h := range hs {
+					if _, resident := m.elems[h]; !resident {
+						for m.used+h.bytes > m.capacity {
+							v := m.victim()
+							if v == nil {
+								break
+							}
+							m.drop(v)
+						}
+					}
+					m.touch(h)
+				}
+				for _, h := range hs {
+					m.pin(h)
+				}
+				running = append(running, hs)
+			case 2: // a task completes
+				if len(running) > 0 {
+					k := rng.Intn(len(running))
+					for _, h := range running[k] {
+						m.unpin(h)
+					}
+					running = append(running[:k], running[k+1:]...)
+				}
+			case 3: // a write elsewhere invalidates this node's copy
+				m.drop(handles[rng.Intn(len(handles))])
+			case 4: // LRU eviction
+				if v := m.victim(); v != nil {
+					m.drop(v)
+				}
+			}
+			if got, want := m.pinned, pinnedByWalk(m); got != want {
+				t.Fatalf("seed %d step %d: pinned = %v, LRU walk sums %v", seed, step, got, want)
+			}
+			for q := 0; q < 4; q++ {
+				hs := workingSet()
+				got, want := m.canFit(hs), canFitLRUWalk(m, hs)
+				if got != want {
+					t.Fatalf("seed %d step %d: canFit = %v, LRU walk says %v", seed, step, got, want)
+				}
+				if got {
+					fits++
+				} else {
+					misses++
+				}
+			}
+		}
+	}
+	if fits == 0 || misses == 0 {
+		t.Fatalf("degenerate property run: %d fits, %d misses", fits, misses)
+	}
+}

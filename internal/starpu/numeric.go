@@ -24,7 +24,7 @@ func (rt *Runtime) RunNumeric(parallelism int) error {
 		if _, ok := indeg[t]; !ok {
 			indeg[t] = 0
 		}
-		for _, s := range t.succs {
+		for _, s := range t.Successors() {
 			indeg[s]++
 		}
 	}
@@ -67,7 +67,7 @@ func (rt *Runtime) RunNumeric(parallelism int) error {
 			if err != nil && firstErr == nil {
 				firstErr = fmt.Errorf("starpu: task %q: %w", t.Tag, err)
 			}
-			for _, s := range t.succs {
+			for _, s := range t.Successors() {
 				indeg[s]--
 				if indeg[s] == 0 {
 					ready = append(ready, s)

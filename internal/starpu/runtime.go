@@ -116,14 +116,17 @@ type Runtime struct {
 	// currently being pushed (locality hint for work stealing).
 	lastWorker int
 
-	// estCache memoizes estimate() results so the dm-family schedulers
-	// stop re-hashing composite string keys under the model's lock for
-	// every (ready task, candidate worker) pair.  Entries self-invalidate:
-	// each remembers the worker-class string and class generation it was
+	// estSlots interns each task's estimate key to a dense slot at
+	// Submit, and estRows[slot][worker] memoizes estimate() results, so
+	// the dm-family schedulers neither re-hash composite string keys
+	// under the model's lock nor hash a struct key for every (ready
+	// task, candidate worker) pair.  Entries self-invalidate: each
+	// remembers the worker-class string and class generation it was
 	// computed under, so a cap change (new class string) or a completion
 	// recording new samples for the class (bumped classGen) turns the
 	// entry stale without any eager scan.
-	estCache map[estKey]estVal
+	estSlots map[estKey]int32
+	estRows  [][]estVal
 	classGen map[string]uint64
 
 	// Fault bookkeeping: evictions in order, tasks that exhausted their
@@ -149,15 +152,15 @@ func New(machine Machine, cfg Config) (*Runtime, error) {
 	if cfg.TransferPenalty == 0 {
 		cfg.TransferPenalty = 2.5
 	}
-	if n := machine.NumNodes(); n > 64 {
-		return nil, fmt.Errorf("starpu: machine has %d memory nodes; the coherence bitset supports 64", n)
+	if n := machine.NumNodes(); n > maxNodes {
+		return nil, fmt.Errorf("starpu: machine has %d memory nodes; the coherence bitset supports %d", n, maxNodes)
 	}
 	rt := &Runtime{
 		machine:    machine,
 		cfg:        cfg,
 		model:      cfg.Model,
 		lastWorker: -1,
-		estCache:   make(map[estKey]estVal),
+		estSlots:   make(map[estKey]int32),
 		classGen:   make(map[string]uint64),
 	}
 	for i := 0; i < machine.NumWorkers(); i++ {
@@ -229,6 +232,7 @@ func (rt *Runtime) Submit(t *Task) error {
 	}
 	t.ID = len(rt.tasks)
 	t.WorkerID = -1
+	t.estSlot = rt.internEstimate(t)
 	t.SubmitT = rt.machine.Engine().Now()
 	// Dependency sets are a handful of tasks, so dedup scans a small
 	// stack-backed slice; the per-Submit map was the largest allocation
@@ -267,23 +271,27 @@ func (rt *Runtime) Submit(t *Task) error {
 			h.readers = append(h.readers, t)
 		}
 	}
+	if len(deps) > 0 {
+		t.edges = append(make([]*Task, 0, len(deps)), deps...)
+		t.npreds = int32(len(deps))
+	}
 	for _, d := range deps {
-		t.preds = append(t.preds, d)
 		if !d.done {
 			t.ndeps++
-			d.succs = append(d.succs, t)
+			d.edges = append(d.edges, t)
 		}
 	}
 	// Predecessors are reported in ascending ID order; insertion sort on
 	// the short slice avoids sort.Slice's reflection swapper allocation.
-	for i := 1; i < len(t.preds); i++ {
-		p := t.preds[i]
+	preds := t.edges[:t.npreds]
+	for i := 1; i < len(preds); i++ {
+		p := preds[i]
 		j := i - 1
-		for j >= 0 && t.preds[j].ID > p.ID {
-			t.preds[j+1] = t.preds[j]
+		for j >= 0 && preds[j].ID > p.ID {
+			preds[j+1] = preds[j]
 			j--
 		}
-		t.preds[j+1] = p
+		preds[j+1] = p
 	}
 	rt.tasks = append(rt.tasks, t)
 	rt.nPending++
@@ -524,7 +532,7 @@ func (rt *Runtime) complete(w *Worker, t *Task) {
 	if t.OnComplete != nil {
 		t.OnComplete(t)
 	}
-	for _, s := range t.succs {
+	for _, s := range t.Successors() {
 		s.ndeps--
 		if s.ndeps == 0 {
 			rt.markReady(s)
@@ -552,7 +560,7 @@ func (rt *Runtime) Run() (units.Seconds, error) {
 	return engine.Now() - start, nil
 }
 
-// estKey identifies one memoized estimate.  The codelet is keyed by
+// estKey identifies one estimate slot.  The codelet is keyed by
 // pointer identity (codelets are per-kernel singletons); work is part of
 // the key because the regression model and the uncalibrated fallback
 // scale with flops, not footprint.
@@ -560,31 +568,51 @@ type estKey struct {
 	codelet   *Codelet
 	footprint uint64
 	work      units.Flops
-	worker    int
 }
 
 // estVal is a memoized estimate plus the validity epoch it was computed
-// under (see Runtime.estCache).
+// under (see Runtime.estRows).  The zero value is an empty entry.
 type estVal struct {
+	filled     bool
 	class      string
 	gen        uint64
 	dur        units.Seconds
 	calibrated bool
 }
 
+// internEstimate returns t's estimate slot, allocating the slot's
+// per-worker row the first time its key is seen.
+func (rt *Runtime) internEstimate(t *Task) int32 {
+	k := estKey{codelet: t.Codelet, footprint: t.Footprint(), work: t.Work}
+	slot, ok := rt.estSlots[k]
+	if !ok {
+		slot = int32(len(rt.estRows))
+		rt.estSlots[k] = slot
+		rt.estRows = append(rt.estRows, make([]estVal, len(rt.workers)))
+	}
+	return slot
+}
+
+// flushEstimates empties every memoized estimate; slots stay interned.
+func (rt *Runtime) flushEstimates() {
+	for _, row := range rt.estRows {
+		clear(row)
+	}
+}
+
 // estimate reports the model's prediction for t on worker i, falling
 // back to a work-proportional guess while uncalibrated.  Results are
-// memoized per (codelet, footprint, work, worker) and trusted only
-// while the worker's class string and class generation are unchanged.
+// memoized per (estimate slot, worker) and trusted only while the
+// worker's class string and class generation are unchanged.
 func (rt *Runtime) estimate(t *Task, i int) (units.Seconds, bool) {
 	class := rt.machine.WorkerClass(i)
-	ck := estKey{codelet: t.Codelet, footprint: t.Footprint(), work: t.Work, worker: i}
 	gen := rt.classGen[class]
-	if v, ok := rt.estCache[ck]; ok && v.gen == gen && v.class == class {
+	v := &rt.estRows[t.estSlot][i]
+	if v.filled && v.gen == gen && v.class == class {
 		return v.dur, v.calibrated
 	}
-	dur, calibrated := rt.estimateUncached(t, i, ck.footprint, class)
-	rt.estCache[ck] = estVal{class: class, gen: gen, dur: dur, calibrated: calibrated}
+	dur, calibrated := rt.estimateUncached(t, i, t.Footprint(), class)
+	*v = estVal{filled: true, class: class, gen: gen, dur: dur, calibrated: calibrated}
 	return dur, calibrated
 }
 
@@ -611,13 +639,12 @@ func (rt *Runtime) estimateUncached(t *Task, i int, footprint uint64, class stri
 	return units.Seconds(float64(t.Work) / rate), false
 }
 
-// transferEstimate reports dmda's data-arrival cost for t on worker i:
-// the uncontended transfer time of every handle missing from i's node.
-func (rt *Runtime) transferEstimate(t *Task, i int) units.Seconds {
+// transferEstimate reports dmda's data-arrival cost for t on memory
+// node: the uncontended transfer time of every handle missing from it.
+func (rt *Runtime) transferEstimate(t *Task, node int) units.Seconds {
 	if rt.cfg.DisableTransferModel {
 		return 0
 	}
-	node := rt.workers[i].Info.Node
 	var sum units.Seconds
 	for _, h := range t.Handles {
 		if h.valid.has(node) {
@@ -627,6 +654,25 @@ func (rt *Runtime) transferEstimate(t *Task, i int) units.Seconds {
 		sum += rt.machine.TransferTime(src, node, h.bytes)
 	}
 	return units.Seconds(float64(sum) * rt.cfg.TransferPenalty)
+}
+
+// transferMemo memoizes transferEstimate per memory node within one
+// scheduler Push: the cost depends only on (task, node), and workers
+// sharing a node (every CPU core sits on node 0) would otherwise
+// recompute it.  It lives on the Push's stack; filled marks the nodes
+// whose cost is set.
+type transferMemo struct {
+	filled nodeSet
+	cost   [maxNodes]units.Seconds
+}
+
+// get reports transferEstimate(t, node), computing it once per node.
+func (m *transferMemo) get(rt *Runtime, t *Task, node int) units.Seconds {
+	if !m.filled.has(node) {
+		m.cost[node] = rt.transferEstimate(t, node)
+		m.filled.set(node)
+	}
+	return m.cost[node]
 }
 
 // localBytes reports how many of t's input bytes already sit on worker

@@ -245,6 +245,7 @@ func (s *dmSched) Push(t *Task) {
 	bestMetric := units.Seconds(math.Inf(1))
 	var bestECT units.Seconds
 	var cands []Candidate
+	var xfers transferMemo
 	for i := 0; i < s.rt.machine.NumWorkers(); i++ {
 		if !s.rt.CanRun(i, t.Codelet) {
 			continue
@@ -262,7 +263,7 @@ func (s *dmSched) Push(t *Task) {
 		metric := ect
 		var xfer units.Seconds
 		if s.dataAware {
-			xfer = s.rt.transferEstimate(t, i)
+			xfer = xfers.get(s.rt, t, w.Info.Node)
 			metric += xfer
 		}
 		if s.rt.observing() {

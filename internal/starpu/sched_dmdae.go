@@ -50,6 +50,7 @@ func (s *dmdaeSched) Push(t *Task) {
 	bestMetric := units.Seconds(math.Inf(1))
 	var bestECT units.Seconds
 	var cands []Candidate
+	var xfers transferMemo
 	for i := 0; i < s.rt.machine.NumWorkers(); i++ {
 		if !s.rt.CanRun(i, t.Codelet) {
 			continue
@@ -62,7 +63,7 @@ func (s *dmdaeSched) Push(t *Task) {
 		est, calibrated := s.rt.estimate(t, i)
 		ect := avail + est
 		energy := float64(pm.ExecPower(i, t)) * float64(est)
-		xfer := s.rt.transferEstimate(t, i)
+		xfer := xfers.get(s.rt, t, w.Info.Node)
 		metric := ect + xfer + units.Seconds(s.gamma*energy/s.pref)
 		if s.rt.observing() {
 			cands = append(cands, Candidate{Worker: i, Estimate: est, Transfer: xfer, Metric: metric, Calibrated: calibrated})

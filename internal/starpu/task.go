@@ -87,23 +87,6 @@ type Task struct {
 	// after the task finishes (progress reporting, chained submission).
 	OnComplete func(*Task)
 
-	// Dependency state (owned by the runtime).
-	ndeps int
-	succs []*Task
-	preds []*Task
-
-	// footprint memoizes Footprint(): handle geometry is immutable after
-	// registration, and the schedulers re-ask for every candidate worker
-	// of every push.
-	footprint    uint64
-	footprintSet bool
-
-	// Fault/recovery state (owned by the runtime).  attempt is the
-	// execution-attempt generation: every abort or eviction bumps it, and
-	// events scheduled for an earlier attempt no-op.  powerOn tracks
-	// whether the machine's meters are currently raised for this task.
-	attempt int
-	powerOn bool
 	// Retries counts failed execution attempts (fault injection or
 	// worker eviction mid-compute); 0 on a clean run.
 	Retries int
@@ -116,7 +99,30 @@ type Task struct {
 	EndT          units.Seconds
 	TransferBytes units.Bytes
 
-	done bool
+	// Runtime-owned state, packed so a Task fits the 256-byte size
+	// class: a cell's whole DAG is live at once.
+	//
+	// edges holds the dependencies (the first npreds entries, ascending
+	// ID) followed by the successors still waiting on t; ndeps counts
+	// t's own unfinished dependencies.
+	edges  []*Task
+	ndeps  int32
+	npreds int32
+	// estSlot indexes the runtime's estimate table (Runtime.estRows),
+	// interned from (codelet, footprint, work) at Submit.
+	estSlot int32
+	// footprint memoizes Footprint(): handle geometry is immutable after
+	// registration, and Submit, estimate misses and every completion ask
+	// for it.
+	footprintSet bool
+	footprint    uint64
+	// Fault/recovery state.  attempt is the execution-attempt
+	// generation: every abort or eviction bumps it, and events scheduled
+	// for an earlier attempt no-op.  powerOn tracks whether the
+	// machine's meters are currently raised for this task.
+	attempt int
+	powerOn bool
+	done    bool
 }
 
 // Duration reports the task's compute time in the simulated run.
@@ -124,13 +130,13 @@ func (t *Task) Duration() units.Seconds { return t.EndT - t.StartT }
 
 // Successors reports the tasks depending on t (read-only; used by the
 // trace package's critical-path analysis).
-func (t *Task) Successors() []*Task { return t.succs }
+func (t *Task) Successors() []*Task { return t.edges[t.npreds:] }
 
 // Dependencies reports t's predecessors in ascending ID order — every
 // task t waited on at submission, including ones already complete by
 // then (which Successors, pruned to live edges, cannot recover).  The
 // spantrace package reads these to build the causal edge set.
-func (t *Task) Dependencies() []*Task { return t.preds }
+func (t *Task) Dependencies() []*Task { return t.edges[:t.npreds:t.npreds] }
 
 // Footprint hashes the task's buffer geometry, mirroring StarPU's
 // per-size history buckets.  The hash is computed once per task.
@@ -156,8 +162,11 @@ func (t *Task) Footprint() uint64 {
 	return t.footprint
 }
 
+// maxNodes bounds a machine's memory-node count: nodeSet is one uint64.
+const maxNodes = 64
+
 // nodeSet is a bitset of memory-node indices.  The runtime supports at
-// most 64 nodes (enforced at construction); real platforms have a
+// most maxNodes nodes (enforced at construction); real platforms have a
 // handful.  Coherence checks against this set run on every staging
 // decision, transfer estimate and locality score, where the previous
 // map-backed set was the top entry of the cell CPU profile.

@@ -77,6 +77,9 @@ func Collect(rt *starpu.Runtime) *Stats {
 	if s.TotalTasks > 0 {
 		s.GPUShare = float64(s.ByKind[starpu.CUDAWorker]) / float64(s.TotalTasks)
 	}
+	// Results outlive their cell (sweeps keep them for rollups and
+	// digests), so the slice is sized exactly rather than grown.
+	s.Workers = make([]WorkerStat, 0, len(rt.Workers()))
 	for _, w := range rt.Workers() {
 		ws := WorkerStat{
 			Name:     w.Info.Name,
