@@ -1,6 +1,7 @@
 package chameleon
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -367,5 +368,26 @@ func TestSimNumericAgreement(t *testing.T) {
 	l, _ := d.Gather()
 	if r := linalg.CholeskyResidual(spd, l); r > 1e-10 {
 		t.Errorf("residual after sim+numeric: %g", r)
+	}
+}
+
+// TestTaskTagMatchesSprintf: the tag helper must render exactly what
+// the fmt verbs it replaced did — traces and golden digests key on tags.
+func TestTaskTagMatchesSprintf(t *testing.T) {
+	for _, idx := range [][]int{{0}, {7, 0}, {12, 3, 9}, {1234567, 89, 0}} {
+		want := "gemm("
+		for n, i := range idx {
+			if n > 0 {
+				want += ","
+			}
+			want += fmt.Sprintf("%d", i)
+		}
+		want += ")"
+		if got := taskTag("gemm", idx...); got != want {
+			t.Errorf("taskTag(%v) = %q, want %q", idx, got, want)
+		}
+	}
+	if got, want := taskTag("lu-bwd-gemm", 3, 1, 4), fmt.Sprintf("lu-bwd-gemm(%d,%d,%d)", 3, 1, 4); got != want {
+		t.Errorf("taskTag = %q, want %q", got, want)
 	}
 }

@@ -14,6 +14,7 @@ package chameleon
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
 
 	"repro/internal/linalg"
 	"repro/internal/prec"
@@ -176,4 +177,20 @@ func (d *Desc[T]) FillSPD(rng *rand.Rand) error {
 		return fmt.Errorf("chameleon: FillSPD on %dx%d descriptor", d.M, d.N)
 	}
 	return d.Scatter(linalg.NewSPD[T](d.N, rng))
+}
+
+// taskTag renders a task tag "name(a,b,...)" — byte-identical to
+// fmt.Sprintf("%s(%d,%d,...)") — into a stack buffer, so the only
+// allocation per task is the tag string itself.
+func taskTag(name string, idx ...int) string {
+	var buf [48]byte
+	b := append(buf[:0], name...)
+	b = append(b, '(')
+	for n, i := range idx {
+		if n > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(i), 10)
+	}
+	return string(append(b, ')'))
 }

@@ -35,7 +35,7 @@ func Gemm[T linalg.Float](rt *starpu.Runtime, alpha T, a, b *Desc[T], beta T, c 
 					Work:    units.Flops(linalg.GemmFlops(c.TileRows(i), c.TileCols(j), a.TileCols(k))),
 					// Chains progress together: earlier k first.
 					Priority: kt - k,
-					Tag:      fmt.Sprintf("gemm(%d,%d,%d)", i, j, k),
+					Tag:      taskTag("gemm", i, j, k),
 				}
 				if c.Numeric() {
 					beta := beta

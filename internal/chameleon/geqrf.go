@@ -48,7 +48,7 @@ func Geqrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) (*QRWork[T], error) {
 			Modes:    []starpu.AccessMode{starpu.RW, starpu.W},
 			Work:     units.Flops(linalg.GeqrtFlops(nb)),
 			Priority: prio(k, 3),
-			Tag:      fmt.Sprintf("geqrt(%d)", k),
+			Tag:      taskTag("geqrt", k),
 		}
 		if a.Numeric() {
 			tg.Func = func() error {
@@ -67,7 +67,7 @@ func Geqrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) (*QRWork[T], error) {
 				Modes:    modesRRRW,
 				Work:     units.Flops(linalg.UnmqrFlops(nb)),
 				Priority: prio(k, 2),
-				Tag:      fmt.Sprintf("unmqr(%d,%d)", k, j),
+				Tag:      taskTag("unmqr", k, j),
 			}
 			if a.Numeric() {
 				tu.Func = func() error {
@@ -87,7 +87,7 @@ func Geqrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) (*QRWork[T], error) {
 				Modes:    []starpu.AccessMode{starpu.RW, starpu.RW, starpu.W},
 				Work:     units.Flops(linalg.TsqrtFlops(nb)),
 				Priority: prio(k, 2),
-				Tag:      fmt.Sprintf("tsqrt(%d,%d)", i, k),
+				Tag:      taskTag("tsqrt", i, k),
 			}
 			if a.Numeric() {
 				ts.Func = func() error {
@@ -109,7 +109,7 @@ func Geqrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) (*QRWork[T], error) {
 					Modes:    []starpu.AccessMode{starpu.R, starpu.R, starpu.RW, starpu.RW},
 					Work:     units.Flops(linalg.TsmqrFlops(nb)),
 					Priority: prio(k, 1),
-					Tag:      fmt.Sprintf("tsmqr(%d,%d,%d)", i, j, k),
+					Tag:      taskTag("tsmqr", i, j, k),
 				}
 				if a.Numeric() {
 					tm.Func = func() error {

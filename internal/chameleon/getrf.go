@@ -39,7 +39,7 @@ func Getrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 			Modes:    modesRW,
 			Work:     units.Flops(linalg.GetrfFlops(a.TileDim(k))),
 			Priority: prio(k, 3),
-			Tag:      fmt.Sprintf("getrf(%d)", k),
+			Tag:      taskTag("getrf", k),
 		}
 		if a.Numeric() {
 			tf.Func = func() error { return linalg.GetrfNoPiv(a.Tile(k, k)) }
@@ -55,7 +55,7 @@ func Getrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(a.TileDim(i), a.TileDim(k))),
 				Priority: prio(k, 2),
-				Tag:      fmt.Sprintf("trsmR(%d,%d)", i, k),
+				Tag:      taskTag("trsmR", i, k),
 			}
 			if a.Numeric() {
 				tr.Func = func() error {
@@ -75,7 +75,7 @@ func Getrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(a.TileDim(j), a.TileDim(k))),
 				Priority: prio(k, 2),
-				Tag:      fmt.Sprintf("trsmL(%d,%d)", k, j),
+				Tag:      taskTag("trsmL", k, j),
 			}
 			if a.Numeric() {
 				tl.Func = func() error {
@@ -96,7 +96,7 @@ func Getrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 					Modes:    modesRRRW,
 					Work:     units.Flops(linalg.GemmFlops(a.TileDim(i), a.TileDim(j), a.TileDim(k))),
 					Priority: prio(k, 0),
-					Tag:      fmt.Sprintf("gemm(%d,%d,%d)", i, j, k),
+					Tag:      taskTag("gemm", i, j, k),
 				}
 				if a.Numeric() {
 					tg.Func = func() error {

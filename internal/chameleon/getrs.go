@@ -30,7 +30,7 @@ func Getrs[T linalg.Float](rt *starpu.Runtime, lu, b *Desc[T]) error {
 				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(b.TileCols(j), lu.TileDim(k))),
 				Priority: 2 * (nt - k),
-				Tag:      fmt.Sprintf("lu-fwd-trsm(%d,%d)", k, j),
+				Tag:      taskTag("lu-fwd-trsm", k, j),
 			}
 			if b.Numeric() {
 				ts.Func = func() error {
@@ -51,7 +51,7 @@ func Getrs[T linalg.Float](rt *starpu.Runtime, lu, b *Desc[T]) error {
 					Modes:    modesRRRW,
 					Work:     units.Flops(linalg.GemmFlops(b.TileRows(i), b.TileCols(j), lu.TileDim(k))),
 					Priority: 2*(nt-k) - 1,
-					Tag:      fmt.Sprintf("lu-fwd-gemm(%d,%d,%d)", i, j, k),
+					Tag:      taskTag("lu-fwd-gemm", i, j, k),
 				}
 				if b.Numeric() {
 					tg.Func = func() error {
@@ -76,7 +76,7 @@ func Getrs[T linalg.Float](rt *starpu.Runtime, lu, b *Desc[T]) error {
 				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(b.TileCols(j), lu.TileDim(k))),
 				Priority: 2 * (k + 1),
-				Tag:      fmt.Sprintf("lu-bwd-trsm(%d,%d)", k, j),
+				Tag:      taskTag("lu-bwd-trsm", k, j),
 			}
 			if b.Numeric() {
 				ts.Func = func() error {
@@ -97,7 +97,7 @@ func Getrs[T linalg.Float](rt *starpu.Runtime, lu, b *Desc[T]) error {
 					Modes:    modesRRRW,
 					Work:     units.Flops(linalg.GemmFlops(b.TileRows(i), b.TileCols(j), lu.TileDim(k))),
 					Priority: 2*(k+1) - 1,
-					Tag:      fmt.Sprintf("lu-bwd-gemm(%d,%d,%d)", i, j, k),
+					Tag:      taskTag("lu-bwd-gemm", i, j, k),
 				}
 				if b.Numeric() {
 					tg.Func = func() error {

@@ -76,7 +76,7 @@ func PosvMixed(rt *starpu.Runtime, aD, bD *Desc[float64], iters int) error {
 				t := &starpu.Task{
 					Codelet: cl, Handles: hs, Modes: modes,
 					Work: tileWork(i, j),
-					Tag:  fmt.Sprintf("%s(%d,%d)", tag, i, j),
+					Tag:  taskTag(tag, i, j),
 				}
 				if numeric {
 					t.Func = fn(i, j)

@@ -48,7 +48,7 @@ func Potrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 			Modes:    modesRW,
 			Work:     units.Flops(linalg.PotrfFlops(a.TileDim(k))),
 			Priority: prio(k, 3),
-			Tag:      fmt.Sprintf("potrf(%d)", k),
+			Tag:      taskTag("potrf", k),
 		}
 		if a.Numeric() {
 			tp.Func = func() error { return linalg.PotrfLower(a.Tile(k, k)) }
@@ -64,7 +64,7 @@ func Potrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(a.TileDim(i), a.TileDim(k))),
 				Priority: prio(k, 2),
-				Tag:      fmt.Sprintf("trsm(%d,%d)", i, k),
+				Tag:      taskTag("trsm", i, k),
 			}
 			if a.Numeric() {
 				tt.Func = func() error {
@@ -84,7 +84,7 @@ func Potrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 				Modes:    modesRRW,
 				Work:     units.Flops(linalg.SyrkFlops(a.TileDim(i), a.TileDim(k))),
 				Priority: prio(k, 1),
-				Tag:      fmt.Sprintf("syrk(%d,%d)", i, k),
+				Tag:      taskTag("syrk", i, k),
 			}
 			if a.Numeric() {
 				ts.Func = func() error {
@@ -103,7 +103,7 @@ func Potrf[T linalg.Float](rt *starpu.Runtime, a *Desc[T]) error {
 					Modes:    modesRRRW,
 					Work:     units.Flops(linalg.GemmFlops(a.TileDim(i), a.TileDim(j), a.TileDim(k))),
 					Priority: prio(k, 0),
-					Tag:      fmt.Sprintf("gemm(%d,%d,%d)", i, j, k),
+					Tag:      taskTag("gemm", i, j, k),
 				}
 				if a.Numeric() {
 					tg.Func = func() error {

@@ -31,7 +31,7 @@ func Potrs[T linalg.Float](rt *starpu.Runtime, l, b *Desc[T]) error {
 				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(b.TileCols(j), l.TileDim(k))),
 				Priority: 2 * (nt - k),
-				Tag:      fmt.Sprintf("fwd-trsm(%d,%d)", k, j),
+				Tag:      taskTag("fwd-trsm", k, j),
 			}
 			if b.Numeric() {
 				ts.Func = func() error {
@@ -52,7 +52,7 @@ func Potrs[T linalg.Float](rt *starpu.Runtime, l, b *Desc[T]) error {
 					Modes:    modesRRRW,
 					Work:     units.Flops(linalg.GemmFlops(b.TileRows(i), b.TileCols(j), l.TileDim(k))),
 					Priority: 2*(nt-k) - 1,
-					Tag:      fmt.Sprintf("fwd-gemm(%d,%d,%d)", i, j, k),
+					Tag:      taskTag("fwd-gemm", i, j, k),
 				}
 				if b.Numeric() {
 					tg.Func = func() error {
@@ -78,7 +78,7 @@ func Potrs[T linalg.Float](rt *starpu.Runtime, l, b *Desc[T]) error {
 				Modes:    modesRRW,
 				Work:     units.Flops(linalg.TrsmFlops(b.TileCols(j), l.TileDim(k))),
 				Priority: 2 * (k + 1),
-				Tag:      fmt.Sprintf("bwd-trsm(%d,%d)", k, j),
+				Tag:      taskTag("bwd-trsm", k, j),
 			}
 			if b.Numeric() {
 				ts.Func = func() error {
@@ -100,7 +100,7 @@ func Potrs[T linalg.Float](rt *starpu.Runtime, l, b *Desc[T]) error {
 					Modes:    modesRRRW,
 					Work:     units.Flops(linalg.GemmFlops(b.TileRows(i), b.TileCols(j), l.TileDim(k))),
 					Priority: 2*(k+1) - 1,
-					Tag:      fmt.Sprintf("bwd-gemm(%d,%d,%d)", i, j, k),
+					Tag:      taskTag("bwd-gemm", i, j, k),
 				}
 				if b.Numeric() {
 					tg.Func = func() error {

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/prec"
 	"repro/internal/units"
@@ -65,18 +66,20 @@ func (a *Arch) Validate() error {
 	return nil
 }
 
-// Package is one socket with mutable RAPL state.  Safe for concurrent use.
+// Package is one socket with mutable RAPL state.  Safe for concurrent
+// use: the active limit is one atomic word, so a read is a plain load.
 type Package struct {
 	arch  *Arch
 	index int
 
-	mu  sync.Mutex
-	cap units.Watts // 0 = uncapped
+	limit atomic.Uint64 // math.Float64bits of the active cap (TDP when uncapped)
 }
 
 // NewPackage returns socket #index of the given architecture, uncapped.
 func NewPackage(arch *Arch, index int) *Package {
-	return &Package{arch: arch, index: index}
+	p := &Package{arch: arch, index: index}
+	p.limit.Store(math.Float64bits(float64(arch.TDP)))
+	return p
 }
 
 // Arch reports the package's architecture.
@@ -98,28 +101,20 @@ func (p *Package) SetPowerLimit(cap units.Watts) error {
 			return fmt.Errorf("cpu: %s: power limit %v outside [%v, %v]", p.arch.Name, cap, min, p.arch.TDP)
 		}
 	}
-	p.mu.Lock()
-	p.cap = cap
-	p.mu.Unlock()
+	if cap == 0 {
+		cap = p.arch.TDP
+	}
+	p.limit.Store(math.Float64bits(float64(cap)))
 	return nil
 }
 
 // PowerLimit reports the active cap (TDP when uncapped).
 func (p *Package) PowerLimit() units.Watts {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.cap == 0 {
-		return p.arch.TDP
-	}
-	return p.cap
+	return units.Watts(math.Float64frombits(p.limit.Load()))
 }
 
 // Uncapped reports whether the default limit is active.
-func (p *Package) Uncapped() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.cap == 0 || p.cap == p.arch.TDP
-}
+func (p *Package) Uncapped() bool { return p.PowerLimit() == p.arch.TDP }
 
 // ClockFraction reports the all-core clock fraction the cap allows,
 // sized for the worst case of every core busy (RAPL enforces the limit

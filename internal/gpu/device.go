@@ -2,7 +2,7 @@ package gpu
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/prec"
 	"repro/internal/units"
@@ -10,20 +10,52 @@ import (
 
 // Device is one GPU board: an architecture plus mutable power-management
 // state.  It is safe for concurrent use (the NVML facade may be driven
-// from several goroutines).
+// from several goroutines).  The power state is an immutable snapshot
+// behind an atomic pointer: a reader takes one load, so the cap,
+// throttle and effective limit it sees were published together;
+// writers replace the snapshot with a compare-and-swap.
 type Device struct {
 	arch  *Arch
 	index int
 
-	mu       sync.Mutex
+	state atomic.Pointer[powerState]
+}
+
+// powerState is one immutable snapshot of a board's power management.
+type powerState struct {
 	cap      units.Watts // 0 = uncapped
 	throttle units.Watts // 0 = no thermal throttle active
 	dead     bool        // board fell off the bus
+	// limit is the effective limit the cap and throttle above yield,
+	// computed once per write so PowerLimit is a plain load.
+	limit units.Watts
 }
 
 // NewDevice returns board #index of the given architecture, uncapped.
 func NewDevice(arch *Arch, index int) *Device {
-	return &Device{arch: arch, index: index}
+	d := &Device{arch: arch, index: index}
+	d.state.Store(&powerState{limit: arch.TDP})
+	return d
+}
+
+// update applies fn to a copy of the current snapshot and publishes it,
+// retrying if another writer got in first.
+func (d *Device) update(fn func(*powerState)) {
+	for {
+		old := d.state.Load()
+		next := *old
+		fn(&next)
+		next.limit = next.cap
+		if next.limit == 0 {
+			next.limit = d.arch.TDP
+		}
+		if next.throttle > 0 && next.throttle < next.limit {
+			next.limit = next.throttle
+		}
+		if d.state.CompareAndSwap(old, &next) {
+			return
+		}
+	}
 }
 
 // Arch reports the device's architecture.
@@ -42,9 +74,7 @@ func (d *Device) SetPowerLimit(cap units.Watts) error {
 	if err := d.arch.ValidateCap(cap); err != nil {
 		return err
 	}
-	d.mu.Lock()
-	d.cap = cap
-	d.mu.Unlock()
+	d.update(func(s *powerState) { s.cap = cap })
 	return nil
 }
 
@@ -53,28 +83,15 @@ func (d *Device) SetPowerLimit(cap units.Watts) error {
 // effective limit is what the DVFS curves, the power draw and the
 // worker-class strings all key off, so a throttle window degrades the
 // device's power class exactly like a (temporary) deeper cap.
-func (d *Device) PowerLimit() units.Watts {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	limit := d.cap
-	if limit == 0 {
-		limit = d.arch.TDP
-	}
-	if d.throttle > 0 && d.throttle < limit {
-		limit = d.throttle
-	}
-	return limit
-}
+func (d *Device) PowerLimit() units.Watts { return d.state.Load().limit }
 
 // ConfiguredLimit reports the cap as set through the driver, ignoring
 // any thermal throttle (what GetEnforcedPowerLimit verifies against).
 func (d *Device) ConfiguredLimit() units.Watts {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.cap == 0 {
-		return d.arch.TDP
+	if cap := d.state.Load().cap; cap != 0 {
+		return cap
 	}
-	return d.cap
+	return d.arch.TDP
 }
 
 // SetThrottle starts a thermal-throttle window: the effective limit
@@ -84,45 +101,30 @@ func (d *Device) SetThrottle(limit units.Watts) {
 	if limit < d.arch.MinPower {
 		limit = d.arch.MinPower
 	}
-	d.mu.Lock()
-	d.throttle = limit
-	d.mu.Unlock()
+	d.update(func(s *powerState) { s.throttle = limit })
 }
 
 // ClearThrottle ends the thermal-throttle window.
 func (d *Device) ClearThrottle() {
-	d.mu.Lock()
-	d.throttle = 0
-	d.mu.Unlock()
+	d.update(func(s *powerState) { s.throttle = 0 })
 }
 
 // Throttled reports whether a thermal window is currently active.
-func (d *Device) Throttled() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.throttle > 0
-}
+func (d *Device) Throttled() bool { return d.state.Load().throttle > 0 }
 
 // MarkDead drops the board off the bus: capping calls fail with
 // ERROR_NOT_FOUND from then on.  Irreversible, like the real failure.
 func (d *Device) MarkDead() {
-	d.mu.Lock()
-	d.dead = true
-	d.mu.Unlock()
+	d.update(func(s *powerState) { s.dead = true })
 }
 
 // Alive reports whether the board still answers.
-func (d *Device) Alive() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return !d.dead
-}
+func (d *Device) Alive() bool { return !d.state.Load().dead }
 
 // Uncapped reports whether the default limit is active.
 func (d *Device) Uncapped() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.cap == 0 || d.cap == d.arch.TDP
+	cap := d.state.Load().cap
+	return cap == 0 || cap == d.arch.TDP
 }
 
 // IdlePower reports the draw with no kernel resident.

@@ -350,6 +350,15 @@ func TestClassIgnoresCap(t *testing.T) {
 	if after := p.WorkerClass(0); after != before {
 		t.Errorf("class changed with cap despite ClassIgnoresCap: %q -> %q", before, after)
 	}
+	// Toggling the flag re-renders the cached class either way.
+	p.ClassIgnoresCap = false
+	if got := p.WorkerClass(0); got != "cuda0@216W" {
+		t.Errorf("cap-keyed class = %q, want cuda0@216W", got)
+	}
+	p.ClassIgnoresCap = true
+	if got := p.WorkerClass(0); got != before {
+		t.Errorf("cap-blind class after toggling back = %q, want %q", got, before)
+	}
 }
 
 func TestNVMLTemperature(t *testing.T) {

@@ -30,10 +30,11 @@ func (m *fixedClassMachine) NodeCapacity(n int) units.Bytes {
 
 // TestNoAllocsSteadyState pins the zero-allocation contract of the
 // dmdas scoring kernel: with the performance model warm, scoring one
-// ready task against every worker (estimate + transfer estimate +
-// locality bytes), the bounded-node memory-fit check, a whole
-// dmSched.Push with its per-node transfer memo, and cycling the
-// per-worker priority queue must not allocate.
+// ready task against every worker (estimate through the class table +
+// transfer estimate + locality bytes), the bounded-node memory-fit
+// check, a whole dmSched.Push with its per-node transfer memo, cycling
+// the per-worker priority queue through the in-place locality pop, and
+// warm residency updates must not allocate.
 func TestNoAllocsSteadyState(t *testing.T) {
 	m := newTestMachine()
 	fm := &fixedClassMachine{
@@ -131,5 +132,42 @@ func TestNoAllocsSteadyState(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("queue push/pop cycle allocates %.2f times per op, want 0", allocs)
+	}
+
+	// The same cycle with a full locality window: the in-place frontier
+	// walk and removeAt over a queue holding a long run of equal
+	// priorities.
+	q = taskQueue{sorted: true}
+	for _, tk := range rt.Tasks() {
+		if tk.Priority == 0 {
+			q.push(tk)
+		}
+	}
+	allocs = testing.AllocsPerRun(500, func() {
+		q.push(q.popBestLocal(rt, 2))
+	})
+	if allocs != 0 {
+		t.Errorf("full-window popBestLocal allocates %.2f times per op, want 0", allocs)
+	}
+
+	// Warm residency updates: once a node's per-handle table covers the
+	// handles, touch, pin, unpin and the LRU victim scan are index
+	// arithmetic.
+	mem := newNodeMemory(1, 64*tileBytes)
+	for _, h := range handles {
+		mem.touch(h)
+	}
+	allocs = testing.AllocsPerRun(500, func() {
+		for _, h := range handles {
+			mem.touch(h)
+			mem.pin(h)
+		}
+		mem.victim()
+		for _, h := range handles {
+			mem.unpin(h)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm touch/pin/unpin allocates %.2f times per cycle, want 0", allocs)
 	}
 }

@@ -1,7 +1,6 @@
 package starpu
 
 import (
-	"container/list"
 	"fmt"
 
 	"repro/internal/units"
@@ -16,7 +15,10 @@ type CapacityModel interface {
 
 // nodeMemory tracks one bounded memory node: resident handles in LRU
 // order, pin counts for handles used by in-flight tasks, the used byte
-// count and, of those, the pinned byte count.
+// count and, of those, the pinned byte count.  Per-handle state lives
+// in a slice indexed by Handle.id, and the LRU order is an intrusive
+// doubly linked list threaded through it, so residency updates neither
+// hash nor allocate once the slice has grown to the handle count.
 type nodeMemory struct {
 	node     int
 	capacity units.Bytes
@@ -25,44 +27,100 @@ type nodeMemory struct {
 	// touch, drop, pin and unpin keep it current, so canFit reads the
 	// node's evictable bytes without walking the LRU list.
 	pinned units.Bytes
-	lru    *list.List // *Handle, front = least recent
-	elems  map[*Handle]*list.Element
-	pins   map[*Handle]int
+	res    []residency
+	// head is the least recently used resident handle id, tail the most
+	// recent; -1 when the node holds nothing.
+	head, tail int
+}
+
+// residency is one handle's state on a node.  prev and next link the
+// LRU list and are meaningful only while resident.
+type residency struct {
+	h          *Handle
+	pins       int
+	resident   bool
+	prev, next int
 }
 
 func newNodeMemory(node int, capacity units.Bytes) *nodeMemory {
-	return &nodeMemory{
-		node:     node,
-		capacity: capacity,
-		lru:      list.New(),
-		elems:    make(map[*Handle]*list.Element),
-		pins:     make(map[*Handle]int),
+	return &nodeMemory{node: node, capacity: capacity, head: -1, tail: -1}
+}
+
+// state reports h's entry, growing the table to cover h.
+func (m *nodeMemory) state(h *Handle) *residency {
+	if h.id >= len(m.res) {
+		m.res = append(m.res, make([]residency, h.id+1-len(m.res))...)
+	}
+	r := &m.res[h.id]
+	r.h = h
+	return r
+}
+
+// peek reports h's entry without growing the table (zero if unseen).
+func (m *nodeMemory) peek(h *Handle) residency {
+	if h.id < len(m.res) {
+		return m.res[h.id]
+	}
+	return residency{}
+}
+
+// pushBack appends handle id to the LRU tail (most recent).
+func (m *nodeMemory) pushBack(id int) {
+	r := &m.res[id]
+	r.prev, r.next = m.tail, -1
+	if m.tail >= 0 {
+		m.res[m.tail].next = id
+	} else {
+		m.head = id
+	}
+	m.tail = id
+}
+
+// unlink removes handle id from the LRU list.
+func (m *nodeMemory) unlink(id int) {
+	r := &m.res[id]
+	if r.prev >= 0 {
+		m.res[r.prev].next = r.next
+	} else {
+		m.head = r.next
+	}
+	if r.next >= 0 {
+		m.res[r.next].prev = r.prev
+	} else {
+		m.tail = r.prev
 	}
 }
 
 // touch marks h resident and most-recently used, accounting its bytes on
 // first residency.
 func (m *nodeMemory) touch(h *Handle) {
-	if e, ok := m.elems[h]; ok {
-		m.lru.MoveToBack(e)
+	r := m.state(h)
+	if r.resident {
+		if m.tail != h.id {
+			m.unlink(h.id)
+			m.pushBack(h.id)
+		}
 		return
 	}
-	m.elems[h] = m.lru.PushBack(h)
+	r.resident = true
+	m.pushBack(h.id)
 	m.used += h.bytes
-	if m.pins[h] > 0 {
+	if r.pins > 0 {
 		m.pinned += h.bytes
 	}
 }
 
 // drop removes h from the node's accounting.
 func (m *nodeMemory) drop(h *Handle) {
-	if e, ok := m.elems[h]; ok {
-		m.lru.Remove(e)
-		delete(m.elems, h)
-		m.used -= h.bytes
-		if m.pins[h] > 0 {
-			m.pinned -= h.bytes
-		}
+	if !m.peek(h).resident {
+		return
+	}
+	r := &m.res[h.id]
+	m.unlink(h.id)
+	r.resident = false
+	m.used -= h.bytes
+	if r.pins > 0 {
+		m.pinned -= h.bytes
 	}
 }
 
@@ -70,22 +128,21 @@ func (m *nodeMemory) drop(h *Handle) {
 // can drop a pinned handle (dropInvalid), so pins may outlive
 // residency; only resident bytes count towards pinned.
 func (m *nodeMemory) pin(h *Handle) {
-	n := m.pins[h]
-	if _, resident := m.elems[h]; n == 0 && resident {
+	r := m.state(h)
+	if r.pins == 0 && r.resident {
 		m.pinned += h.bytes
 	}
-	m.pins[h] = n + 1
+	r.pins++
 }
 
 func (m *nodeMemory) unpin(h *Handle) {
-	switch n := m.pins[h]; {
-	case n > 1:
-		m.pins[h] = n - 1
-	case n == 1:
-		delete(m.pins, h)
-		if _, resident := m.elems[h]; resident {
-			m.pinned -= h.bytes
-		}
+	if m.peek(h).pins == 0 {
+		return
+	}
+	r := &m.res[h.id]
+	r.pins--
+	if r.pins == 0 && r.resident {
+		m.pinned -= h.bytes
 	}
 }
 
@@ -104,9 +161,9 @@ func (m *nodeMemory) canFit(hs []*Handle) bool {
 		if containsHandle(hs[:i], h) {
 			continue
 		}
-		if _, resident := m.elems[h]; !resident {
+		if r := m.peek(h); !r.resident {
 			needed += h.bytes
-		} else if m.pins[h] == 0 {
+		} else if r.pins == 0 {
 			ownEvictable += h.bytes
 		}
 	}
@@ -117,10 +174,9 @@ func (m *nodeMemory) canFit(hs []*Handle) bool {
 
 // victim picks the least-recently-used unpinned resident handle, or nil.
 func (m *nodeMemory) victim() *Handle {
-	for e := m.lru.Front(); e != nil; e = e.Next() {
-		h := e.Value.(*Handle)
-		if m.pins[h] == 0 {
-			return h
+	for id := m.head; id >= 0; id = m.res[id].next {
+		if r := &m.res[id]; r.pins == 0 {
+			return r.h
 		}
 	}
 	return nil
@@ -141,14 +197,20 @@ func (rt *Runtime) initMemory() {
 	if !ok {
 		return
 	}
-	for n := 0; n < rt.machine.NumNodes(); n++ {
+	rt.memory = make([]*nodeMemory, rt.machine.NumNodes())
+	for n := range rt.memory {
 		if c := cm.NodeCapacity(n); c > 0 {
-			if rt.memory == nil {
-				rt.memory = make(map[int]*nodeMemory)
-			}
 			rt.memory[n] = newNodeMemory(n, c)
 		}
 	}
+}
+
+// memOn reports node's tracker, or nil when the node is unbounded.
+func (rt *Runtime) memOn(node int) *nodeMemory {
+	if node < len(rt.memory) {
+		return rt.memory[node]
+	}
+	return nil
 }
 
 // ensureResident makes room for h on node (evicting LRU handles as
@@ -157,11 +219,11 @@ func (rt *Runtime) initMemory() {
 // Bounded-node overflow by a single working set larger than the device
 // panics: the workload cannot run, matching a CUDA OOM.
 func (rt *Runtime) ensureResident(h *Handle, node int, from units.Seconds) units.Seconds {
-	mem, ok := rt.memory[node]
-	if !ok {
+	mem := rt.memOn(node)
+	if mem == nil {
 		return from
 	}
-	if _, resident := mem.elems[h]; resident {
+	if mem.peek(h).resident {
 		mem.touch(h)
 		return from
 	}
@@ -201,8 +263,8 @@ func (rt *Runtime) ensureResident(h *Handle, node int, from units.Seconds) units
 // pinHandles pins a task's working set on its node for the task's
 // lifetime.
 func (rt *Runtime) pinHandles(t *Task, node int) {
-	mem, ok := rt.memory[node]
-	if !ok {
+	mem := rt.memOn(node)
+	if mem == nil {
 		return
 	}
 	for _, h := range t.Handles {
@@ -212,8 +274,8 @@ func (rt *Runtime) pinHandles(t *Task, node int) {
 
 // unpinHandles releases the pins at task completion.
 func (rt *Runtime) unpinHandles(t *Task, node int) {
-	mem, ok := rt.memory[node]
-	if !ok {
+	mem := rt.memOn(node)
+	if mem == nil {
 		return
 	}
 	for _, h := range t.Handles {
@@ -224,7 +286,7 @@ func (rt *Runtime) unpinHandles(t *Task, node int) {
 // dropInvalid removes h from node accounting after a write elsewhere
 // invalidated its copy.
 func (rt *Runtime) dropInvalid(h *Handle, node int) {
-	if mem, ok := rt.memory[node]; ok {
+	if mem := rt.memOn(node); mem != nil {
 		mem.drop(h)
 	}
 }
@@ -232,8 +294,8 @@ func (rt *Runtime) dropInvalid(h *Handle, node int) {
 // canFit reports whether t's working set can be staged on node right
 // now (see nodeMemory.canFit).  Unbounded nodes always fit.
 func (rt *Runtime) canFit(t *Task, node int) bool {
-	mem, ok := rt.memory[node]
-	if !ok {
+	mem := rt.memOn(node)
+	if mem == nil {
 		return true
 	}
 	return mem.canFit(t.Handles)
@@ -252,8 +314,8 @@ func containsHandle(hs []*Handle, h *Handle) bool {
 // assertCouldFit panics when t's deduplicated working set exceeds the
 // node outright — the simulation equivalent of a CUDA out-of-memory.
 func (rt *Runtime) assertCouldFit(t *Task, node int) {
-	mem, ok := rt.memory[node]
-	if !ok {
+	mem := rt.memOn(node)
+	if mem == nil {
 		return
 	}
 	var total units.Bytes
@@ -274,7 +336,7 @@ func (rt *Runtime) MemoryStats() MemoryStats { return rt.memStats }
 // NodeUsage reports the bytes resident on a bounded node (0 for
 // unbounded nodes).
 func (rt *Runtime) NodeUsage(node int) units.Bytes {
-	if mem, ok := rt.memory[node]; ok {
+	if mem := rt.memOn(node); mem != nil {
 		return mem.used
 	}
 	return 0

@@ -1,6 +1,7 @@
 package starpu
 
 import (
+	"container/list"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -185,57 +186,131 @@ func TestEvictionStressNeverLosesData(t *testing.T) {
 	}
 }
 
-// canFitLRUWalk is the reference formula nodeMemory.canFit replaced:
-// the same question answered by walking the whole LRU list and summing
-// every resident, unpinned byte outside the working set.
-func canFitLRUWalk(m *nodeMemory, hs []*Handle) bool {
-	var needed units.Bytes
-	for i, h := range hs {
-		if containsHandle(hs[:i], h) {
-			continue
-		}
-		if _, resident := m.elems[h]; !resident {
-			needed += h.bytes
-		}
-	}
-	free := m.capacity - m.used
-	var evictable units.Bytes
-	for e := m.lru.Front(); e != nil; e = e.Next() {
-		h := e.Value.(*Handle)
-		if !containsHandle(hs, h) && m.pins[h] == 0 {
-			evictable += h.bytes
-		}
-	}
-	return needed <= free+evictable
+// refLRU is the reference residency model nodeMemory replaced: a
+// container/list LRU (front = least recent) with map-held list elements
+// and pin counts.  canFit and pinned are answered by walking the whole
+// list, the formulas the incremental counters must reproduce.
+type refLRU struct {
+	capacity units.Bytes
+	used     units.Bytes
+	lru      *list.List
+	elems    map[*Handle]*list.Element
+	pins     map[*Handle]int
 }
 
-// pinnedByWalk recomputes nodeMemory.pinned from the LRU list.
-func pinnedByWalk(m *nodeMemory) units.Bytes {
+func newRefLRU(capacity units.Bytes) *refLRU {
+	return &refLRU{capacity: capacity, lru: list.New(),
+		elems: make(map[*Handle]*list.Element), pins: make(map[*Handle]int)}
+}
+
+func (r *refLRU) touch(h *Handle) {
+	if e, ok := r.elems[h]; ok {
+		r.lru.MoveToBack(e)
+		return
+	}
+	r.elems[h] = r.lru.PushBack(h)
+	r.used += h.bytes
+}
+
+func (r *refLRU) drop(h *Handle) {
+	if e, ok := r.elems[h]; ok {
+		r.lru.Remove(e)
+		delete(r.elems, h)
+		r.used -= h.bytes
+	}
+}
+
+func (r *refLRU) pin(h *Handle) { r.pins[h]++ }
+
+func (r *refLRU) unpin(h *Handle) {
+	switch n := r.pins[h]; {
+	case n > 1:
+		r.pins[h] = n - 1
+	case n == 1:
+		delete(r.pins, h)
+	}
+}
+
+func (r *refLRU) victim() *Handle {
+	for e := r.lru.Front(); e != nil; e = e.Next() {
+		if h := e.Value.(*Handle); r.pins[h] == 0 {
+			return h
+		}
+	}
+	return nil
+}
+
+// pinned sums the resident bytes whose pin count is > 0.
+func (r *refLRU) pinned() units.Bytes {
 	var sum units.Bytes
-	for e := m.lru.Front(); e != nil; e = e.Next() {
-		if h := e.Value.(*Handle); m.pins[h] > 0 {
+	for e := r.lru.Front(); e != nil; e = e.Next() {
+		if h := e.Value.(*Handle); r.pins[h] > 0 {
 			sum += h.bytes
 		}
 	}
 	return sum
 }
 
-// TestCanFitMatchesLRUWalk drives one bounded node through seeded random
-// sequences of the operations the runtime performs — staging a working
-// set (evict, touch, pin; a handle may repeat within a task), releasing
-// a task's pins, dropping a copy a remote write invalidated (pinned or
-// not), and bare LRU evictions — and after every step checks the
-// incremental canFit against the LRU walk and the pinned counter
-// against its recomputed sum.
+// canFit sums every resident, unpinned byte outside the working set.
+func (r *refLRU) canFit(hs []*Handle) bool {
+	var needed units.Bytes
+	for i, h := range hs {
+		if containsHandle(hs[:i], h) {
+			continue
+		}
+		if _, resident := r.elems[h]; !resident {
+			needed += h.bytes
+		}
+	}
+	free := r.capacity - r.used
+	var evictable units.Bytes
+	for e := r.lru.Front(); e != nil; e = e.Next() {
+		h := e.Value.(*Handle)
+		if !containsHandle(hs, h) && r.pins[h] == 0 {
+			evictable += h.bytes
+		}
+	}
+	return needed <= free+evictable
+}
+
+// order lists the resident handles least recent first.
+func (r *refLRU) order() []*Handle {
+	var out []*Handle
+	for e := r.lru.Front(); e != nil; e = e.Next() {
+		out = append(out, e.Value.(*Handle))
+	}
+	return out
+}
+
+// lruOrder lists nodeMemory's resident handles least recent first.
+func lruOrder(m *nodeMemory) []*Handle {
+	var out []*Handle
+	for id := m.head; id >= 0; id = m.res[id].next {
+		out = append(out, m.res[id].h)
+	}
+	return out
+}
+
+// TestCanFitMatchesLRUWalk drives one bounded node and the container/list
+// reference through the same seeded random sequences of the operations
+// the runtime performs — staging a working set (evict, touch, pin; a
+// handle may repeat within a task, and is sometimes pinned before its
+// first touch), releasing a task's pins, dropping a copy a remote write
+// invalidated (pinned or not), and bare LRU evictions — and after every
+// step checks the LRU order, victim, used and pinned bytes against the
+// reference, and the incremental canFit against the reference walk.
 func TestCanFitMatchesLRUWalk(t *testing.T) {
-	var fits, misses int
+	var fits, misses, pinFirst, droppedPinned int
 	for seed := int64(0); seed < 40; seed++ {
 		rng := newSeededRand(seed)
 		handles := make([]*Handle, 12)
 		for i := range handles {
-			handles[i] = &Handle{id: i, bytes: units.Bytes((1 + rng.Intn(3)) * tileBytes)}
+			// Sparse ids, so the per-handle table grows mid-run.
+			handles[i] = &Handle{id: 3*i + rng.Intn(3), bytes: units.Bytes((1 + rng.Intn(3)) * tileBytes)}
 		}
 		m := newNodeMemory(1, units.Bytes(8*tileBytes))
+		ref := newRefLRU(m.capacity)
+		seen := make(map[*Handle]bool)
 		workingSet := func() []*Handle {
 			hs := make([]*Handle, 1+rng.Intn(3))
 			for i := range hs {
@@ -246,25 +321,45 @@ func TestCanFitMatchesLRUWalk(t *testing.T) {
 			}
 			return hs
 		}
+		pin := func(hs []*Handle) {
+			for _, h := range hs {
+				if !seen[h] {
+					pinFirst++
+				}
+				seen[h] = true
+				m.pin(h)
+				ref.pin(h)
+			}
+		}
 		var running [][]*Handle
 		for step := 0; step < 300; step++ {
 			switch rng.Intn(5) {
 			case 0, 1: // stage and pin a task's working set
 				hs := workingSet()
+				pinBefore := rng.Intn(4) == 0
+				if pinBefore {
+					pin(hs)
+				}
 				for _, h := range hs {
-					if _, resident := m.elems[h]; !resident {
-						for m.used+h.bytes > m.capacity {
-							v := m.victim()
+					if _, resident := ref.elems[h]; !resident {
+						for ref.used+h.bytes > ref.capacity {
+							v := ref.victim()
 							if v == nil {
 								break
 							}
+							if got := m.victim(); got != v {
+								t.Fatalf("seed %d step %d: victim = %v, reference %v", seed, step, got, v)
+							}
 							m.drop(v)
+							ref.drop(v)
 						}
 					}
+					seen[h] = true
 					m.touch(h)
+					ref.touch(h)
 				}
-				for _, h := range hs {
-					m.pin(h)
+				if !pinBefore {
+					pin(hs)
 				}
 				running = append(running, hs)
 			case 2: // a task completes
@@ -272,22 +367,42 @@ func TestCanFitMatchesLRUWalk(t *testing.T) {
 					k := rng.Intn(len(running))
 					for _, h := range running[k] {
 						m.unpin(h)
+						ref.unpin(h)
 					}
 					running = append(running[:k], running[k+1:]...)
 				}
 			case 3: // a write elsewhere invalidates this node's copy
-				m.drop(handles[rng.Intn(len(handles))])
+				h := handles[rng.Intn(len(handles))]
+				if _, resident := ref.elems[h]; resident && ref.pins[h] > 0 {
+					droppedPinned++
+				}
+				m.drop(h)
+				ref.drop(h)
 			case 4: // LRU eviction
-				if v := m.victim(); v != nil {
+				v := ref.victim()
+				if got := m.victim(); got != v {
+					t.Fatalf("seed %d step %d: victim = %v, reference %v", seed, step, got, v)
+				}
+				if v != nil {
 					m.drop(v)
+					ref.drop(v)
 				}
 			}
-			if got, want := m.pinned, pinnedByWalk(m); got != want {
+			if got, want := lruOrder(m), ref.order(); !sameHandles(got, want) {
+				t.Fatalf("seed %d step %d: LRU order %v, reference %v", seed, step, got, want)
+			}
+			if got, want := m.victim(), ref.victim(); got != want {
+				t.Fatalf("seed %d step %d: victim = %v, reference %v", seed, step, got, want)
+			}
+			if m.used != ref.used {
+				t.Fatalf("seed %d step %d: used = %v, reference %v", seed, step, m.used, ref.used)
+			}
+			if got, want := m.pinned, ref.pinned(); got != want {
 				t.Fatalf("seed %d step %d: pinned = %v, LRU walk sums %v", seed, step, got, want)
 			}
 			for q := 0; q < 4; q++ {
 				hs := workingSet()
-				got, want := m.canFit(hs), canFitLRUWalk(m, hs)
+				got, want := m.canFit(hs), ref.canFit(hs)
 				if got != want {
 					t.Fatalf("seed %d step %d: canFit = %v, LRU walk says %v", seed, step, got, want)
 				}
@@ -299,7 +414,20 @@ func TestCanFitMatchesLRUWalk(t *testing.T) {
 			}
 		}
 	}
-	if fits == 0 || misses == 0 {
-		t.Fatalf("degenerate property run: %d fits, %d misses", fits, misses)
+	if fits == 0 || misses == 0 || pinFirst == 0 || droppedPinned == 0 {
+		t.Fatalf("degenerate property run: %d fits, %d misses, %d pins before first touch, %d pinned drops",
+			fits, misses, pinFirst, droppedPinned)
 	}
+}
+
+func sameHandles(a, b []*Handle) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
+			return false
+		}
+	}
+	return true
 }

@@ -107,9 +107,10 @@ type Runtime struct {
 	handles  []*Handle
 	nPending int
 
-	// memory tracks bounded memory nodes (LRU eviction); nil when the
-	// machine does not bound any node.
-	memory   map[int]*nodeMemory
+	// memory tracks bounded memory nodes (LRU eviction), indexed by
+	// node; nil entries (or a nil slice, when the machine has no
+	// CapacityModel) mark unbounded nodes.
+	memory   []*nodeMemory
 	memStats MemoryStats
 
 	// lastWorker is the worker whose completion released the tasks
@@ -117,17 +118,22 @@ type Runtime struct {
 	lastWorker int
 
 	// estSlots interns each task's estimate key to a dense slot at
-	// Submit, and estRows[slot][worker] memoizes estimate() results, so
-	// the dm-family schedulers neither re-hash composite string keys
-	// under the model's lock nor hash a struct key for every (ready
-	// task, candidate worker) pair.  Entries self-invalidate: each
-	// remembers the worker-class string and class generation it was
-	// computed under, so a cap change (new class string) or a completion
-	// recording new samples for the class (bumped classGen) turns the
-	// entry stale without any eager scan.
-	estSlots map[estKey]int32
-	estRows  [][]estVal
-	classGen map[string]uint64
+	// Submit, and estRows[slot][class id] memoizes estimate() results,
+	// so the dm-family schedulers hash nothing per (ready task,
+	// candidate worker) pair.  Class ids intern (class string, worker
+	// kind): workerClass caches each worker's last class string and
+	// consults classIDs only when the machine reports a different one,
+	// so a cap change moves the worker to a new id (and a new, empty
+	// column).  Entries self-invalidate: each remembers the generation
+	// of its class string, which a completion recording new samples for
+	// that string bumps (classGen, indexed by string id).
+	estSlots  map[estKey]int32
+	estRows   [][]estVal
+	lastClass []cachedClass
+	classes   []classInfo
+	classIDs  map[classKey]int32
+	strIDs    map[string]int32
+	classGen  []uint64
 
 	// Fault bookkeeping: evictions in order, tasks that exhausted their
 	// retry budget, tasks stranded with no surviving eligible worker.
@@ -161,12 +167,15 @@ func New(machine Machine, cfg Config) (*Runtime, error) {
 		model:      cfg.Model,
 		lastWorker: -1,
 		estSlots:   make(map[estKey]int32),
-		classGen:   make(map[string]uint64),
+		classIDs:   make(map[classKey]int32),
+		strIDs:     make(map[string]int32),
+		lastClass:  make([]cachedClass, machine.NumWorkers()),
 	}
 	for i := 0; i < machine.NumWorkers(); i++ {
 		w := &Worker{ID: i, Info: machine.Worker(i)}
 		w.wake = func() { rt.tryStart(w) }
 		rt.workers = append(rt.workers, w)
+		rt.lastClass[i].id = -1
 	}
 	sched, err := newScheduler(cfg.Scheduler)
 	if err != nil {
@@ -511,18 +520,20 @@ func (rt *Runtime) complete(w *Worker, t *Task) {
 	w.tasksRun++
 	rt.nPending--
 
+	class := &rt.classes[rt.workerClass(w.ID)]
 	key := perfmodel.Key{
 		Codelet:     t.Codelet.Name,
 		Footprint:   t.Footprint(),
-		WorkerClass: rt.machine.WorkerClass(w.ID),
+		WorkerClass: class.name,
 	}
 	rt.model.Record(key, t.Duration())
 	if rt.cfg.Regression != nil {
 		rt.cfg.Regression.Record(t.Codelet.Name, key.WorkerClass, t.Work, t.Duration())
 	}
 	// The new sample moved the model's mean (and regression fit) for this
-	// class; cached estimates rendered under the old generation are stale.
-	rt.classGen[key.WorkerClass]++
+	// class string; cached estimates rendered under the old generation
+	// are stale, whichever worker kind rendered them.
+	rt.classGen[class.str]++
 
 	if rt.cfg.Observer != nil {
 		rt.cfg.Observer.TaskCompleted(w.ID, t)
@@ -570,25 +581,73 @@ type estKey struct {
 	work      units.Flops
 }
 
-// estVal is a memoized estimate plus the validity epoch it was computed
-// under (see Runtime.estRows).  The zero value is an empty entry.
+// estVal is a memoized estimate plus the class-string generation it was
+// computed under (see Runtime.estRows).  The zero value is an empty
+// entry.
 type estVal struct {
 	filled     bool
-	class      string
 	gen        uint64
 	dur        units.Seconds
 	calibrated bool
 }
 
-// internEstimate returns t's estimate slot, allocating the slot's
-// per-worker row the first time its key is seen.
+// classKey identifies one estimate column: the performance model is
+// keyed by the class string, the uncalibrated fallback by worker kind.
+type classKey struct {
+	name string
+	kind WorkerKind
+}
+
+// classInfo describes one interned class id; str indexes classGen.
+type classInfo struct {
+	name string
+	kind WorkerKind
+	str  int32
+}
+
+// cachedClass is a worker's last-seen class string and its id (-1
+// until first asked).
+type cachedClass struct {
+	name string
+	id   int32
+}
+
+// workerClass reports worker i's current class id.  The machine
+// returns the same string instance while a worker's power state holds,
+// so the steady state is one string comparison; the maps are consulted
+// only when the string changes.
+func (rt *Runtime) workerClass(i int) int32 {
+	name := rt.machine.WorkerClass(i)
+	wc := &rt.lastClass[i]
+	if wc.id >= 0 && wc.name == name {
+		return wc.id
+	}
+	k := classKey{name: name, kind: rt.workers[i].Info.Kind}
+	id, ok := rt.classIDs[k]
+	if !ok {
+		str, ok := rt.strIDs[name]
+		if !ok {
+			str = int32(len(rt.classGen))
+			rt.strIDs[name] = str
+			rt.classGen = append(rt.classGen, 0)
+		}
+		id = int32(len(rt.classes))
+		rt.classIDs[k] = id
+		rt.classes = append(rt.classes, classInfo{name: name, kind: k.kind, str: str})
+	}
+	*wc = cachedClass{name: name, id: id}
+	return id
+}
+
+// internEstimate returns t's estimate slot, registering its key the
+// first time it is seen.  Rows start empty and grow on demand.
 func (rt *Runtime) internEstimate(t *Task) int32 {
 	k := estKey{codelet: t.Codelet, footprint: t.Footprint(), work: t.Work}
 	slot, ok := rt.estSlots[k]
 	if !ok {
 		slot = int32(len(rt.estRows))
 		rt.estSlots[k] = slot
-		rt.estRows = append(rt.estRows, make([]estVal, len(rt.workers)))
+		rt.estRows = append(rt.estRows, nil)
 	}
 	return slot
 }
@@ -602,24 +661,30 @@ func (rt *Runtime) flushEstimates() {
 
 // estimate reports the model's prediction for t on worker i, falling
 // back to a work-proportional guess while uncalibrated.  Results are
-// memoized per (estimate slot, worker) and trusted only while the
-// worker's class string and class generation are unchanged.
+// memoized per (estimate slot, class id) and trusted only while the
+// class string's generation is unchanged.
 func (rt *Runtime) estimate(t *Task, i int) (units.Seconds, bool) {
-	class := rt.machine.WorkerClass(i)
-	gen := rt.classGen[class]
-	v := &rt.estRows[t.estSlot][i]
-	if v.filled && v.gen == gen && v.class == class {
+	id := rt.workerClass(i)
+	c := &rt.classes[id]
+	gen := rt.classGen[c.str]
+	row := rt.estRows[t.estSlot]
+	if int(id) >= len(row) {
+		row = append(row, make([]estVal, len(rt.classes)-len(row))...)
+		rt.estRows[t.estSlot] = row
+	}
+	v := &row[id]
+	if v.filled && v.gen == gen {
 		return v.dur, v.calibrated
 	}
-	dur, calibrated := rt.estimateUncached(t, i, t.Footprint(), class)
-	*v = estVal{filled: true, class: class, gen: gen, dur: dur, calibrated: calibrated}
+	dur, calibrated := rt.estimateUncached(t, c.kind, c.name)
+	*v = estVal{filled: true, gen: gen, dur: dur, calibrated: calibrated}
 	return dur, calibrated
 }
 
-func (rt *Runtime) estimateUncached(t *Task, i int, footprint uint64, class string) (units.Seconds, bool) {
+func (rt *Runtime) estimateUncached(t *Task, kind WorkerKind, class string) (units.Seconds, bool) {
 	key := perfmodel.Key{
 		Codelet:     t.Codelet.Name,
-		Footprint:   footprint,
+		Footprint:   t.Footprint(),
 		WorkerClass: class,
 	}
 	if d, ok := rt.model.Estimate(key); ok {
@@ -633,7 +698,7 @@ func (rt *Runtime) estimateUncached(t *Task, i int, footprint uint64, class stri
 	// Uncalibrated fallback: a crude flat rate that at least prefers
 	// GPUs, as StarPU's eager warm-up would discover quickly.
 	rate := 5e9
-	if rt.workers[i].Info.Kind == CUDAWorker {
+	if kind == CUDAWorker {
 		rate = 1e12
 	}
 	return units.Seconds(float64(t.Work) / rate), false

@@ -307,19 +307,26 @@ func (s *dmSched) DrainWorker(worker int) []*Task { return s.queues[worker].drai
 // behaviour after a power-state change.
 type calibrateSched struct {
 	rt     *Runtime
-	counts map[string][]int // class key -> per-worker sample count
+	counts map[calibKey][]int // per-worker sample count
 	queues [][]*Task
+}
+
+// calibKey identifies one calibration class: a codelet name and a data
+// footprint, the performance model's per-class key.
+type calibKey struct {
+	name      string
+	footprint uint64
 }
 
 func (s *calibrateSched) Name() string { return "calibrate" }
 func (s *calibrateSched) Init(rt *Runtime) {
 	s.rt = rt
-	s.counts = make(map[string][]int)
+	s.counts = make(map[calibKey][]int)
 	s.queues = make([][]*Task, rt.machine.NumWorkers())
 }
 
 func (s *calibrateSched) Push(t *Task) {
-	key := fmt.Sprintf("%s/%x", t.Codelet.Name, t.Footprint())
+	key := calibKey{name: t.Codelet.Name, footprint: t.Footprint()}
 	c, ok := s.counts[key]
 	if !ok {
 		c = make([]int, s.rt.machine.NumWorkers())
@@ -388,7 +395,7 @@ func (q *taskQueue) len() int {
 func (q *taskQueue) push(t *Task) {
 	if q.sorted {
 		q.seq++
-		q.heap.push(heapItem{t: t, seq: q.seq})
+		q.heap.push(heapItem{t: t, seq: q.seq, prio: t.Priority})
 		return
 	}
 	q.fifo = append(q.fifo, t)
@@ -424,53 +431,71 @@ func (q *taskQueue) pop() *Task {
 // popBestLocal pops the highest-priority task, preferring — among the
 // front tasks of equal priority — the one with the most bytes already
 // resident on worker node (dmdas's data-locality tie-break).  The
-// candidate window lives in a fixed-size array, so the tie-break
-// allocates nothing: the window is the up-to-8 earliest-pushed tasks
-// of the top priority class, the winner is the strict locality maximum
-// (first of equals wins), and the losers return to the heap with their
-// original sequence numbers — the queue's future pop order is exactly
-// what it would have been had they never been popped.
+// window is the up-to-8 earliest-pushed tasks of the top priority, and
+// the winner is the strict locality maximum (first of equals wins).
+// The window is found in place: a frontier walk over the heap array
+// visits entries in (priority desc, sequence asc) order, descending
+// only into children of the top priority (a lower-priority child roots
+// a lower-priority subtree), so the frontier never exceeds window+1
+// indices.  Only the winner leaves the heap (removeAt); the remaining
+// set — and hence every later pop — is what it would be had the window
+// been popped and the losers pushed back.
 func (q *taskQueue) popBestLocal(rt *Runtime, workerID int) *Task {
-	if len(q.heap) == 0 {
+	h := q.heap
+	if len(h) == 0 {
 		return nil
 	}
 	const window = 8
-	top := q.heap.popMin()
-	bestItem, bestLocal := top, rt.localBytes(top.t, workerID)
-	var rest [window - 1]heapItem
-	nrest := 0
-	for len(q.heap) > 0 && nrest < window-1 && q.heap[0].t.Priority == top.t.Priority {
-		it := q.heap.popMin()
-		if lb := rt.localBytes(it.t, workerID); lb > bestLocal {
-			rest[nrest] = bestItem
-			bestItem, bestLocal = it, lb
-		} else {
-			rest[nrest] = it
+	prio := h[0].prio
+	var frontier [window + 1]int // heap indices; frontier[0] is the root
+	nf := 1
+	best, bestLocal := -1, units.Bytes(0)
+	for k := 0; k < window && nf > 0; k++ {
+		// Visit the earliest-pushed frontier entry (all share prio).
+		m := 0
+		for j := 1; j < nf; j++ {
+			if h[frontier[j]].seq < h[frontier[m]].seq {
+				m = j
+			}
 		}
-		nrest++
+		i := frontier[m]
+		nf--
+		frontier[m] = frontier[nf]
+		if lb := rt.localBytes(h[i].t, workerID); best < 0 || lb > bestLocal {
+			best, bestLocal = i, lb
+		}
+		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
+			if h[c].prio == prio {
+				frontier[nf] = c
+				nf++
+			}
+		}
 	}
-	for i := 0; i < nrest; i++ {
-		q.heap.push(rest[i])
-	}
-	return bestItem.t
+	t := h[best].t
+	q.heap.removeAt(best)
+	return t
 }
 
+// heapItem is one queued task.  prio is copied from Task.Priority at
+// push (priorities are fixed once a task is submitted), so heap
+// comparisons do not dereference the task.
 type heapItem struct {
-	t   *Task
-	seq int
+	t    *Task
+	seq  int
+	prio int
 }
 
 // taskHeap is a slice-backed binary min-heap over (priority descending,
 // push sequence ascending).  Sequence numbers are unique within a
 // queue, so the key is a strict total order: the pop sequence is a pure
-// function of the pushed set, and replacing container/heap (which boxed
-// every item through interface{}) with manual value sifts cannot change
-// scheduling order — only the ~30% of hot-path allocations it cost.
+// function of the held set, never of the array layout, which is what
+// lets popBestLocal remove from the middle without changing scheduling
+// order.
 type taskHeap []heapItem
 
 func (h taskHeap) less(i, j int) bool {
-	if h[i].t.Priority != h[j].t.Priority {
-		return h[i].t.Priority > h[j].t.Priority
+	if h[i].prio != h[j].prio {
+		return h[i].prio > h[j].prio
 	}
 	return h[i].seq < h[j].seq
 }
@@ -511,14 +536,21 @@ func (h *taskHeap) push(it heapItem) {
 }
 
 func (h *taskHeap) popMin() heapItem {
-	old := *h
-	n := len(old)
-	it := old[0]
-	old[0] = old[n-1]
-	old[n-1] = heapItem{} // drop the *Task reference for GC
-	*h = old[:n-1]
-	if n > 2 {
-		(*h).siftDown(0)
-	}
+	it := (*h)[0]
+	h.removeAt(0)
 	return it
+}
+
+// removeAt deletes entry i: the last entry takes its place and sifts
+// down, then up (it may belong on either side of i's old key).
+func (h *taskHeap) removeAt(i int) {
+	old := *h
+	n := len(old) - 1
+	old[i] = old[n]
+	old[n] = heapItem{} // drop the *Task reference for GC
+	*h = old[:n]
+	if i < n {
+		(*h).siftDown(i)
+		(*h).siftUp(i)
+	}
 }
