@@ -69,12 +69,17 @@ bench-json:
 bench-gate:
 	GO="$(GO)" bash scripts/bench_gate.sh
 
-# Short coverage-guided fuzz pass over both fuzz targets: the plan
-# parser (input validation) and the event engine (ordering/determinism
-# under adversarial schedules).  Go runs one fuzz target per invocation.
+# Short coverage-guided fuzz pass over the fuzz targets: the plan
+# parser (input validation), the event engine (ordering/determinism
+# under adversarial schedules) and the sweep service's result-batch
+# intake (adversarial wire bodies).  Go runs one fuzz target per
+# invocation.  The intake's inputs are JSON with base64 payloads, slow
+# to minimise, so its minimisation is capped to leave the time for
+# fuzzing.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/powercap
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrdering$$' -fuzztime $(FUZZTIME) ./internal/eventsim
+	$(GO) test -run '^$$' -fuzz '^FuzzResultBatch$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sweepd
 
 # Race-enabled chaos fleet: seeded fault schedules through the full
 # core.Run path, checking completion-or-DegradedRun, attribution

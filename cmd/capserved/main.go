@@ -66,7 +66,7 @@ func main() {
 	maxFailures := fs.Int("max-failures", 0, "quarantine a cell after this many contained failures (0 = default 3)")
 	killBudget := fs.Int("kill-budget", 0, "quarantine a cell after it loses this many workers (0 = default 3)")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell watchdog passed to supervised workers (0 = off)")
-	maxLeases := fs.Int("max-leases", 1, "leases each supervised worker holds at once")
+	maxLeases := fs.Int("max-leases", 8, "cells each supervised worker leases per batch")
 	drainGrace := fs.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight leases before sealing the job")
 	fs.Parse(os.Args[1:])
 

@@ -1,20 +1,21 @@
 // Command capworker is the sweep cell executor: it joins a capserved
 // coordinator, expands the job independently (the spec is declared,
 // not shipped — the CheckpointKey on each lease guards against
-// version skew), executes leased cells through the guarded executor
-// with its own checkpoint journal namespace, heartbeats per lease and
-// reports results as checkpoint-codec bytes.
+// version skew), executes each lease grant's batch of cells through the
+// guarded executor with its own checkpoint journal namespace, under one
+// heartbeat, and reports the batch's results as checkpoint-codec bytes
+// in one message.
 //
-//	capworker -coordinator http://host:port [-id w0] [-max-leases 1]
+//	capworker -coordinator http://host:port [-id w0] [-max-leases 8]
 //	          [-cell-timeout 0]
 //
 // The process is expendable by design: SIGKILL it mid-cell and the
 // coordinator re-leases its cells to another worker byte-identically.
-// SIGTERM/SIGINT stop it between cells (the in-flight lease expires
-// and re-runs elsewhere); a second signal force-exits 130.  Leasing a
-// poisoned cell crashes the process with status 3 — that is the chaos
-// harness's simulated hard fault, contained by the coordinator's kill
-// budget.
+// SIGTERM/SIGINT stop it between cells (the batch's finished cells are
+// reported, the rest of its leases expire and re-run elsewhere); a
+// second signal force-exits 130.  Leasing a poisoned cell crashes the
+// process with status 3 — that is the chaos harness's simulated hard
+// fault, contained by the coordinator's kill budget.
 package main
 
 import (
@@ -34,7 +35,7 @@ func main() {
 	fs := flag.NewFlagSet("capworker", flag.ExitOnError)
 	id := fs.String("id", "", "worker identity: lease holder and journal writer namespace (default w-<pid>)")
 	coordinator := fs.String("coordinator", "", "coordinator base URL (http://host:port)")
-	maxLeases := fs.Int("max-leases", 1, "cells held at once")
+	maxLeases := fs.Int("max-leases", 8, "cells leased per batch (one heartbeat, one result message, one journal fsync each)")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell watchdog (0 = off)")
 	netFaults := fs.String("net-faults", "", "wire fault spec on every coordinator call (faults.ParseNetSpec syntax)")
 	netSeed := fs.Int64("net-seed", 1, "root seed for the wire fault injector (this worker derives its own from it)")

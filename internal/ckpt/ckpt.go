@@ -10,14 +10,20 @@
 //     a manifest whose identity hash differs: a journal from a
 //     different grid must never donate results.
 //   - journal.jsonl — an append-only record log, one JSON object per
-//     line, fsynced per commit.  Records map a cell's stable key to its
-//     status and, for completed cells, an opaque payload (the encoded
-//     result) with its SHA-256 digest.
+//     line.  Records map a cell's stable key to its status and, for
+//     completed cells, an opaque payload (the encoded result) with its
+//     SHA-256 digest.
+//
+// Durability point: a Commit is fsynced before it returns, unless a
+// group-commit scope is open (Defer), in which case the scope's Sync
+// makes every record appended inside it durable with one fsync.  A
+// caller that acknowledges a record to anyone else must do so only
+// after that record's durability point.
 //
 // Crash model: a SIGKILL can land between any two syscalls.  Appends
 // are therefore self-delimiting (newline-framed JSON) and the loader
 // stops at the first torn or corrupt line — every record before it
-// committed with an fsync, everything after it is re-run.  Payload
+// reached the file intact, everything after it is re-run.  Payload
 // digests are verified at load, so a corrupt-but-parseable record
 // degrades to "absent" (the cell re-runs) rather than resurrecting bad
 // bytes.  The worst outcome of any crash is repeated work, never wrong
@@ -32,10 +38,10 @@
 // committing cells of one grid at once.  Open gives each writer its
 // own namespaced journal file (journal-<writer>.jsonl) under the same
 // manifest, so every writer keeps the single-writer guarantees above —
-// exclusive flock, append-only, fsync per commit — while resume loads
-// the union of every journal in the directory.  Two writers can commit
-// the same cell (a re-leased straggler whose first runner was slow,
-// not dead); the determinism contract makes their payloads
+// exclusive flock, append-only, durable before acknowledged — while
+// resume loads the union of every journal in the directory.  Two
+// writers can commit the same cell (a re-leased straggler whose first
+// runner was slow, not dead); the determinism contract makes their payloads
 // byte-identical, so the merge prefers any StatusDone record for a key
 // over non-Done records and is otherwise order-insensitive.
 package ckpt
@@ -111,10 +117,12 @@ type Journal struct {
 	records  map[string]Record
 	resumed  int
 	onCommit func(Record)
+	deferred int  // open group-commit scopes (Defer without its Sync)
+	dirty    bool // records appended since the last fsync
 }
 
-// SetOnCommit installs a hook called after every durable Commit, with
-// the committed record (payload included).  The hook runs outside the
+// SetOnCommit installs a hook called after every Commit, with the
+// committed record (payload included).  The hook runs outside the
 // journal lock on the committing goroutine; keep it cheap and
 // thread-safe — the sweep executor uses it to publish
 // CheckpointCommitted events.
@@ -300,8 +308,8 @@ func loadAllJournals(dir string) (map[string]Record, error) {
 }
 
 // loadJournal replays a record log, last record per key winning.  The
-// scan stops at the first unparseable line: with per-commit fsync,
-// corruption can only be a torn tail.
+// scan stops at the first unparseable line: records are only ever
+// appended, so corruption can only be a torn tail.
 func loadJournal(path string) (map[string]Record, error) {
 	records := make(map[string]Record)
 	f, err := os.Open(path)
@@ -393,8 +401,9 @@ func (j *Journal) MarkResumed() {
 }
 
 // Commit appends a record and fsyncs it: once Commit returns, the
-// record survives any crash.  For StatusDone records the digest is
-// computed here; callers supply only the payload.
+// record survives any crash.  Inside a group-commit scope (Defer) the
+// fsync is left to the scope's Sync.  For StatusDone records the
+// digest is computed here; callers supply only the payload.
 func (j *Journal) Commit(r Record) error {
 	if r.Key == "" {
 		return fmt.Errorf("ckpt: record without key")
@@ -416,9 +425,12 @@ func (j *Journal) Commit(r Record) error {
 		j.mu.Unlock()
 		return err
 	}
-	if err := j.f.Sync(); err != nil {
-		j.mu.Unlock()
-		return err
+	j.dirty = true
+	if j.deferred == 0 {
+		if err := j.syncLocked(); err != nil {
+			j.mu.Unlock()
+			return err
+		}
 	}
 	j.records[r.Key] = r
 	fn := j.onCommit
@@ -428,6 +440,46 @@ func (j *Journal) Commit(r Record) error {
 		// and must not serialise committing workers against itself.
 		fn(r)
 	}
+	return nil
+}
+
+// Defer opens a group-commit scope: until the matching Sync, Commit
+// appends without fsyncing, and the records it appends become durable
+// together at Sync.  Scopes may overlap (concurrent batches on one
+// journal); a Commit made while any scope is open is durable once the
+// Sync of a scope that was open at the time returns.  Every Defer must
+// be paired with exactly one Sync.
+func (j *Journal) Defer() {
+	j.mu.Lock()
+	j.deferred++
+	j.mu.Unlock()
+}
+
+// Sync closes a group-commit scope opened by Defer and fsyncs every
+// record appended since the last fsync — one fsync for the whole batch,
+// none when a concurrent scope's Sync already covered it.  Sync on a
+// closed journal succeeds: Close synced everything it held.
+func (j *Journal) Sync() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.deferred > 0 {
+		j.deferred--
+	}
+	if j.f == nil {
+		return nil
+	}
+	return j.syncLocked()
+}
+
+// syncLocked fsyncs pending appends; j.mu must be held.
+func (j *Journal) syncLocked() error {
+	if !j.dirty {
+		return nil
+	}
+	if err := j.f.Sync(); err != nil {
+		return err
+	}
+	j.dirty = false
 	return nil
 }
 

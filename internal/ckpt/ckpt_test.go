@@ -224,3 +224,66 @@ func TestCommitHook(t *testing.T) {
 		t.Errorf("cleared hook still saw %d commits, want 2", len(got))
 	}
 }
+
+// TestGroupCommit: inside a Defer scope commits append without an
+// fsync and are visible through Lookup at once; the scope's Sync makes
+// them durable together, overlapping scopes each end with everything
+// they appended synced, and outside any scope Commit syncs itself.
+func TestGroupCommit(t *testing.T) {
+	dir := t.TempDir()
+	m := Manifest{Identity: "grid|seed=9", RootSeed: 9}
+	j, err := Create(dir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Defer()
+	j.Defer() // a second, overlapping scope
+	for _, key := range []string{"a", "b", "c"} {
+		if err := j.Commit(Record{Key: key, Status: StatusDone, Payload: []byte(key)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !j.dirty {
+		t.Fatal("deferred commits were fsynced one by one")
+	}
+	if rec, ok := j.Lookup("b"); !ok || rec.Status != StatusDone {
+		t.Fatalf("Lookup(b) inside the scope = %+v, %v", rec, ok)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	if j.dirty {
+		t.Fatal("Sync left appended records unsynced")
+	}
+	// The other scope is still open: its commits wait for its Sync.
+	if err := j.Commit(Record{Key: "d", Status: StatusRunning}); err != nil {
+		t.Fatal(err)
+	}
+	if !j.dirty {
+		t.Fatal("commit inside the remaining scope was fsynced")
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	// No scope open: Commit is durable on return again.
+	if err := j.Commit(Record{Key: "e", Status: StatusRunning}); err != nil {
+		t.Fatal(err)
+	}
+	if j.dirty {
+		t.Fatal("commit outside any scope was not fsynced")
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Sync(); err != nil {
+		t.Fatalf("Sync after Close = %v, want nil", err)
+	}
+	r, err := Resume(dir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if n := r.Done(); n != 3 {
+		t.Fatalf("resumed Done() = %d, want the 3 group-committed records", n)
+	}
+}

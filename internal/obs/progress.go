@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -96,7 +97,7 @@ type Tracker struct {
 	inflight  map[string]time.Time
 	lastDone  time.Time
 	ewmaRate  float64
-	durations []float64
+	durations []float64 // completed cell durations, kept sorted
 	capExh    int
 	trips     int
 	evicted   int
@@ -181,7 +182,10 @@ func (t *Tracker) Observe(ev Event) {
 			delete(t.inflight, ev.Cell)
 			if d := now.Sub(start).Seconds(); d >= 0 {
 				if len(t.durations) < maxDurationSamples {
-					t.durations = append(t.durations, d)
+					// Sorted insert: the p95 is then an index, so a
+					// lease request reading it never sorts the sample.
+					i := sort.SearchFloat64s(t.durations, d)
+					t.durations = slices.Insert(t.durations, i, d)
 				}
 			}
 		}
@@ -276,7 +280,7 @@ func (t *Tracker) Snapshot() ProgressSnapshot {
 			s.PerPlan[plan] = *p
 		}
 	}
-	s.P95CellSeconds = p95(t.durations)
+	s.P95CellSeconds = p95Sorted(t.durations)
 	if s.P95CellSeconds > 0 {
 		for cell, start := range t.inflight {
 			if e := now.Sub(start).Seconds(); e > s.P95CellSeconds {
@@ -300,20 +304,24 @@ func (t *Tracker) WriteJSON(w io.Writer) error {
 	return enc.Encode(t.Snapshot())
 }
 
-// p95 computes the 95th percentile of a sample (0 when fewer than 4
-// samples — too little signal to call anything a straggler).
-func p95(xs []float64) float64 {
+// P95 reports the p95 completed-cell duration (0 until enough samples)
+// without building a whole snapshot: the work-stealing threshold reads
+// it on every lease request.
+func (t *Tracker) P95() time.Duration {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return time.Duration(p95Sorted(t.durations) * float64(time.Second))
+}
+
+// p95Sorted is the 95th percentile of an ascending sample (0 when fewer
+// than 4 samples — too little signal to call anything a straggler).
+func p95Sorted(xs []float64) float64 {
 	if len(xs) < 4 {
 		return 0
 	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	idx := int(math.Ceil(0.95*float64(len(cp)))) - 1
+	idx := int(math.Ceil(0.95*float64(len(xs)))) - 1
 	if idx < 0 {
 		idx = 0
 	}
-	if idx >= len(cp) {
-		idx = len(cp) - 1
-	}
-	return cp[idx]
+	return xs[idx]
 }

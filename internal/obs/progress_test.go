@@ -2,6 +2,10 @@ package obs
 
 import (
 	"context"
+	"fmt"
+	"math"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 )
@@ -161,4 +165,57 @@ func TestTrackerRunDrainsBus(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 	t.Fatalf("tracker never saw the published events: %+v", tr.Snapshot())
+}
+
+// TestTrackerP95MatchesFreshSort: the sorted-insert p95 the lease path
+// reads is the right order statistic of every recorded duration after
+// each completion, both while the sample grows and once it is capped
+// at maxDurationSamples (later completions no longer enter it).  Every
+// completion gets an O(n) rank check; every 256th, and each one around
+// the cap, is also compared with a fresh sort.
+func TestTrackerP95MatchesFreshSort(t *testing.T) {
+	tr, clk := trackerWithClock(NewBus())
+	rng := rand.New(rand.NewSource(3))
+	var kept []float64
+	for i := 0; i < maxDurationSamples+200; i++ {
+		cell := fmt.Sprintf("c%d", i)
+		tr.Observe(Event{Type: CellStarted, Cell: cell})
+		d := time.Duration(rng.Intn(int(time.Second)))
+		clk.add(d)
+		tr.Observe(Event{Type: CellFinished, Cell: cell})
+		if len(kept) < maxDurationSamples {
+			kept = append(kept, d.Seconds())
+		}
+		got := tr.P95().Seconds()
+		if len(kept) < 4 {
+			if got != 0 {
+				t.Fatalf("after %d completions: P95 = %v, want 0 below 4 samples", i+1, got)
+			}
+			continue
+		}
+		// got must be the idx-th smallest sample: at most idx samples
+		// below it and more than idx at or below it.
+		idx := int(math.Ceil(0.95*float64(len(kept)))) - 1
+		below, atOrBelow := 0, 0
+		for _, x := range kept {
+			if x < got-1e-9 {
+				below++
+			}
+			if x <= got+1e-9 {
+				atOrBelow++
+			}
+		}
+		if below > idx || atOrBelow <= idx {
+			t.Fatalf("after %d completions: P95 = %v is not the sample's p95 (%d below, %d at or below, index %d)",
+				i+1, got, below, atOrBelow, idx)
+		}
+		if i%256 == 0 || (i >= maxDurationSamples-2 && i <= maxDurationSamples+2) {
+			fresh := append([]float64(nil), kept...)
+			sort.Float64s(fresh)
+			if want := fresh[idx]; got != tr.Snapshot().P95CellSeconds || math.Abs(got-want) > 1e-9 {
+				t.Fatalf("after %d completions: P95 = %v, snapshot %v, fresh sort %v",
+					i+1, got, tr.Snapshot().P95CellSeconds, want)
+			}
+		}
+	}
 }

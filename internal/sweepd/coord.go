@@ -13,7 +13,8 @@
 // budget and terminal report is journaled into a coordinator state
 // checkpoint (see state.go) before it is acknowledged, and every
 // accepted cell result is fsynced into the per-job "coord" journal —
-// so kill -9 on the coordinator loses nothing.  A restarted
+// one fsync per result batch, taken before the batch is acked — so
+// kill -9 on the coordinator loses nothing.  A restarted
 // coordinator replays the state journal (Recover), re-enqueues every
 // job that was queued or mid-flight, restores each job's completed
 // cells from its cell journal and its burned budgets from the state
@@ -141,6 +142,11 @@ type activeJob struct {
 	finished chan struct{}
 	finish   sync.Once
 	report   *JobReport
+	// intake is held shared by every result batch from table update to
+	// durable commit and exclusively by finishJob, so a job cannot seal
+	// its artifacts between a cell turning done in the table and its
+	// result reaching the surface and the digest ledger.
+	intake sync.RWMutex
 
 	// Queue state, guarded by Coordinator.mu.
 	state        jobState

@@ -220,7 +220,8 @@ func (t *Table) backoff(n int) time.Duration {
 }
 
 // Acquire grants up to max leases to a worker: pending cells first (in
-// index order, respecting backoff gates), then — only when nothing is
+// index order, respecting backoff gates, at most one of them a cell
+// that has lost a holder before), then — only when nothing is
 // pending — one stolen lease on the oldest straggler past the steal
 // threshold.  p95 is the tracker's completed-cell p95 duration (0 when
 // unknown).
@@ -279,14 +280,33 @@ func (t *Table) Acquire(worker string, max int, p95 time.Duration) ([]Lease, []o
 		events = append(events, obs.Event{Type: typ, Cell: c.key, Detail: worker})
 	}
 
+	// Suspect isolation: a worker that dies charges a kill to every cell
+	// it held, so a batch that pairs a poisoned cell with innocent ones
+	// burns the innocents' budgets too.  One grant therefore holds at
+	// most one cell that has already lost a holder — the one with the
+	// most kills, lowest index on ties — and fills the rest with cells
+	// that never have.  Once a poisoned cell has taken one holder down,
+	// every later crash it causes charges it plus only cells with a
+	// clean record, so no bystander is charged twice for it.
+	leasable := func(c *cellSlot) bool {
+		return !c.terminal() && !c.inFlight() && !now.Before(c.notBefore)
+	}
+	var suspect *cellSlot
+	for _, c := range t.cells {
+		if c.kills > 0 && leasable(c) && (suspect == nil || c.kills > suspect.kills) {
+			suspect = c
+		}
+	}
+	if suspect != nil {
+		grant(suspect, false)
+	}
 	for _, c := range t.cells {
 		if len(leases) >= max {
 			break
 		}
-		if c.terminal() || c.inFlight() || now.Before(c.notBefore) {
-			continue
+		if c.kills == 0 && leasable(c) {
+			grant(c, false)
 		}
-		grant(c, false)
 	}
 
 	if len(leases) == 0 {

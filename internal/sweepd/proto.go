@@ -79,12 +79,21 @@ type HeartbeatReply struct {
 	Drain     bool     `json:"drain,omitempty"`
 }
 
-// ResultRequest reports one cell's outcome.  OK results carry the
-// checkpoint-codec payload; failures carry the error instead (the
-// worker survived — its executor contained the panic or hang).
+// ResultRequest reports the outcomes of a batch of leased cells in one
+// message.  JobID stays at the top level so a request is attributable
+// to its job without reading the batch.  A body without Results is what
+// a single-cell worker from before batching sends; the coordinator
+// refuses it with 400 rather than silently dropping the cell.
 type ResultRequest struct {
-	WorkerID  string `json:"worker_id"`
-	JobID     string `json:"job_id"`
+	WorkerID string       `json:"worker_id"`
+	JobID    string       `json:"job_id"`
+	Results  []CellResult `json:"results"`
+}
+
+// CellResult is one cell's outcome within a batch.  OK results carry
+// the checkpoint-codec payload; failures carry the error instead (the
+// worker survived — its executor contained the panic or hang).
+type CellResult struct {
 	CellIndex int    `json:"cell_index"`
 	CellKey   string `json:"cell_key"`
 	OK        bool   `json:"ok"`
@@ -92,10 +101,16 @@ type ResultRequest struct {
 	Error     string `json:"error,omitempty"`
 }
 
-// ResultReply acknowledges a report.  First is true when this result
-// is the one the sweep keeps (duplicates of an already-committed cell
-// report First=false and are dropped).
+// ResultReply acknowledges a batch, one ack per cell in request order.
 type ResultReply struct {
+	Acks []ResultAck `json:"acks"`
+}
+
+// ResultAck acknowledges one cell.  Accepted is false when the cell
+// does not belong to the coordinator's current job; First is true when
+// this result is the one the sweep keeps (duplicates of an
+// already-committed cell report First=false and are dropped).
+type ResultAck struct {
 	Accepted bool `json:"accepted"`
 	First    bool `json:"first"`
 }

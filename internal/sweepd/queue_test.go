@@ -470,9 +470,15 @@ func TestProtocolIdempotencyUnderWireFaults(t *testing.T) {
 	}
 	netSpec := faults.NetSpec{Drop: 0.08, DropReply: 0.08, Dup: 0.12, Err: 0.08}
 	var injectors []*faults.NetInjector
+	// With k-cell batches a job takes only a few result messages, too
+	// few for the random schedule to be sure of duplicating one, so
+	// every result batch that gets through is also delivered twice.
+	var resultDups []*faults.NetInjector
 	for i := 0; i < 2; i++ {
 		id := fmt.Sprintf("w%d", i)
-		inj := faults.NewNetInjector(netSpec, DeriveNetSeed(7, id), nil)
+		dup := faults.NewNetInjector(faults.NetSpec{Dup: 1}, DeriveNetSeed(8, id), nil)
+		resultDups = append(resultDups, dup)
+		inj := faults.NewNetInjector(netSpec, DeriveNetSeed(7, id), onPath{PathResult, dup, http.DefaultTransport})
 		injectors = append(injectors, inj)
 		w, err := NewWorker(WorkerConfig{
 			ID: id, Coordinator: s.srv.URL,
@@ -499,10 +505,55 @@ func TestProtocolIdempotencyUnderWireFaults(t *testing.T) {
 	if faulted == 0 {
 		t.Fatal("fault injector never fired; the run proved nothing")
 	}
+	dups := 0
+	for _, inj := range resultDups {
+		dups += inj.Stats().Duplicated
+	}
+	if dups == 0 {
+		t.Fatal("the injector never duplicated a result batch; first-result-wins per cell went untested")
+	}
+	// First result wins per cell, so the coordinator's journal commits
+	// each cell exactly once however often its batch was delivered.
+	data, err := os.ReadFile(filepath.Join(job.CheckpointDirUsed(), "journal-coord.jsonl"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doneRecords := make(map[string]int)
+	for _, line := range bytes.Split(bytes.TrimSpace(data), []byte("\n")) {
+		var r struct{ Key, Status string }
+		if err := json.Unmarshal(line, &r); err != nil {
+			t.Fatalf("coordinator journal line %q: %v", line, err)
+		}
+		if r.Status == "done" {
+			doneRecords[r.Key]++
+		}
+	}
+	for _, key := range job.keys {
+		if doneRecords[key] != 1 {
+			t.Errorf("coordinator journal holds %d done records for %s, want 1", doneRecords[key], key)
+		}
+	}
+	if len(doneRecords) != len(job.keys) {
+		t.Errorf("coordinator journal holds done records for %d keys, want %d", len(doneRecords), len(job.keys))
+	}
 	for _, name := range []string{"surface.json", DigestsFile} {
 		b1, b2 := readArtifact(t, refJob, name), readArtifact(t, job, name)
 		if !bytes.Equal(b1, b2) {
 			t.Errorf("%s differs between clean and faulty-wire runs", name)
 		}
 	}
+}
+
+// onPath sends one path's requests through an extra transport and
+// every other request straight to base.
+type onPath struct {
+	path     string
+	rt, base http.RoundTripper
+}
+
+func (o onPath) RoundTrip(req *http.Request) (*http.Response, error) {
+	if req.URL.Path == o.path {
+		return o.rt.RoundTrip(req)
+	}
+	return o.base.RoundTrip(req)
 }

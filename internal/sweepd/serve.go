@@ -6,12 +6,12 @@
 // Idempotency at the wire.  The protocol assumes a network that can
 // delay, drop, duplicate or 5xx any message (internal/faults.NetInjector
 // makes that assumption executable in tests), so every handler is safe
-// to replay: a duplicated result report is first-result-wins (the
-// duplicate is acked and dropped), a retried lease acquire re-grants
-// the worker's existing holdings instead of fanning it out across new
-// cells, a replayed submit answers with the original job (identity
-// dedup plus explicit idempotency keys), and a repeated cancel is an
-// idempotent success.
+// to replay: a duplicated result batch is first-result-wins cell by
+// cell (each duplicate is acked and dropped), a retried lease acquire
+// re-grants the worker's existing holdings instead of fanning it out
+// across new cells, a replayed submit answers with the original job
+// (identity dedup plus explicit idempotency keys), and a repeated
+// cancel is an idempotent success.
 package sweepd
 
 import (
@@ -147,8 +147,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if max <= 0 {
 		max = 1
 	}
-	p95 := time.Duration(c.tracker.Snapshot().P95CellSeconds * float64(time.Second))
-	leases, events := job.table.Acquire(req.WorkerID, max, p95)
+	leases, events := job.table.Acquire(req.WorkerID, max, c.tracker.P95())
 	c.publish(events)
 	for _, l := range leases {
 		if l.Regrant {
@@ -188,66 +187,103 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, reply)
 }
 
+// handleResult takes one worker's batch of cell outcomes.  Each cell
+// goes through intake on its own — first result wins per cell, so a
+// duplicated or replayed batch dedups cell by cell — and the accepted
+// results share one fsync of the job's journal, taken before the
+// reply: a result is acknowledged only once it is durable.
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req ResultRequest
 	if !readJSON(w, r, &req) {
+		return
+	}
+	if req.Results == nil {
+		// A pre-batching worker's single-cell report: refuse it loudly
+		// rather than drop the cell it carries.
+		http.Error(w, "results required: this coordinator takes batched result reports", http.StatusBadRequest)
 		return
 	}
 	c.mu.Lock()
 	ws := c.touchWorker(req.WorkerID, 0)
 	job := c.current()
 	c.mu.Unlock()
+	reply := ResultReply{Acks: make([]ResultAck, len(req.Results))}
 	if job == nil || req.JobID != job.id {
-		writeJSON(w, http.StatusOK, ResultReply{})
+		writeJSON(w, http.StatusOK, reply)
 		return
 	}
-	if req.CellIndex < 0 || req.CellIndex >= len(job.keys) || job.keys[req.CellIndex] != req.CellKey {
-		c.cfg.Logf("sweepd: worker %s reported unknown cell %d/%q", req.WorkerID, req.CellIndex, req.CellKey)
-		writeJSON(w, http.StatusOK, ResultReply{})
+	served, err := c.intakeBatch(job, req, reply.Acks)
+	if err != nil {
+		c.cfg.Logf("sweepd: journal sync: %v", err)
+		http.Error(w, "journal sync failed", http.StatusInternalServerError)
 		return
 	}
+	c.mu.Lock()
+	ws.cellsServed += served
+	c.mu.Unlock()
+	c.journalBudgets(job)
+	c.syncGauges()
+	c.checkFinished(job)
+	writeJSON(w, http.StatusOK, reply)
+}
 
-	ok, errMsg := req.OK, req.Error
+// intakeBatch takes every cell of a batch through intake, filling
+// acks, under one group commit of the job's journal; it reports how
+// many results won their cell and the commit's sync error.
+func (c *Coordinator) intakeBatch(job *activeJob, req ResultRequest, acks []ResultAck) (served int, err error) {
+	job.intake.RLock()
+	defer job.intake.RUnlock()
+	if job.journal != nil {
+		job.journal.Defer()
+	}
+	for i, cr := range req.Results {
+		acks[i] = c.intake(job, req.WorkerID, cr)
+		if acks[i].First {
+			served++
+		}
+	}
+	if job.journal != nil {
+		err = job.journal.Sync()
+	}
+	return served, err
+}
+
+// intake records one cell's reported outcome against the job's lease
+// table: an OK result that is the first for its cell is committed, a
+// duplicate is acked and dropped, and a failure (reported, or a
+// payload that does not decode) charges the cell's failure budget.
+func (c *Coordinator) intake(job *activeJob, worker string, cr CellResult) ResultAck {
+	if cr.CellIndex < 0 || cr.CellIndex >= len(job.keys) || job.keys[cr.CellIndex] != cr.CellKey {
+		c.cfg.Logf("sweepd: worker %s reported unknown cell %d/%q", worker, cr.CellIndex, cr.CellKey)
+		return ResultAck{}
+	}
+	ok, errMsg := cr.OK, cr.Error
 	var res *core.Result
 	if ok {
 		var err error
-		res, err = core.DecodeResult(req.Payload)
+		res, err = core.DecodeResult(cr.Payload)
 		if err != nil {
 			ok, errMsg = false, "payload decode: "+err.Error()
 		}
 	}
-	if !ok {
-		_, events := job.table.Complete(req.WorkerID, req.CellKey, false, errMsg)
-		c.publish(events)
-		c.journalBudgets(job)
-		c.countResult("error")
-		cfg := job.cells[req.CellIndex]
-		c.bus.Publish(obs.Event{Type: obs.CellPanicked, Cell: req.CellKey,
-			Plan: cellPlanName(cfg), Workload: cfg.Workload.String(), Detail: errMsg})
-		c.syncGauges()
-		c.checkFinished(job)
-		writeJSON(w, http.StatusOK, ResultReply{Accepted: true})
-		return
-	}
-
-	first, events := job.table.Complete(req.WorkerID, req.CellKey, true, "")
+	first, events := job.table.Complete(worker, cr.CellKey, ok, errMsg)
 	c.publish(events)
-	c.journalBudgets(job)
-	if first {
-		c.mu.Lock()
-		ws.cellsServed++
-		c.mu.Unlock()
-		c.acceptResult(job, req.CellIndex, res, req.Payload, false)
+	switch {
+	case !ok:
+		c.countResult("error")
+		cfg := job.cells[cr.CellIndex]
+		c.bus.Publish(obs.Event{Type: obs.CellPanicked, Cell: cr.CellKey,
+			Plan: cellPlanName(cfg), Workload: cfg.Workload.String(), Detail: errMsg})
+	case first:
+		c.acceptResult(job, cr.CellIndex, res, cr.Payload, false)
 		c.countResult("ok")
-	} else {
+	default:
 		// A duplicated delivery (network dup, worker retry after a lost
 		// ack, late straggler): first result won, this one is acked and
 		// dropped — the determinism contract makes the bytes identical.
 		c.countResult("duplicate")
 	}
-	c.syncGauges()
-	c.checkFinished(job)
-	writeJSON(w, http.StatusOK, ResultReply{Accepted: true, First: first})
+	return ResultAck{Accepted: true, First: first}
 }
 
 func (c *Coordinator) handleSubmit(w http.ResponseWriter, r *http.Request) {
@@ -649,6 +685,8 @@ func (c *Coordinator) checkFinished(job *activeJob) {
 // the same bytes.
 func (c *Coordinator) finishJob(job *activeJob, drained bool) {
 	job.finish.Do(func() {
+		job.intake.Lock() // let in-flight result batches land first
+		defer job.intake.Unlock()
 		counts := job.table.Counts()
 		quar := job.table.Quarantined()
 		rep := &JobReport{

@@ -1,7 +1,8 @@
 // The worker side: join the coordinator, expand the job independently,
-// execute leased cells through the guarded executor (watchdog, panic
-// containment, per-worker checkpoint journal), heartbeat per lease,
-// and report results as checkpoint-codec bytes.
+// execute each lease grant's batch of cells through the guarded
+// executor (watchdog, panic containment, per-worker checkpoint
+// journal) under one heartbeat, and report the batch's results as
+// checkpoint-codec bytes in one message.
 package sweepd
 
 import (
@@ -15,6 +16,7 @@ import (
 	"math/rand"
 	"net/http"
 	"os"
+	"slices"
 	"sync"
 	"time"
 
@@ -39,7 +41,9 @@ type WorkerConfig struct {
 	ID string
 	// Coordinator is the coordinator's base URL (http://host:port).
 	Coordinator string
-	// MaxLeases bounds cells held at once; defaults to 1.
+	// MaxLeases bounds the cells one lease grant hands the worker (one
+	// batch: one heartbeat, one result message, one journal fsync);
+	// defaults to 8.
 	MaxLeases int
 	// CellTimeout arms the executor's per-cell watchdog.
 	CellTimeout time.Duration
@@ -56,7 +60,7 @@ type WorkerConfig struct {
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
 	if c.MaxLeases <= 0 {
-		c.MaxLeases = 1
+		c.MaxLeases = 8
 	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
@@ -271,105 +275,181 @@ func (w *Worker) runJob(ctx context.Context, jr JoinReply) error {
 			}
 			continue
 		}
-		for _, l := range lr.Leases {
-			if err := w.runLease(ctx, jr, cells, l, journal, hb); err != nil {
-				return err
-			}
+		if err := w.runBatch(ctx, jr, cells, lr.Leases, journal, hb); err != nil {
+			return err
 		}
 	}
 	return ctx.Err()
 }
 
-// runLease executes one leased cell and reports its outcome.
-func (w *Worker) runLease(ctx context.Context, jr JoinReply, cells []core.Config, l Lease, journal *ckpt.Journal, hb time.Duration) error {
-	if l.CellIndex < 0 || l.CellIndex >= len(cells) || cells[l.CellIndex].CheckpointKey() != l.CellKey {
-		// Version skew: this binary expands the job differently than the
-		// coordinator.  Refuse the cell rather than compute the wrong one.
-		w.cfg.Logf("sweepd: %s: lease %q does not match local expansion — refusing (version skew?)", w.cfg.ID, l.CellKey)
-		return w.report(ResultRequest{WorkerID: w.cfg.ID, JobID: jr.JobID,
-			CellIndex: l.CellIndex, CellKey: l.CellKey,
-			Error: "cell key mismatch: worker expansion disagrees with coordinator (version skew)"})
-	}
-	if jr.Job.Poisoned(l.CellKey) {
-		// The chaos harness's forced crash: kill the whole process before
-		// simulating, every attempt, so the coordinator's kill budget —
-		// not any worker-side cleverness — is what contains the cell.
-		w.cfg.Logf("sweepd: %s: leased poisoned cell %s — crashing", w.cfg.ID, l.CellKey)
-		w.cfg.CrashFn(l.CellKey)
-		return ErrPoisoned
-	}
+// errRevoked is the cancellation cause of a lease the coordinator took
+// back.
+var errRevoked = errors.New("sweepd: lease revoked by coordinator")
 
-	// Heartbeat this lease until the cell resolves; a cancellation from
-	// the coordinator (lease expired, job replaced) aborts the cell.
-	cellCtx, cancel := context.WithCancel(ctx)
-	hbDone := make(chan struct{})
-	var coordCancelled bool // written before cancel(), read after <-hbDone
-	go func() {
-		defer close(hbDone)
-		t := time.NewTicker(hb)
-		defer t.Stop()
-		for {
-			select {
-			case <-cellCtx.Done():
-				return
-			case <-t.C:
-			}
-			var hr HeartbeatReply
-			err := w.post(PathHeartbeat, HeartbeatRequest{WorkerID: w.cfg.ID, JobID: jr.JobID, CellKeys: []string{l.CellKey}}, &hr)
-			if err != nil {
-				continue // transient; the lease survives until TTL
-			}
-			for _, k := range hr.Cancelled {
-				if k == l.CellKey {
-					w.cfg.Logf("sweepd: %s: lease %s cancelled by coordinator", w.cfg.ID, l.CellKey)
-					coordCancelled = true
-					cancel()
-					return
-				}
-			}
-		}
-	}()
-	results, err := core.RunCells([]core.Config{cells[l.CellIndex]}, core.ParallelOptions{
-		Workers:     1,
-		Context:     cellCtx,
-		Checkpoint:  journal,
-		CellTimeout: w.cfg.CellTimeout,
-	})
-	cancel()
-	<-hbDone
-
-	req := ResultRequest{WorkerID: w.cfg.ID, JobID: jr.JobID, CellIndex: l.CellIndex, CellKey: l.CellKey}
-	if err != nil {
-		if ctx.Err() != nil {
-			return ctx.Err() // worker shutting down; the lease will expire
-		}
-		if coordCancelled {
-			// The coordinator revoked this lease (expiry, reassignment);
-			// the abort it forced is its own bookkeeping, not a failure of
-			// the cell — reporting it as one would charge an innocent
-			// straggler's failure budget.
-			return nil
-		}
-		req.Error = err.Error()
-	} else {
-		payload, perr := core.EncodeResult(results[0])
-		if perr != nil {
-			req.Error = "encode: " + perr.Error()
-		} else {
-			req.OK, req.Payload = true, payload
-		}
-	}
-	return w.report(req)
+// heldCell is one lease of a batch.  Revoking it cancels its context,
+// which aborts the cell if it is running and skips it if it is still
+// queued.
+type heldCell struct {
+	Lease
+	ctx    context.Context
+	cancel context.CancelCauseFunc
+	result *CellResult // set once the cell ran or was refused
 }
 
-// report delivers a result; post's bounded retry absorbs transient
-// faults, and an undeliverable result is dropped (the lease expires
-// and the cell re-runs elsewhere — first result wins makes the retry
-// and the re-run equally correct).
-func (w *Worker) report(req ResultRequest) error {
-	var reply ResultReply
-	if err := w.post(PathResult, req, &reply); err != nil {
-		w.cfg.Logf("sweepd: %s: result %s undeliverable: %v", w.cfg.ID, req.CellKey, err)
+// revoked reports whether the coordinator took the lease back.
+func (h *heldCell) revoked() bool { return errors.Is(context.Cause(h.ctx), errRevoked) }
+
+// runBatch executes one grant's cells in grant order under a single
+// heartbeat goroutine, then reports every unrevoked outcome in one
+// result message.  The worker's journal takes one fsync for the whole
+// batch, before the report leaves, so nothing is acknowledged that a
+// crash could lose.  A cancellation the coordinator names aborts or
+// skips just that cell; its abort is the coordinator's bookkeeping, not
+// a failure of the cell, so a revoked cell is never reported.  A worker
+// shutting down mid-batch still reports the cells it finished.
+func (w *Worker) runBatch(ctx context.Context, jr JoinReply, cells []core.Config, leases []Lease, journal *ckpt.Journal, hb time.Duration) error {
+	batch := make([]*heldCell, len(leases))
+	for i, l := range leases {
+		h := &heldCell{Lease: l}
+		h.ctx, h.cancel = context.WithCancelCause(ctx)
+		defer h.cancel(nil)
+		batch[i] = h
+	}
+	hbCtx, stopHB := context.WithCancel(ctx)
+	hbDone := make(chan struct{})
+	go func() {
+		defer close(hbDone)
+		w.heartbeat(hbCtx, jr.JobID, batch, hb)
+	}()
+	if journal != nil {
+		journal.Defer()
+	}
+	err := w.runCells(ctx, jr, cells, batch, journal)
+	stopHB()
+	<-hbDone
+	if journal != nil {
+		if serr := journal.Sync(); serr != nil {
+			// A checkpoint that cannot record is worse than none.
+			return fmt.Errorf("sweepd: %s: journal sync: %w", w.cfg.ID, serr)
+		}
+	}
+	if errors.Is(err, ErrPoisoned) {
+		return err
+	}
+	var results []CellResult
+	for _, h := range batch {
+		if h.result != nil && !h.revoked() {
+			results = append(results, *h.result)
+		}
+	}
+	if len(results) > 0 {
+		// post's bounded retry absorbs transient faults; an undeliverable
+		// batch is dropped (its leases expire and the cells re-run
+		// elsewhere — first result wins makes the retry and the re-run
+		// equally correct).
+		var reply ResultReply
+		if perr := w.post(PathResult, ResultRequest{WorkerID: w.cfg.ID, JobID: jr.JobID, Results: results}, &reply); perr != nil {
+			w.cfg.Logf("sweepd: %s: result batch of %d undeliverable: %v", w.cfg.ID, len(results), perr)
+		}
+	}
+	return err
+}
+
+// runCells runs a batch's unrevoked cells in grant order, recording
+// each outcome on its heldCell.  It stops early with ctx's error when
+// the worker is shutting down, and with ErrPoisoned when a poisoned
+// cell's crash hook returns.
+func (w *Worker) runCells(ctx context.Context, jr JoinReply, cells []core.Config, batch []*heldCell, journal *ckpt.Journal) error {
+	for _, h := range batch {
+		r := &CellResult{CellIndex: h.CellIndex, CellKey: h.CellKey}
+		if h.CellIndex < 0 || h.CellIndex >= len(cells) || cells[h.CellIndex].CheckpointKey() != h.CellKey {
+			// Version skew: this binary expands the job differently than
+			// the coordinator.  Refuse the cell rather than compute the
+			// wrong one.
+			w.cfg.Logf("sweepd: %s: lease %q does not match local expansion — refusing (version skew?)", w.cfg.ID, h.CellKey)
+			r.Error = "cell key mismatch: worker expansion disagrees with coordinator (version skew)"
+			h.result = r
+			continue
+		}
+		if jr.Job.Poisoned(h.CellKey) {
+			// The chaos harness's forced crash: kill the whole process
+			// before simulating, every attempt, so the coordinator's kill
+			// budget — not any worker-side cleverness — contains the cell.
+			w.cfg.Logf("sweepd: %s: leased poisoned cell %s — crashing", w.cfg.ID, h.CellKey)
+			w.cfg.CrashFn(h.CellKey)
+			return ErrPoisoned
+		}
+		if h.revoked() {
+			continue
+		}
+		res, err := core.RunCells([]core.Config{cells[h.CellIndex]}, core.ParallelOptions{
+			Workers:     1,
+			Context:     h.ctx,
+			Checkpoint:  journal,
+			CellTimeout: w.cfg.CellTimeout,
+		})
+		switch {
+		case ctx.Err() != nil:
+			return ctx.Err() // shutting down; this cell's lease will expire
+		case err != nil:
+			r.Error = err.Error()
+		default:
+			payload, perr := resultPayload(journal, h.CellKey, res[0])
+			if perr != nil {
+				r.Error = "encode: " + perr.Error()
+			} else {
+				r.OK, r.Payload = true, payload
+			}
+		}
+		h.result = r
 	}
 	return nil
+}
+
+// resultPayload returns the wire bytes for a finished cell: with a
+// journal, the done record RunCells just committed (or restored), so
+// the result is encoded once per cell; without one, a fresh encode.
+func resultPayload(journal *ckpt.Journal, key string, res *core.Result) ([]byte, error) {
+	if journal != nil {
+		if rec, ok := journal.Lookup(key); ok && rec.Status == ckpt.StatusDone {
+			return rec.Payload, nil
+		}
+	}
+	return core.EncodeResult(res)
+}
+
+// heartbeat extends every lease the batch still holds, one request per
+// tick, until ctx ends; cells the coordinator names as cancelled are
+// revoked.
+func (w *Worker) heartbeat(ctx context.Context, jobID string, batch []*heldCell, every time.Duration) {
+	t := time.NewTicker(every)
+	defer t.Stop()
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-t.C:
+		}
+		var keys []string
+		for _, h := range batch {
+			if !h.revoked() {
+				keys = append(keys, h.CellKey)
+			}
+		}
+		if len(keys) == 0 {
+			continue
+		}
+		var hr HeartbeatReply
+		if err := w.post(PathHeartbeat, HeartbeatRequest{WorkerID: w.cfg.ID, JobID: jobID, CellKeys: keys}, &hr); err != nil {
+			continue // transient; the leases survive until TTL
+		}
+		if len(hr.Cancelled) > 0 {
+			w.cfg.Logf("sweepd: %s: leases %v cancelled by coordinator", w.cfg.ID, hr.Cancelled)
+		}
+		for _, h := range batch {
+			if slices.Contains(hr.Cancelled, h.CellKey) {
+				h.cancel(errRevoked)
+			}
+		}
+	}
 }

@@ -20,15 +20,15 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // case that used to make WriteChromeTrace emit JSON null.
 type emptyMachine struct{ engine *eventsim.Engine }
 
-func (m *emptyMachine) Engine() *eventsim.Engine                 { return m.engine }
-func (m *emptyMachine) NumWorkers() int                          { return 0 }
-func (m *emptyMachine) Worker(int) starpu.WorkerInfo             { panic("no workers") }
-func (m *emptyMachine) WorkerClass(int) string                   { return "" }
-func (m *emptyMachine) CanRun(int, *starpu.Codelet) bool         { return false }
-func (m *emptyMachine) Exec(int, *starpu.Task) units.Seconds     { return 0 }
-func (m *emptyMachine) OnTaskStart(int, *starpu.Task)            {}
-func (m *emptyMachine) OnTaskEnd(int, *starpu.Task)              {}
-func (m *emptyMachine) NumNodes() int                            { return 1 }
+func (m *emptyMachine) Engine() *eventsim.Engine                           { return m.engine }
+func (m *emptyMachine) NumWorkers() int                                    { return 0 }
+func (m *emptyMachine) Worker(int) starpu.WorkerInfo                       { panic("no workers") }
+func (m *emptyMachine) WorkerClass(int) string                             { return "" }
+func (m *emptyMachine) CanRun(int, *starpu.Codelet) bool                   { return false }
+func (m *emptyMachine) Exec(int, *starpu.Task) units.Seconds               { return 0 }
+func (m *emptyMachine) OnTaskStart(int, *starpu.Task)                      {}
+func (m *emptyMachine) OnTaskEnd(int, *starpu.Task)                        {}
+func (m *emptyMachine) NumNodes() int                                      { return 1 }
 func (m *emptyMachine) TransferTime(_, _ int, _ units.Bytes) units.Seconds { return 0 }
 func (m *emptyMachine) ReserveLink(_, _ int, at units.Seconds, _ units.Bytes) (units.Seconds, units.Seconds) {
 	return at, at

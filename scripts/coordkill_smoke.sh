@@ -37,6 +37,7 @@ echo "coordkill-smoke: serial baselines (fig4, grid seed 11, grid seed 22)" >&2
     -agg-dir "$work/baseC" 2> "$work/baseC.err"
 
 start_service() { # $1 = stderr log
+    : > "$1" # exists before the first read below, however late the child opens it
     "$work/capserved" "${LEASE[@]}" -workers 2 \
         -net-faults "$NETFAULTS" -net-seed 7 \
         -checkpoint "$work/ck" -agg-dir "$work/svc" 2> "$1" &
@@ -85,7 +86,10 @@ curl -sf "$base/healthz/live" | grep -q '"alive"' || {
     echo "coordkill-smoke: FAIL — /healthz/live unhealthy" >&2; exit 1; }
 curl -sf "$base/healthz/ready" | grep -q '"ready":true' || {
     echo "coordkill-smoke: FAIL — /healthz/ready not ready with queue room" >&2; exit 1; }
-curl -sf "$base/metrics" | grep -q '^capsim_sweepd_queue_depth' || {
+# Plain grep, not grep -q: /metrics spans several writes, and grep -q
+# exiting at the first match would fail curl's next write (EPIPE) and,
+# under pipefail, the check with it.
+curl -sf "$base/metrics" | grep '^capsim_sweepd_queue_depth' > /dev/null || {
     echo "coordkill-smoke: FAIL — queue depth gauge missing from /metrics" >&2; exit 1; }
 
 # Cancel D while it is still queued: it must never touch the filesystem.
