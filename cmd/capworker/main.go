@@ -11,9 +11,9 @@
 //
 // The process is expendable by design: SIGKILL it mid-cell and the
 // coordinator re-leases its cells to another worker byte-identically.
-// SIGTERM/SIGINT stop it between cells (the batch's finished cells are
-// reported, the rest of its leases expire and re-run elsewhere); a
-// second signal force-exits 130.  Leasing a poisoned cell crashes the
+// SIGTERM/SIGINT abort the running cell, report the batch's finished
+// cells and release the rest, which re-queue at once without charging
+// a kill; a second signal force-exits 130.  Leasing a poisoned cell crashes the
 // process with status 3 — that is the chaos harness's simulated hard
 // fault, contained by the coordinator's kill budget.
 package main
@@ -35,7 +35,7 @@ func main() {
 	fs := flag.NewFlagSet("capworker", flag.ExitOnError)
 	id := fs.String("id", "", "worker identity: lease holder and journal writer namespace (default w-<pid>)")
 	coordinator := fs.String("coordinator", "", "coordinator base URL (http://host:port)")
-	maxLeases := fs.Int("max-leases", 8, "cells leased per batch (one heartbeat, one result message, one journal fsync each)")
+	maxLeases := fs.Int("max-leases", 8, "most cells leased per batch (one heartbeat, one result message, one journal fsync each; the coordinator also caps each grant at a fair share of the pending cells)")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell watchdog (0 = off)")
 	netFaults := fs.String("net-faults", "", "wire fault spec on every coordinator call (faults.ParseNetSpec syntax)")
 	netSeed := fs.Int64("net-seed", 1, "root seed for the wire fault injector (this worker derives its own from it)")
@@ -83,7 +83,7 @@ func main() {
 	err = w.Run(ctx)
 	switch {
 	case ctx.Err() != nil:
-		fmt.Fprintf(os.Stderr, "capworker: %s: interrupted after %v — in-flight leases will expire and re-run\n",
+		fmt.Fprintf(os.Stderr, "capworker: %s: interrupted after %v — unfinished leases released for re-run\n",
 			*id, time.Since(start).Round(time.Millisecond))
 		os.Exit(130)
 	case err != nil:

@@ -1,6 +1,7 @@
-// Tests for batched dispatch: suspect isolation in the lease table, a
-// heartbeat revoking one cell of a running batch, the stale
-// single-cell report, and a fuzzed result-batch intake.
+// Tests for batched dispatch: suspect isolation and fair-share grants
+// in the lease table, a heartbeat revoking one cell of a running batch,
+// a worker stopping mid-batch, the stale single-cell report, and a
+// fuzzed result-batch intake.
 package sweepd
 
 import (
@@ -225,7 +226,7 @@ func TestResultWithoutBatchRefused(t *testing.T) {
 
 // FuzzResultBatch drives the result intake with arbitrary bodies:
 // unknown and mismatched keys, a cell repeated within a batch, corrupt
-// payloads, malformed JSON.  The coordinator must never panic, must
+// payloads, released keys, malformed JSON.  The coordinator must never panic, must
 // answer every accepted body with one ack per cell, and across the
 // whole run at most one result per cell may win.
 func FuzzResultBatch(f *testing.F) {
@@ -261,6 +262,7 @@ func FuzzResultBatch(f *testing.F) {
 	f.Add(batch(CellResult{CellIndex: 5, CellKey: job.keys[5], OK: true, Payload: payload[:len(payload)/2]}))
 	f.Add(batch(CellResult{CellIndex: 6, CellKey: job.keys[6], Error: "panic: boom"}, ok(6)))
 	f.Add([]byte(`{"worker_id":"w0","job_id":"` + job.id + `","cell_index":0}`))
+	f.Add([]byte(`{"worker_id":"w0","job_id":"` + job.id + `","released":["` + job.keys[7] + `","ghost"]}`))
 	f.Add([]byte(`{"results":[{"cell_index":-1}]}`))
 	f.Add([]byte(`not json`))
 
@@ -354,5 +356,161 @@ func TestFinishWaitsForInFlightResults(t *testing.T) {
 	}
 	if len(digests) != n || surface.Cells != n {
 		t.Fatalf("%s holds %d and surface.json %d of %d cells", DigestsFile, len(digests), surface.Cells, n)
+	}
+}
+
+// TestFairShareGrant: with a fleet, a fresh grant is capped at
+// ceil(pending / (2 × fleet)), so a job with fewer than max × fleet
+// pending cells spreads over the fleet instead of piling onto whoever
+// asks first, and grants shrink to one cell as the job drains.  A lone
+// worker still gets the full batch, and a re-grant hands back every
+// cell the worker holds even once its share has shrunk.
+func TestFairShareGrant(t *testing.T) {
+	tb := NewTable(testKeys(40), LeaseConfig{TTL: time.Hour})
+	tb.SetFleet(4)
+	var sizes []int
+	for i := 0; ; i++ {
+		l, _ := tb.Acquire(fmt.Sprintf("w%d", i), 8, 0)
+		if len(l) == 0 {
+			break
+		}
+		sizes = append(sizes, len(l))
+	}
+	want := []int{5, 5, 4, 4, 3, 3, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1, 1}
+	if !slices.Equal(sizes, want) {
+		t.Fatalf("grant sizes = %v, want %v", sizes, want)
+	}
+	tb.SetFleet(8)
+	if l, _ := tb.Acquire("w0", 8, 0); len(l) != 5 || !l[0].Regrant {
+		t.Fatalf("re-grant = %+v, want all five held cells back", l)
+	}
+
+	lone := NewTable(testKeys(20), LeaseConfig{TTL: time.Hour})
+	lone.SetFleet(1)
+	if l, _ := lone.Acquire("w0", 8, 0); len(l) != 8 {
+		t.Fatalf("lone worker granted %d cells, want the full batch of 8", len(l))
+	}
+	wide := NewTable(testKeys(80), LeaseConfig{TTL: time.Hour})
+	wide.SetFleet(4)
+	if l, _ := wide.Acquire("w0", 8, 0); len(l) != 8 {
+		t.Fatalf("share of 80 over 4 granted %d cells, want max 8", len(l))
+	}
+}
+
+// TestLeaseShareFollowsFleet: the coordinator sizes the fair share by
+// the workers registered with it, and by at least the fleet it was told
+// it supervises before those workers have joined.
+func TestLeaseShareFollowsFleet(t *testing.T) {
+	const fleet = 4
+	for _, tc := range []struct {
+		name   string
+		floor  int // Config.Workers
+		joined int
+	}{
+		{"registered", 0, fleet},
+		{"supervised", fleet, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := startService(t, Config{Workers: tc.floor})
+			job, err := s.coord.Submit(testSpec())
+			if err != nil {
+				t.Fatal(err)
+			}
+			post := func(path string, req, reply any) {
+				t.Helper()
+				body, err := json.Marshal(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.Post(s.srv.URL+path, "application/json", bytes.NewReader(body))
+				if err != nil {
+					t.Fatal(err)
+				}
+				decodeBody(t, resp, reply)
+			}
+			for i := 0; i < tc.joined; i++ {
+				var jr JoinReply
+				post(PathJoin, JoinRequest{WorkerID: fmt.Sprintf("w%d", i)}, &jr)
+				if jr.JobID != job.id {
+					t.Fatalf("join reply job %q, want %q", jr.JobID, job.id)
+				}
+			}
+			var lr LeaseReply
+			post(PathLease, LeaseRequest{WorkerID: "w0", JobID: job.id, Max: 8}, &lr)
+			want := min(8, (len(job.keys)+2*fleet-1)/(2*fleet))
+			if len(lr.Leases) != want {
+				t.Fatalf("granted %d of %d cells with a fleet of %d, want %d", len(lr.Leases), len(job.keys), fleet, want)
+			}
+		})
+	}
+}
+
+// TestBatchExpiryRetracted: a k=8 holder whose heartbeats fail for one
+// TTL is charged a kill on all eight cells, and all eight are retracted
+// the moment it is heard from again.
+func TestBatchExpiryRetracted(t *testing.T) {
+	clk := newFakeClock()
+	keys := testKeys(8)
+	tb := NewTable(keys, LeaseConfig{TTL: time.Second, BackoffBase: time.Millisecond})
+	tb.SetClock(clk.now)
+	tb.Acquire("w0", 8, 0)
+	clk.advance(2 * time.Second)
+	tb.ExpireLeases()
+	if n := len(tb.BudgetSnapshot()); n != 8 {
+		t.Fatalf("%d cells charged after the expiry, want 8", n)
+	}
+	tb.Heartbeat("w0", keys)
+	if b := tb.BudgetSnapshot(); len(b) != 0 {
+		t.Fatalf("kills left after the holder proved alive: %+v", b)
+	}
+}
+
+// TestWorkerStopMidBatchReleases: a worker stopped in the middle of a
+// batch reports what it finished and releases the rest, so no lease is
+// left to expire and no cell is charged a kill — not at the stop, not
+// after the TTL, not when the coordinator declares the worker lost.
+func TestWorkerStopMidBatchReleases(t *testing.T) {
+	const ttl = 200 * time.Millisecond
+	c, err := New(Config{Lease: LeaseConfig{TTL: ttl}, HeartbeatEvery: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cctx, ccancel := context.WithCancel(context.Background())
+	c.Start(cctx)
+	wctx, stop := context.WithCancel(context.Background())
+	defer stop()
+	var once sync.Once
+	h := c.Handler()
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == PathHeartbeat {
+			once.Do(stop) // the worker is mid-batch: stop it
+		}
+		h.ServeHTTP(w, r)
+	}))
+	defer func() { srv.Close(); ccancel(); c.Close() }()
+	job, err := c.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWorker(WorkerConfig{ID: "w0", Coordinator: srv.URL})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Run(wctx); err != context.Canceled {
+		t.Fatalf("worker returned %v, want context.Canceled", err)
+	}
+	counts := job.table.Counts()
+	if counts.Leases != 0 {
+		t.Fatalf("counts = %+v, want every lease reported or released", counts)
+	}
+	if counts.Done >= 8 {
+		t.Fatalf("counts = %+v, want the worker stopped inside its first batch", counts)
+	}
+	time.Sleep(5 * ttl) // past the TTL and the worker timeout (2 × TTL)
+	if b := job.table.BudgetSnapshot(); len(b) != 0 {
+		t.Fatalf("cells charged after a graceful stop: %+v", b)
+	}
+	if counts := job.table.Counts(); counts.Expired != 0 || counts.Pending != counts.Total-counts.Done {
+		t.Fatalf("counts = %+v, want no expiry and every unfinished cell pending", counts)
 	}
 }

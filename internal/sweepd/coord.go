@@ -72,6 +72,12 @@ type Config struct {
 	HeartbeatEvery time.Duration
 	// WorkerTimeout declares a silent worker lost; defaults to 2×TTL.
 	WorkerTimeout time.Duration
+	// Workers is the size of the fleet the caller supervises (capserved
+	// -workers; 0 when workers are external).  A lease grant is capped
+	// at a fair share of the pending cells over the fleet, and the fleet
+	// counts at least this many workers, so the first worker to join
+	// does not take a full batch before its peers have registered.
+	Workers int
 	// Bus receives the service's observability events; one is created
 	// when nil.
 	Collector *telemetry.Collector

@@ -165,6 +165,7 @@ type Table struct {
 	quar    int
 	stolen  int
 	expired int
+	fleet   int // workers sharing the job; see SetFleet
 }
 
 // NewTable builds a table over the job's cell keys in index order.
@@ -204,6 +205,19 @@ func (t *Table) RestoreDone(key string) bool {
 	return true
 }
 
+// SetFleet tells the table how many workers share the job.  With more
+// than one, Acquire caps each fresh grant at ceil(pending / (2 ×
+// fleet)) cells — factoring: every round of requests hands out about
+// half of what is pending, split evenly — so a short job spreads over
+// the fleet instead of piling onto whoever asks first, and batches
+// shrink as the job drains, leaving a heavy cell at the end little to
+// hold up.  A fleet of one (or an unset fleet) leaves grants at max.
+func (t *Table) SetFleet(n int) {
+	t.mu.Lock()
+	t.fleet = n
+	t.mu.Unlock()
+}
+
 // backoff is the re-queue delay after the n-th loss (1-based).
 func (t *Table) backoff(n int) time.Duration {
 	d := t.cfg.BackoffBase
@@ -221,10 +235,12 @@ func (t *Table) backoff(n int) time.Duration {
 
 // Acquire grants up to max leases to a worker: pending cells first (in
 // index order, respecting backoff gates, at most one of them a cell
-// that has lost a holder before), then — only when nothing is
-// pending — one stolen lease on the oldest straggler past the steal
-// threshold.  p95 is the tracker's completed-cell p95 duration (0 when
-// unknown).
+// that has lost a holder before, and no more than the worker's fair
+// share — see SetFleet), then — only when nothing is pending — one
+// stolen lease on the oldest straggler past the steal threshold.  p95
+// is the tracker's completed-cell p95 duration (0 when unknown).  An
+// idempotent re-grant hands back every cell the worker holds, up to
+// max, whatever the share.
 func (t *Table) Acquire(worker string, max int, p95 time.Duration) ([]Lease, []obs.Event) {
 	if max <= 0 {
 		max = 1
@@ -291,6 +307,18 @@ func (t *Table) Acquire(worker string, max int, p95 time.Duration) ([]Lease, []o
 	leasable := func(c *cellSlot) bool {
 		return !c.terminal() && !c.inFlight() && !now.Before(c.notBefore)
 	}
+	limit := max
+	if t.fleet > 1 {
+		pending := 0
+		for _, c := range t.cells {
+			if !c.terminal() && !c.inFlight() {
+				pending++
+			}
+		}
+		if share := (pending + 2*t.fleet - 1) / (2 * t.fleet); share < limit {
+			limit = share
+		}
+	}
 	var suspect *cellSlot
 	for _, c := range t.cells {
 		if c.kills > 0 && leasable(c) && (suspect == nil || c.kills > suspect.kills) {
@@ -301,7 +329,7 @@ func (t *Table) Acquire(worker string, max int, p95 time.Duration) ([]Lease, []o
 		grant(suspect, false)
 	}
 	for _, c := range t.cells {
-		if len(leases) >= max {
+		if len(leases) >= limit {
 			break
 		}
 		if c.kills == 0 && leasable(c) {
@@ -391,6 +419,24 @@ func (t *Table) Heartbeat(worker string, keys []string) (cancelled []string) {
 		c.holders[worker] = now.Add(t.cfg.TTL)
 	}
 	return cancelled
+}
+
+// Release gives back leases a live worker never ran to completion —
+// it is stopping mid-batch.  Unlike an expiry, a release charges
+// nothing: the holder is alive and says so, and the cells re-queue at
+// once.  Keys the worker does not hold are ignored.
+func (t *Table) Release(worker string, keys []string) {
+	now := t.now()
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, key := range keys {
+		c, ok := t.byKey[key]
+		if !ok {
+			continue
+		}
+		t.retractExpiryLocked(c, worker, now)
+		delete(c.holders, worker)
+	}
 }
 
 // Complete records a worker's report for a cell.  ok=true is a result

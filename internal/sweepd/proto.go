@@ -81,13 +81,16 @@ type HeartbeatReply struct {
 
 // ResultRequest reports the outcomes of a batch of leased cells in one
 // message.  JobID stays at the top level so a request is attributable
-// to its job without reading the batch.  A body without Results is what
+// to its job without reading the batch.  Released lists the batch's
+// cells a worker stopping mid-batch gives back unrun; the coordinator
+// re-queues them without charging a kill.  A body with neither is what
 // a single-cell worker from before batching sends; the coordinator
 // refuses it with 400 rather than silently dropping the cell.
 type ResultRequest struct {
 	WorkerID string       `json:"worker_id"`
 	JobID    string       `json:"job_id"`
 	Results  []CellResult `json:"results"`
+	Released []string     `json:"released,omitempty"`
 }
 
 // CellResult is one cell's outcome within a batch.  OK results carry

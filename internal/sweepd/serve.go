@@ -130,7 +130,11 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	c.touchWorker(req.WorkerID, 0)
 	job := c.current()
 	draining := c.draining
+	fleet := len(c.workers)
 	c.mu.Unlock()
+	if fleet < c.cfg.Workers {
+		fleet = c.cfg.Workers // supervised workers not yet joined
+	}
 
 	switch {
 	case draining:
@@ -147,6 +151,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 	if max <= 0 {
 		max = 1
 	}
+	job.table.SetFleet(fleet)
 	leases, events := job.table.Acquire(req.WorkerID, max, c.tracker.P95())
 	c.publish(events)
 	for _, l := range leases {
@@ -191,13 +196,15 @@ func (c *Coordinator) handleHeartbeat(w http.ResponseWriter, r *http.Request) {
 // goes through intake on its own — first result wins per cell, so a
 // duplicated or replayed batch dedups cell by cell — and the accepted
 // results share one fsync of the job's journal, taken before the
-// reply: a result is acknowledged only once it is durable.
+// reply.  Cells the worker gives back unrun are released without a
+// kill.  A failed sync answers 500 after the bookkeeping is done (see
+// DESIGN §17 for what that costs).
 func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 	var req ResultRequest
 	if !readJSON(w, r, &req) {
 		return
 	}
-	if req.Results == nil {
+	if req.Results == nil && req.Released == nil {
 		// A pre-batching worker's single-cell report: refuse it loudly
 		// rather than drop the cell it carries.
 		http.Error(w, "results required: this coordinator takes batched result reports", http.StatusBadRequest)
@@ -213,17 +220,18 @@ func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	served, err := c.intakeBatch(job, req, reply.Acks)
-	if err != nil {
-		c.cfg.Logf("sweepd: journal sync: %v", err)
-		http.Error(w, "journal sync failed", http.StatusInternalServerError)
-		return
-	}
+	job.table.Release(req.WorkerID, req.Released)
 	c.mu.Lock()
 	ws.cellsServed += served
 	c.mu.Unlock()
 	c.journalBudgets(job)
 	c.syncGauges()
 	c.checkFinished(job)
+	if err != nil {
+		c.cfg.Logf("sweepd: journal sync: %v", err)
+		http.Error(w, "journal sync failed", http.StatusInternalServerError)
+		return
+	}
 	writeJSON(w, http.StatusOK, reply)
 }
 

@@ -43,7 +43,8 @@ type WorkerConfig struct {
 	Coordinator string
 	// MaxLeases bounds the cells one lease grant hands the worker (one
 	// batch: one heartbeat, one result message, one journal fsync);
-	// defaults to 8.
+	// defaults to 8.  The coordinator may grant fewer: each grant is
+	// capped at the worker's fair share of the pending cells.
 	MaxLeases int
 	// CellTimeout arms the executor's per-cell watchdog.
 	CellTimeout time.Duration
@@ -306,7 +307,9 @@ func (h *heldCell) revoked() bool { return errors.Is(context.Cause(h.ctx), errRe
 // crash could lose.  A cancellation the coordinator names aborts or
 // skips just that cell; its abort is the coordinator's bookkeeping, not
 // a failure of the cell, so a revoked cell is never reported.  A worker
-// shutting down mid-batch still reports the cells it finished.
+// shutting down mid-batch still reports the cells it finished and
+// releases the rest, so their leases re-queue at once instead of
+// expiring and charging each cell a kill.
 func (w *Worker) runBatch(ctx context.Context, jr JoinReply, cells []core.Config, leases []Lease, journal *ckpt.Journal, hb time.Duration) error {
 	batch := make([]*heldCell, len(leases))
 	for i, l := range leases {
@@ -336,20 +339,24 @@ func (w *Worker) runBatch(ctx context.Context, jr JoinReply, cells []core.Config
 	if errors.Is(err, ErrPoisoned) {
 		return err
 	}
-	var results []CellResult
+	req := ResultRequest{WorkerID: w.cfg.ID, JobID: jr.JobID}
 	for _, h := range batch {
-		if h.result != nil && !h.revoked() {
-			results = append(results, *h.result)
+		switch {
+		case h.revoked():
+		case h.result != nil:
+			req.Results = append(req.Results, *h.result)
+		default:
+			req.Released = append(req.Released, h.CellKey)
 		}
 	}
-	if len(results) > 0 {
+	if req.Results != nil || req.Released != nil {
 		// post's bounded retry absorbs transient faults; an undeliverable
 		// batch is dropped (its leases expire and the cells re-run
 		// elsewhere — first result wins makes the retry and the re-run
 		// equally correct).
 		var reply ResultReply
-		if perr := w.post(PathResult, ResultRequest{WorkerID: w.cfg.ID, JobID: jr.JobID, Results: results}, &reply); perr != nil {
-			w.cfg.Logf("sweepd: %s: result batch of %d undeliverable: %v", w.cfg.ID, len(results), perr)
+		if perr := w.post(PathResult, req, &reply); perr != nil {
+			w.cfg.Logf("sweepd: %s: result batch of %d undeliverable: %v", w.cfg.ID, len(req.Results), perr)
 		}
 	}
 	return err
@@ -361,6 +368,9 @@ func (w *Worker) runBatch(ctx context.Context, jr JoinReply, cells []core.Config
 // cell's crash hook returns.
 func (w *Worker) runCells(ctx context.Context, jr JoinReply, cells []core.Config, batch []*heldCell, journal *ckpt.Journal) error {
 	for _, h := range batch {
+		if ctx.Err() != nil {
+			return ctx.Err() // shutting down; runBatch releases the rest
+		}
 		r := &CellResult{CellIndex: h.CellIndex, CellKey: h.CellKey}
 		if h.CellIndex < 0 || h.CellIndex >= len(cells) || cells[h.CellIndex].CheckpointKey() != h.CellKey {
 			// Version skew: this binary expands the job differently than
@@ -389,17 +399,17 @@ func (w *Worker) runCells(ctx context.Context, jr JoinReply, cells []core.Config
 			CellTimeout: w.cfg.CellTimeout,
 		})
 		switch {
-		case ctx.Err() != nil:
-			return ctx.Err() // shutting down; this cell's lease will expire
-		case err != nil:
-			r.Error = err.Error()
-		default:
+		case err == nil:
 			payload, perr := resultPayload(journal, h.CellKey, res[0])
 			if perr != nil {
 				r.Error = "encode: " + perr.Error()
 			} else {
 				r.OK, r.Payload = true, payload
 			}
+		case ctx.Err() != nil:
+			return ctx.Err() // shutting down; runBatch releases this cell
+		default:
+			r.Error = err.Error()
 		}
 		h.result = r
 	}
