@@ -11,8 +11,6 @@
 package repro
 
 import (
-	"fmt"
-	"runtime"
 	"testing"
 	"time"
 
@@ -258,11 +256,10 @@ func BenchmarkFig7TileSizes(b *testing.B) {
 
 // BenchmarkParallelSpeedup times the same grid — every Table II row at
 // reduced order, all canonical plans — through the executor at one
-// worker and at eight, verifies the outputs match, and emits the
-// wall-clock baseline as a machine-readable "BENCH" JSON line.  The
-// speedup is bounded by the host's cores (GOMAXPROCS is part of the
-// record): on a multi-core host the grid's ~100 independent cells keep
-// eight workers busy, while a single-core CI runner reports ~1×.
+// worker and at eight, verifies the outputs match, and reports the
+// speedup.  The speedup is bounded by the host's cores: on a multi-core
+// host the grid's ~100 independent cells keep eight workers busy, while
+// a single-core CI runner reports ~1×.
 func BenchmarkParallelSpeedup(b *testing.B) {
 	rows := make([]core.TableIIRow, len(core.TableII))
 	for i, r := range core.TableII {
@@ -298,8 +295,6 @@ func BenchmarkParallelSpeedup(b *testing.B) {
 	speedup := serial.Seconds() / parallel.Seconds()
 	b.ReportMetric(speedup, "speedup_x")
 	b.ReportMetric(float64(cells), "cells")
-	fmt.Printf("BENCH {\"name\":\"parallel_sweep\",\"cells\":%d,\"workers\":8,\"gomaxprocs\":%d,\"serial_s\":%.3f,\"parallel_s\":%.3f,\"speedup\":%.2f}\n",
-		cells, runtime.GOMAXPROCS(0), serial.Seconds(), parallel.Seconds(), speedup)
 }
 
 // BenchmarkAblationSchedulers compares dmdas against the baseline

@@ -26,7 +26,7 @@ func runAutoPlan(o *options) error {
 		if err != nil {
 			return err
 		}
-		row = scaledRow(row, o.scale)
+		row = core.ScaleRow(row, o.scale)
 		res, err := core.AutoPlan(row, o.budget, core.SweepOptions{Scheduler: o.scheduler, Telemetry: o.telem})
 		if err != nil {
 			return err
@@ -56,8 +56,8 @@ func runAblation(o *options) error {
 	if err != nil {
 		return err
 	}
-	row = scaledRow(row, o.scale)
-	spec, err := specFor(row.Platform)
+	row = core.ScaleRow(row, o.scale)
+	spec, err := platform.SpecByName(row.Platform)
 	if err != nil {
 		return err
 	}

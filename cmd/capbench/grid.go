@@ -25,7 +25,7 @@ func runGrid(o *options) error {
 	var rows []core.TableIIRow
 	for _, r := range core.TableII {
 		if keep[r.Platform] {
-			rows = append(rows, scaledRow(r, o.scale))
+			rows = append(rows, core.ScaleRow(r, o.scale))
 		}
 	}
 

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/gpu"
+	"repro/internal/platform"
 	"repro/internal/powercap"
 	"repro/internal/prec"
 	"repro/internal/report"
@@ -63,7 +64,7 @@ func runTable2(o *options) error {
 	tbl := report.NewTable("Table II — matrix/tile sizes and GPU power levels per platform and operation",
 		"platform", "operation", "N", "Nt", "precision", "P_best (%TDP)", "P_best (W)", "P_min (W)", "P_max (W)")
 	for _, r := range core.TableII {
-		spec, err := specFor(r.Platform)
+		spec, err := platform.SpecByName(r.Platform)
 		if err != nil {
 			return err
 		}

@@ -159,7 +159,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "capbench: -agg-dir: %v\n", aerr)
 			os.Exit(1)
 		}
-		cfg := agg.ExporterConfig{BatchSize: opts.aggFlush}
+		var cfg agg.ExporterConfig
 		if opts.telem != nil {
 			cfg.OnDrop = opts.telem.ObserveDroppedRollups
 		}
@@ -207,7 +207,7 @@ func main() {
 		err = telemetrySummary(opts)
 	}
 	if opts.agg != nil {
-		// Flush the stream sink and write the canonical artifacts even on
+		// Sync the stream and write the canonical artifacts even on
 		// interrupt: the surface of the cells that did complete is exactly
 		// what a resume continues from.
 		if aerr := opts.agg.Close(); aerr != nil && err == nil {
@@ -216,7 +216,7 @@ func main() {
 		if aerr := opts.agg.WriteArtifacts(opts.aggDir); aerr != nil && err == nil {
 			err = aerr
 		}
-		fmt.Fprintf(os.Stderr, "agg: %d cell(s) aggregated into %s (%d rollup(s) dropped by the exporter)\n",
+		fmt.Fprintf(os.Stderr, "agg: %d cell(s) aggregated into %s (%d rollup(s) dropped by the stream)\n",
 			opts.agg.Surface().Cells(), opts.aggDir, opts.agg.Dropped())
 	}
 	if srv != nil {
@@ -310,7 +310,6 @@ type options struct {
 	resume       bool
 	cellTimeout  time.Duration
 	aggDir       string
-	aggFlush     int
 	stallProfile time.Duration
 	profileDir   string
 	reportOut    string
@@ -333,8 +332,8 @@ type options struct {
 	ctx     context.Context
 	journal *ckpt.Journal
 	// agg is the aggregation tier when -agg-dir is set: every completed
-	// cell rolls up into its surface (served at /surface) and streams
-	// through the batching exporter into <agg-dir>/stream.jsonl.
+	// cell rolls up into its surface (served at /surface) and appends to
+	// <agg-dir>/stream.jsonl.
 	agg *agg.Aggregator
 	// events is the observability bus, created whenever -metrics-addr or
 	// -agg-dir will consume it; profiler captures stall-triggered CPU
@@ -368,8 +367,6 @@ func parseOpts(fs *flag.FlagSet, args []string) *options {
 		"watchdog: abandon a sweep cell that completes no task for this much wall-clock time (0 = off)")
 	fs.StringVar(&o.aggDir, "agg-dir", "",
 		"aggregate completed cells into this directory (surface.json, rollups.jsonl, stream.jsonl) and serve /surface when -metrics-addr is set")
-	fs.IntVar(&o.aggFlush, "agg-flush", 0,
-		"aggregation exporter batch size: flush the export stream every N cell rollups (0 = default 64)")
 	fs.DurationVar(&o.stallProfile, "stall-profile", 0,
 		"capture an on-demand CPU profile the first time a cell completes no task for this much wall-clock time (0 = off)")
 	fs.StringVar(&o.profileDir, "profile-dir", "profiles",
@@ -459,7 +456,7 @@ experiments: fig1 table1 table2 fig3 fig4 fig5 fig6 fig7 grid autoplan ablation 
              report (render an HTML sweep report from -agg-dir / -checkpoint artifacts)
 flags: -platform <name|all> -csv -scale N -budget PCT -scheduler NAME -out DIR
        -trace-dir DIR -parallel N -seed N -faults SPEC -metrics-addr HOST:PORT -hold DURATION
-       -checkpoint DIR -resume -cell-timeout DURATION -agg-dir DIR -agg-flush N
+       -checkpoint DIR -resume -cell-timeout DURATION -agg-dir DIR
        -stall-profile DURATION -profile-dir DIR -report-out FILE -submit URL`))
 }
 

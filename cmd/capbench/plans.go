@@ -11,27 +11,15 @@ import (
 	"repro/internal/units"
 )
 
-// specFor resolves a platform name.
-func specFor(name string) (platform.Spec, error) {
-	return platform.SpecByName(name)
-}
-
 // platformsFor expands "-platform all".
 func platformsFor(o *options) ([]string, error) {
 	if o.platform == "all" {
 		return []string{platform.FourA100Name, platform.TwoA100Name, platform.TwoV100Name}, nil
 	}
-	if _, err := specFor(o.platform); err != nil {
+	if _, err := platform.SpecByName(o.platform); err != nil {
 		return nil, err
 	}
 	return []string{o.platform}, nil
-}
-
-// scaledRow shrinks a Table II row by the -scale factor via the shared
-// reduction rule (core.ScaleRow), so a -scale N sweep and a scale-N
-// service job mean exactly the same cells.
-func scaledRow(r core.TableIIRow, scale int) core.TableIIRow {
-	return core.ScaleRow(r, scale)
 }
 
 // runFig34 prints the plan sweeps of Fig. 3 (double) or Fig. 4 (single):
@@ -58,18 +46,12 @@ func runFig34(o *options, single bool) error {
 			if err != nil {
 				return err
 			}
-			rows = append(rows, scaledRow(row, o.scale))
+			rows = append(rows, core.ScaleRow(row, o.scale))
 		}
 	}
 	opt := o.sweepOpts(nil)
-	sweeps, err := core.ParallelSweep(rows, opt, o.popt())
+	sweeps, err := runSweep(o, rows, opt)
 	if err != nil {
-		return err
-	}
-	if err := writeSweepTraces(o, rows, opt, opt.Seed, sweeps); err != nil {
-		return err
-	}
-	if err := emitFaultSummary(o, rows, sweeps); err != nil {
 		return err
 	}
 	for i, row := range rows {
@@ -103,6 +85,19 @@ func (o *options) sweepOpts(cpuCaps map[int]units.Watts) core.SweepOptions {
 	}
 }
 
+// runSweep fans rows across the worker pool, then writes the sweep's
+// -trace-dir artifacts and prints its -faults summary.
+func runSweep(o *options, rows []core.TableIIRow, opt core.SweepOptions) ([][]core.PlanResult, error) {
+	sweeps, err := core.ParallelSweep(rows, opt, o.popt())
+	if err != nil {
+		return nil, err
+	}
+	if err := writeSweepTraces(o, rows, opt, opt.Seed, sweeps); err != nil {
+		return nil, err
+	}
+	return sweeps, emitFaultSummary(o, rows, sweeps)
+}
+
 func schedName(o *options) string {
 	if o.scheduler == "" {
 		return "dmdas"
@@ -119,17 +114,11 @@ func runFig5(o *options) error {
 		if err != nil {
 			return err
 		}
-		rows = append(rows, scaledRow(row, o.scale))
+		rows = append(rows, core.ScaleRow(row, o.scale))
 	}
 	opt := o.sweepOpts(nil)
-	sweeps, err := core.ParallelSweep(rows, opt, o.popt())
+	sweeps, err := runSweep(o, rows, opt)
 	if err != nil {
-		return err
-	}
-	if err := writeSweepTraces(o, rows, opt, opt.Seed, sweeps); err != nil {
-		return err
-	}
-	if err := emitFaultSummary(o, rows, sweeps); err != nil {
 		return err
 	}
 	for i, row := range rows {
@@ -163,31 +152,19 @@ func runFig6(o *options) error {
 			if err != nil {
 				return err
 			}
-			rows = append(rows, scaledRow(row, o.scale))
+			rows = append(rows, core.ScaleRow(row, o.scale))
 		}
 	}
 	// The capped and uncapped sweeps differ in options, so they fan out
 	// as two pools; rows align index-for-index.  Their trace artifacts
 	// cannot collide: TraceCellKey embeds the CPU-cap state.
 	plainOpt, cappedOpt := o.sweepOpts(nil), o.sweepOpts(cpuCaps)
-	plainSweeps, err := core.ParallelSweep(rows, plainOpt, o.popt())
+	plainSweeps, err := runSweep(o, rows, plainOpt)
 	if err != nil {
 		return err
 	}
-	cappedSweeps, err := core.ParallelSweep(rows, cappedOpt, o.popt())
+	cappedSweeps, err := runSweep(o, rows, cappedOpt)
 	if err != nil {
-		return err
-	}
-	if err := writeSweepTraces(o, rows, plainOpt, plainOpt.Seed, plainSweeps); err != nil {
-		return err
-	}
-	if err := writeSweepTraces(o, rows, cappedOpt, cappedOpt.Seed, cappedSweeps); err != nil {
-		return err
-	}
-	if err := emitFaultSummary(o, rows, plainSweeps); err != nil {
-		return err
-	}
-	if err := emitFaultSummary(o, rows, cappedSweeps); err != nil {
 		return err
 	}
 	for i, row := range rows {
@@ -240,19 +217,13 @@ func runFig7(o *options) error {
 				for _, nb := range core.Fig7TileSizes(plat, op) {
 					r := row
 					r.NB = nb
-					rows = append(rows, scaledRow(r, o.scale))
+					rows = append(rows, core.ScaleRow(r, o.scale))
 				}
 			}
 		}
 		opt := o.sweepOpts(cpuCaps)
-		sweeps, err := core.ParallelSweep(rows, opt, o.popt())
+		sweeps, err := runSweep(o, rows, opt)
 		if err != nil {
-			return err
-		}
-		if err := writeSweepTraces(o, rows, opt, opt.Seed, sweeps); err != nil {
-			return err
-		}
-		if err := emitFaultSummary(o, rows, sweeps); err != nil {
 			return err
 		}
 		next := 0

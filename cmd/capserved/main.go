@@ -66,7 +66,6 @@ func main() {
 	maxFailures := fs.Int("max-failures", 0, "quarantine a cell after this many contained failures (0 = default 3)")
 	killBudget := fs.Int("kill-budget", 0, "quarantine a cell after it loses this many workers (0 = default 3)")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell watchdog passed to supervised workers (0 = off)")
-	maxLeases := fs.Int("max-leases", 8, "most cells each supervised worker leases per batch (each grant is also capped at a fair share of the pending cells)")
 	drainGrace := fs.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight leases before sealing the job")
 	fs.Parse(os.Args[1:])
 
@@ -158,7 +157,7 @@ func main() {
 	case *serial:
 		w, werr := sweepd.NewWorker(sweepd.WorkerConfig{
 			ID: "w0", Coordinator: url,
-			MaxLeases: *maxLeases, CellTimeout: *cellTimeout, Logf: logf,
+			CellTimeout: *cellTimeout, Logf: logf,
 			Client: workerClient("w0", *netFaults, *netSeed),
 		})
 		if werr != nil {
@@ -182,7 +181,6 @@ func main() {
 			Spawn: func(slot int, id string) *exec.Cmd {
 				args := []string{
 					"-id", id, "-coordinator", url,
-					"-max-leases", fmt.Sprint(*maxLeases),
 					"-cell-timeout", cellTimeout.String(),
 				}
 				if *netFaults != "" {

@@ -6,7 +6,7 @@
 // heartbeat, and reports the batch's results as checkpoint-codec bytes
 // in one message.
 //
-//	capworker -coordinator http://host:port [-id w0] [-max-leases 8]
+//	capworker -coordinator http://host:port [-id w0]
 //	          [-cell-timeout 0]
 //
 // The process is expendable by design: SIGKILL it mid-cell and the
@@ -35,7 +35,6 @@ func main() {
 	fs := flag.NewFlagSet("capworker", flag.ExitOnError)
 	id := fs.String("id", "", "worker identity: lease holder and journal writer namespace (default w-<pid>)")
 	coordinator := fs.String("coordinator", "", "coordinator base URL (http://host:port)")
-	maxLeases := fs.Int("max-leases", 8, "most cells leased per batch (one heartbeat, one result message, one journal fsync each; the coordinator also caps each grant at a fair share of the pending cells)")
 	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell watchdog (0 = off)")
 	netFaults := fs.String("net-faults", "", "wire fault spec on every coordinator call (faults.ParseNetSpec syntax)")
 	netSeed := fs.Int64("net-seed", 1, "root seed for the wire fault injector (this worker derives its own from it)")
@@ -68,7 +67,6 @@ func main() {
 	w, err := sweepd.NewWorker(sweepd.WorkerConfig{
 		ID:          *id,
 		Coordinator: *coordinator,
-		MaxLeases:   *maxLeases,
 		CellTimeout: *cellTimeout,
 		Client:      client,
 		Logf: func(format string, args ...any) {

@@ -4,13 +4,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/platform"
-	"repro/internal/powercap"
-	"repro/internal/prec"
 	"repro/internal/spantrace"
 	"repro/internal/telemetry/agg"
 	"repro/internal/trace"
@@ -24,14 +22,10 @@ import (
 // Chrome traces written here are parsed back before reporting success,
 // so an invalid artifact fails the command (the CI smoke test relies
 // on this).
-func runAnalyze(args []string) error {
+func runAnalyze(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("analyze", flag.ExitOnError)
-	platName := fs.String("platform", platform.FourA100Name, "platform name")
-	opName := fs.String("op", "gemm", "gemm or potrf")
-	precName := fs.String("precision", "double", "single or double")
-	planStr := fs.String("plan", "", "power plan (default all-H)")
-	sched := fs.String("scheduler", "dmdas", "scheduling policy")
-	scale := fs.Int("scale", 4, "divide the Table II matrix order by this factor")
+	var cell cellFlags
+	cell.register(fs)
 	topK := fs.Int("top", 10, "rows in the top-energy task-type table")
 	chromePath := fs.String("chrome", "", "write the Chrome trace (with causal flow arrows) to this path")
 	foldedPath := fs.String("folded", "", "write folded energy stacks (flamegraph input) to this path")
@@ -45,120 +39,60 @@ func runAnalyze(args []string) error {
 	if err != nil {
 		return fmt.Errorf("-faults: %w", err)
 	}
-
-	op := core.GEMM
-	if *opName == "potrf" {
-		op = core.POTRF
-	} else if *opName != "gemm" {
-		return fmt.Errorf("unknown op %q", *opName)
-	}
-	p := prec.Double
-	if *precName == "single" {
-		p = prec.Single
-	} else if *precName != "double" {
-		return fmt.Errorf("unknown precision %q", *precName)
-	}
-	row, err := core.LookupTableII(*platName, op, p)
+	cfg, err := cell.config()
 	if err != nil {
 		return err
 	}
-	if *scale > 1 {
-		nt := row.N / row.NB / *scale
-		if nt < 2 {
-			nt = 2
-		}
-		row.N = nt * row.NB
-	}
-	spec, err := platform.SpecByName(*platName)
-	if err != nil {
-		return err
-	}
-	plan := powercap.MustParsePlan(allHigh(spec.GPUCount))
-	if *planStr != "" {
-		if plan, err = powercap.ParsePlan(*planStr); err != nil {
-			return err
-		}
-	}
-	cfg := core.Config{
-		Spec:      spec,
-		Workload:  row.Workload(),
-		Plan:      plan,
-		BestFrac:  row.BestFrac,
-		Scheduler: *sched,
-		Seed:      *seed,
-		Trace:     true,
-		Faults:    injected,
-	}
+	cfg.Seed, cfg.Trace, cfg.Faults = *seed, true, injected
 
 	res, err := core.Run(cfg)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("%s on %s, plan %s, scheduler %s\n\n", row.Workload(), *platName,
-		powercap.Describe(plan, spec.GPUArch, row.BestFrac), *sched)
+	fmt.Fprintf(out, "%s\n\n", describe(cfg))
 	if f := res.Faults; f != nil {
 		st := f.Injected
-		fmt.Printf("faults: spec %s — %d injected (capfail %d, clamp %d, throttle %d, dropout %d, task %d); cap retries %d, task retries %d\n",
+		fmt.Fprintf(out, "faults: spec %s — %d injected (capfail %d, clamp %d, throttle %d, dropout %d, task %d); cap retries %d, task retries %d\n",
 			f.Spec, st.Total(), st.CapFailures, st.CapClamps, st.Throttles, st.Dropouts, st.TaskFaults,
 			f.CapRetries, f.TaskRetries)
 		if d := res.Degraded; d != nil {
-			fmt.Printf("degraded: %d worker(s) evicted, surviving plan %s\n", len(d.Evictions), d.Plan)
+			fmt.Fprintf(out, "degraded: %d worker(s) evicted, surviving plan %s\n", len(d.Evictions), d.Plan)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
-	rep := spantrace.Analyze(res.Trace, *topK)
-	if err := rep.Write(os.Stdout); err != nil {
+	if err := spantrace.Analyze(res.Trace, *topK).Write(out); err != nil {
 		return err
 	}
 
 	if *chromePath != "" {
-		f, err := os.Create(*chromePath)
-		if err != nil {
-			return err
-		}
-		err = spantrace.WriteChrome(f, res.Trace)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		if err := writeFile(*chromePath, func(w io.Writer) error { return spantrace.WriteChrome(w, res.Trace) }); err != nil {
 			return err
 		}
 		n, err := validateChrome(*chromePath)
 		if err != nil {
 			return fmt.Errorf("chrome trace %s failed parse-back: %w", *chromePath, err)
 		}
-		fmt.Printf("\nchrome trace written to %s (%d events, parse-back OK)\n", *chromePath, n)
+		fmt.Fprintf(out, "\nchrome trace written to %s (%d events, parse-back OK)\n", *chromePath, n)
 	}
 	if *foldedPath != "" {
-		f, err := os.Create(*foldedPath)
-		if err != nil {
+		if err := writeFile(*foldedPath, func(w io.Writer) error { return spantrace.WriteFolded(w, res.Trace) }); err != nil {
 			return err
 		}
-		err = spantrace.WriteFolded(f, res.Trace)
-		if cerr := f.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			return err
-		}
-		fmt.Printf("folded stacks written to %s\n", *foldedPath)
+		fmt.Fprintf(out, "folded stacks written to %s\n", *foldedPath)
 	}
 	if *rollupPath != "" {
 		// The single-cell counterpart of capbench's -agg-dir stream:
-		// deliver the one rollup through the same sink the sweep uses, so
+		// write the one rollup through the same sink the sweep uses, so
 		// the line format matches and downstream mergers need one parser.
 		sink, err := agg.NewJSONLSink(*rollupPath)
 		if err != nil {
 			return err
 		}
-		err = sink.Emit([]agg.CellRollup{core.BuildRollup(cfg, res)})
-		if cerr := sink.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
+		sink.Append(core.BuildRollup(cfg, res))
+		if err := sink.Close(); err != nil {
 			return err
 		}
-		fmt.Printf("cell rollup written to %s\n", *rollupPath)
+		fmt.Fprintf(out, "cell rollup written to %s\n", *rollupPath)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 // Command schedtrace runs one workload/plan configuration and dumps the
 // scheduling internals: per-worker statistics, per-codelet counts, the
-// calibrated performance-model table and (optionally) a Gantt CSV.
+// critical path, the calibrated performance-model table and
+// (optionally) Gantt, power and Chrome-trace exports.
 //
 // Usage:
 //
@@ -9,10 +10,11 @@
 //	           [-power power.csv] [-chrome trace.json] [-model]
 //	           [-decisions decisions.json] [-telemetry]
 //
-// The analyze subcommand runs the causal span tracer instead: critical
-// path with per-power-state composition, per-worker idle breakdown, top
-// energy task types and the per-device energy reconciliation, plus
-// Chrome-trace (with causal flow arrows) and folded-stack exports:
+// The analyze subcommand runs the cell through core.Run with the causal
+// span tracer and prints the full analysis instead: critical path with
+// per-power-state composition, per-worker idle breakdown, top energy
+// task types and the per-device energy reconciliation, plus Chrome-trace
+// (with causal flow arrows) and folded-stack exports:
 //
 //	schedtrace analyze [-platform ...] [-op ...] [-precision ...] [-plan HHBB]
 //	                   [-scheduler dmdas] [-scale 4] [-top 10] [-seed 0]
@@ -24,16 +26,18 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"strings"
 	"time"
 
-	"repro/internal/chameleon"
 	"repro/internal/core"
 	"repro/internal/perfmodel"
 	"repro/internal/platform"
 	"repro/internal/powercap"
 	"repro/internal/prec"
 	"repro/internal/sigctx"
+	"repro/internal/spantrace"
 	"repro/internal/starpu"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -42,31 +46,11 @@ import (
 
 func main() {
 	if len(os.Args) > 1 && os.Args[1] == "analyze" {
-		if err := runAnalyze(os.Args[2:]); err != nil {
+		if err := runAnalyze(os.Args[2:], os.Stdout); err != nil {
 			fmt.Fprintln(os.Stderr, "schedtrace analyze:", err)
 			os.Exit(1)
 		}
 		return
-	}
-	platName := flag.String("platform", platform.FourA100Name, "platform name")
-	opName := flag.String("op", "gemm", "gemm or potrf")
-	precName := flag.String("precision", "double", "single or double")
-	planStr := flag.String("plan", "", "power plan (default all-H)")
-	sched := flag.String("scheduler", "dmdas", "scheduling policy")
-	scale := flag.Int("scale", 4, "divide the Table II matrix order by this factor")
-	ganttPath := flag.String("gantt", "", "write a Gantt CSV to this path")
-	powerPath := flag.String("power", "", "write a per-device power-timeline CSV to this path")
-	chromePath := flag.String("chrome", "", "write a chrome://tracing / Perfetto JSON trace to this path")
-	dumpModel := flag.Bool("model", false, "dump the calibrated performance-model table")
-	decPath := flag.String("decisions", "", "write the scheduler decision log as JSON to this path")
-	telem := flag.Bool("telemetry", false, "print the sampled power/energy and decision-log summaries")
-	metricsAddr := flag.String("metrics-addr", "",
-		"serve live telemetry on this address (/metrics, /timeseries.json, /decisions.json, /debug/pprof/)")
-	hold := flag.Duration("hold", 0, "keep the telemetry endpoint open this long after the run finishes")
-	flag.Parse()
-	if *hold > 0 && *metricsAddr == "" {
-		fmt.Fprintln(os.Stderr, "schedtrace: -hold requires -metrics-addr (there is no telemetry endpoint to hold open)")
-		os.Exit(2)
 	}
 
 	// First SIGINT/SIGTERM cuts the run short at the next interruptible
@@ -75,7 +59,7 @@ func main() {
 	ctx, stop := sigctx.New(context.Background(), nil)
 	defer stop()
 
-	if err := run(ctx, *platName, *opName, *precName, *planStr, *sched, *scale, *ganttPath, *powerPath, *chromePath, *decPath, *metricsAddr, *dumpModel, *telem, *hold); err != nil {
+	if err := run(ctx, os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "schedtrace:", err)
 		os.Exit(1)
 	}
@@ -85,49 +69,113 @@ func main() {
 	}
 }
 
-func run(ctx context.Context, platName, opName, precName, planStr, sched string, scale int, ganttPath, powerPath, chromePath, decPath, metricsAddr string, dumpModel, telem bool, hold time.Duration) error {
-	op := core.GEMM
-	if opName == "potrf" {
+// cellFlags are the flags naming the one cell both modes run.
+type cellFlags struct {
+	platform, op, precision, plan, scheduler string
+	scale                                    int
+}
+
+func (c *cellFlags) register(fs *flag.FlagSet) {
+	fs.StringVar(&c.platform, "platform", platform.FourA100Name, "platform name")
+	fs.StringVar(&c.op, "op", "gemm", "gemm or potrf")
+	fs.StringVar(&c.precision, "precision", "double", "single or double")
+	fs.StringVar(&c.plan, "plan", "", "power plan (default all-H)")
+	fs.StringVar(&c.scheduler, "scheduler", "dmdas", "scheduling policy")
+	fs.IntVar(&c.scale, "scale", 4, "divide the Table II matrix order by this factor")
+}
+
+// config resolves the flags into the cell's run configuration: the
+// Table II row, reduced by core.ScaleRow, on its platform under the plan.
+func (c *cellFlags) config() (core.Config, error) {
+	var op core.Operation
+	switch c.op {
+	case "gemm":
+		op = core.GEMM
+	case "potrf":
 		op = core.POTRF
-	} else if opName != "gemm" {
-		return fmt.Errorf("unknown op %q", opName)
+	default:
+		return core.Config{}, fmt.Errorf("unknown op %q", c.op)
 	}
-	p := prec.Double
-	if precName == "single" {
+	var p prec.Precision
+	switch c.precision {
+	case "double":
+		p = prec.Double
+	case "single":
 		p = prec.Single
-	} else if precName != "double" {
-		return fmt.Errorf("unknown precision %q", precName)
+	default:
+		return core.Config{}, fmt.Errorf("unknown precision %q", c.precision)
 	}
-	row, err := core.LookupTableII(platName, op, p)
+	row, err := core.LookupTableII(c.platform, op, p)
+	if err != nil {
+		return core.Config{}, err
+	}
+	row = core.ScaleRow(row, c.scale)
+	spec, err := platform.SpecByName(c.platform)
+	if err != nil {
+		return core.Config{}, err
+	}
+	planStr := c.plan
+	if planStr == "" {
+		planStr = strings.Repeat("H", spec.GPUCount)
+	}
+	plan, err := powercap.ParsePlan(planStr)
+	if err != nil {
+		return core.Config{}, err
+	}
+	return core.Config{Spec: spec, Workload: row.Workload(), Plan: plan,
+		BestFrac: row.BestFrac, Scheduler: c.scheduler}, nil
+}
+
+// describe is the one-line cell header both modes print first.
+func describe(cfg core.Config) string {
+	return fmt.Sprintf("%s on %s, plan %s, scheduler %s", cfg.Workload, cfg.Spec.Name,
+		powercap.Describe(cfg.Plan, cfg.Spec.GPUArch, cfg.BestFrac), cfg.Scheduler)
+}
+
+// writeFile creates path, renders into it and closes it.
+func writeFile(path string, render func(io.Writer) error) error {
+	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if scale > 1 {
-		nt := row.N / row.NB / scale
-		if nt < 2 {
-			nt = 2
-		}
-		row.N = nt * row.NB
+	err = render(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
 	}
-	spec, err := platform.SpecByName(platName)
+	return err
+}
+
+// run is the plain mode: it builds the platform and runtime itself
+// (rather than calling core.Run) so the runtime and the calibrated model
+// stay inspectable after the run.
+func run(ctx context.Context, args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("schedtrace", flag.ExitOnError)
+	var cell cellFlags
+	cell.register(fs)
+	ganttPath := fs.String("gantt", "", "write a Gantt CSV to this path")
+	powerPath := fs.String("power", "", "write a per-device power-timeline CSV to this path")
+	chromePath := fs.String("chrome", "", "write a chrome://tracing / Perfetto JSON trace (with causal flow arrows) to this path")
+	dumpModel := fs.Bool("model", false, "dump the calibrated performance-model table")
+	decPath := fs.String("decisions", "", "write the scheduler decision log as JSON to this path")
+	telem := fs.Bool("telemetry", false, "print the sampled power/energy and decision-log summaries")
+	metricsAddr := fs.String("metrics-addr", "",
+		"serve live telemetry on this address (/metrics, /timeseries.json, /decisions.json, /debug/pprof/)")
+	hold := fs.Duration("hold", 0, "keep the telemetry endpoint open this long after the run finishes")
+	fs.Parse(args)
+	if *hold > 0 && *metricsAddr == "" {
+		fmt.Fprintln(os.Stderr, "schedtrace: -hold requires -metrics-addr (there is no telemetry endpoint to hold open)")
+		os.Exit(2)
+	}
+	cfg, err := cell.config()
 	if err != nil {
 		return err
-	}
-	plan := powercap.MustParsePlan(allHigh(spec.GPUCount))
-	if planStr != "" {
-		plan, err = powercap.ParsePlan(planStr)
-		if err != nil {
-			return err
-		}
 	}
 
-	// Build the platform directly (rather than core.Run) so the runtime
-	// and the model stay inspectable after the run.
-	plat, err := platform.New(spec)
+	plat, err := platform.New(cfg.Spec)
 	if err != nil {
 		return err
 	}
-	if err := plat.SetGPUCaps(plan.Caps(spec.GPUArch, row.BestFrac)); err != nil {
+	if err := plat.SetGPUCaps(cfg.Plan.Caps(cfg.Spec.GPUArch, cfg.BestFrac)); err != nil {
 		return err
 	}
 	model := perfmodel.NewHistory()
@@ -135,180 +183,132 @@ func run(ctx context.Context, platName, opName, precName, planStr, sched string,
 	if err != nil {
 		return err
 	}
-	if err := submit(calRT, row, min(row.N/row.NB, 4)*row.NB); err != nil {
+	cal := cfg.Workload
+	cal.N = min(cal.N/cal.NB, 4) * cal.NB
+	if err := core.Submit(calRT, cal); err != nil {
 		return err
 	}
 	if _, err := calRT.Run(); err != nil {
 		return err
 	}
 
-	if powerPath != "" {
+	if *powerPath != "" {
 		plat.EnablePowerTraces()
 	}
-	// Instrument the measured pass when the decision log or telemetry
-	// summaries were asked for.
+	// The span tracer always observes the measured pass: the critical
+	// path and the Chrome trace come from it.  Telemetry tees in beside
+	// it through a run scope, as core.Run wires it, when the decision
+	// log, the summaries or the endpoint were asked for.
+	tracer := spantrace.NewTracer(plat)
+	observers := []starpu.Observer{tracer}
 	var collector *telemetry.Collector
-	rtCfg := starpu.Config{Scheduler: sched, Model: model}
-	if decPath != "" || telem || metricsAddr != "" {
+	var scope *telemetry.RunScope
+	if *decPath != "" || *telem || *metricsAddr != "" {
 		collector = telemetry.NewCollector()
 		collector.InstallModelHook(model)
-		rtCfg.Observer = collector
+		scope = collector.NewRunScope()
+		observers = append(observers, scope)
 	}
 	var srv *telemetry.Server
-	if metricsAddr != "" {
+	if *metricsAddr != "" {
 		stopRuntime := telemetry.StartRuntimeMetrics(collector.Registry, 0)
 		defer stopRuntime()
-		srv, err = telemetry.Serve(metricsAddr, collector)
+		srv, err = telemetry.Serve(*metricsAddr, collector)
 		if err != nil {
 			return err
 		}
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics and /debug/pprof/ on http://%s\n", srv.Addr())
 	}
-	rt, err := starpu.New(plat, rtCfg)
+	rt, err := starpu.New(plat, starpu.Config{Scheduler: cfg.Scheduler, Model: model,
+		Observer: starpu.CombineObservers(observers...)})
 	if err != nil {
 		return err
 	}
-	if err := submit(rt, row, row.N); err != nil {
+	if err := core.Submit(rt, cfg.Workload); err != nil {
 		return err
 	}
-	if collector != nil {
-		if _, err := collector.AttachRun(plat, rt, telemetry.SamplerConfig{}); err != nil {
+	if scope != nil {
+		if _, err := scope.Attach(plat, rt, telemetry.SamplerConfig{}); err != nil {
 			return err
 		}
 	}
+	tracer.Begin(rt)
 	makespan, err := rt.Run()
 	if err != nil {
 		return err
 	}
+	tr := tracer.Finalize(nil)
 
-	flops := op.Flops(row.N)
-	fmt.Printf("%s on %s, plan %s, scheduler %s\n", row.Workload(), platName,
-		powercap.Describe(plan, spec.GPUArch, row.BestFrac), sched)
-	fmt.Printf("makespan %v, %v\n\n", makespan, units.Rate(flops, makespan))
-	fmt.Print(trace.Collect(rt).String())
-	cp := trace.ComputeCriticalPath(rt)
-	fmt.Printf("critical path: %d tasks, %v (%.0f%% of makespan), %.0f%% of it on CPUs\n",
-		len(cp.Tasks), cp.Length, cp.Bound*100, cp.CPUShare()*100)
+	fmt.Fprintln(out, describe(cfg))
+	fmt.Fprintf(out, "makespan %v, %v\n\n", makespan, units.Rate(cfg.Workload.Op.Flops(cfg.Workload.N), makespan))
+	fmt.Fprint(out, trace.Collect(rt).String())
+	cp := spantrace.Analyze(tr, 0).CritPath
+	cpuShare := 0.0
+	if cp.Length > 0 {
+		cpuShare = float64(cp.ByLevel["cpu"] / cp.Length)
+	}
+	fmt.Fprintf(out, "critical path: %d tasks, %v (%.0f%% of makespan), %.0f%% of it on CPUs\n",
+		len(cp.Tasks), cp.Length, cp.Fraction*100, cpuShare*100)
 	if rt.MemoryStats().Evictions > 0 {
-		fmt.Printf("device memory: %d evictions, %v written back\n",
+		fmt.Fprintf(out, "device memory: %d evictions, %v written back\n",
 			rt.MemoryStats().Evictions, rt.MemoryStats().WritebackBytes)
 	}
 
-	if dumpModel {
-		fmt.Println("\nperformance model:")
-		fmt.Print(model.Dump())
+	if *dumpModel {
+		fmt.Fprintln(out, "\nperformance model:")
+		fmt.Fprint(out, model.Dump())
 	}
-	if ganttPath != "" {
-		f, err := os.Create(ganttPath)
-		if err != nil {
+	if *ganttPath != "" {
+		if err := writeFile(*ganttPath, func(w io.Writer) error { return trace.WriteGantt(w, rt) }); err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := trace.WriteGantt(f, rt); err != nil {
-			return err
-		}
-		fmt.Printf("\ngantt written to %s (%d tasks)\n", ganttPath, len(rt.Tasks()))
+		fmt.Fprintf(out, "\ngantt written to %s (%d tasks)\n", *ganttPath, len(rt.Tasks()))
 	}
-	if powerPath != "" {
-		f, err := os.Create(powerPath)
-		if err != nil {
+	if *powerPath != "" {
+		if err := writeFile(*powerPath, func(w io.Writer) error { return trace.WritePowerTrace(w, plat.PowerTraces()) }); err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := trace.WritePowerTrace(f, plat.PowerTraces()); err != nil {
-			return err
-		}
-		fmt.Printf("power timeline written to %s\n", powerPath)
+		fmt.Fprintf(out, "power timeline written to %s\n", *powerPath)
 		// With traces available, the NVML thermal sensor works: report
 		// the per-GPU temperature at the end of the run.
 		n, _ := plat.NVML.DeviceGetCount()
-		fmt.Print("final temperatures:")
+		fmt.Fprint(out, "final temperatures:")
 		for i := 0; i < n; i++ {
 			h, _ := plat.NVML.DeviceGetHandleByIndex(i)
 			if temp, ret := h.GetTemperature(); ret.Error() == nil {
-				fmt.Printf(" GPU%d=%d°C", i, temp)
+				fmt.Fprintf(out, " GPU%d=%d°C", i, temp)
 			}
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
-	if chromePath != "" {
-		f, err := os.Create(chromePath)
-		if err != nil {
+	if *chromePath != "" {
+		if err := writeFile(*chromePath, func(w io.Writer) error { return spantrace.WriteChrome(w, tr) }); err != nil {
 			return err
 		}
-		defer f.Close()
-		if err := trace.WriteChromeTrace(f, rt); err != nil {
+		fmt.Fprintf(out, "chrome trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", *chromePath)
+	}
+	if *telem && scope != nil {
+		fmt.Fprintln(out)
+		if s := scope.Sampler(); s != nil {
+			s.SummaryTable().Write(out)
+			fmt.Fprintln(out)
+		}
+		collector.Decisions.SummaryTable().Write(out)
+	}
+	if *decPath != "" && collector != nil {
+		if err := writeFile(*decPath, collector.Decisions.WriteJSON); err != nil {
 			return err
 		}
-		fmt.Printf("chrome trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", chromePath)
+		fmt.Fprintf(out, "\ndecision log written to %s (%d decisions, %d dropped)\n",
+			*decPath, collector.Decisions.Total(), collector.Decisions.Dropped())
 	}
-	if telem && collector != nil {
-		fmt.Println()
-		if s := collector.Sampler(); s != nil {
-			s.SummaryTable().Write(os.Stdout)
-			fmt.Println()
-		}
-		collector.Decisions.SummaryTable().Write(os.Stdout)
-	}
-	if decPath != "" && collector != nil {
-		f, err := os.Create(decPath)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := collector.Decisions.WriteJSON(f); err != nil {
-			return err
-		}
-		fmt.Printf("\ndecision log written to %s (%d decisions, %d dropped)\n",
-			decPath, collector.Decisions.Total(), collector.Decisions.Dropped())
-	}
-	if srv != nil && hold > 0 {
-		fmt.Fprintf(os.Stderr, "telemetry: holding endpoint open for %v (scrape http://%s/metrics)\n", hold, srv.Addr())
+	if srv != nil && *hold > 0 {
+		fmt.Fprintf(os.Stderr, "telemetry: holding endpoint open for %v (scrape http://%s/metrics)\n", *hold, srv.Addr())
 		select {
-		case <-time.After(hold):
+		case <-time.After(*hold):
 		case <-ctx.Done():
 		}
 	}
 	return nil
-}
-
-func submit(rt *starpu.Runtime, row core.TableIIRow, n int) error {
-	switch row.Precision {
-	case prec.Single:
-		return submitTyped[float32](rt, row, n)
-	default:
-		return submitTyped[float64](rt, row, n)
-	}
-}
-
-func submitTyped[T interface{ ~float32 | ~float64 }](rt *starpu.Runtime, row core.TableIIRow, n int) error {
-	if row.Op == core.POTRF {
-		d, err := chameleon.NewDesc[T](rt, n, row.NB, false)
-		if err != nil {
-			return err
-		}
-		return chameleon.Potrf(rt, d)
-	}
-	a, err := chameleon.NewDesc[T](rt, n, row.NB, false)
-	if err != nil {
-		return err
-	}
-	b, err := chameleon.NewDesc[T](rt, n, row.NB, false)
-	if err != nil {
-		return err
-	}
-	c, err := chameleon.NewDesc[T](rt, n, row.NB, false)
-	if err != nil {
-		return err
-	}
-	return chameleon.Gemm[T](rt, 1, a, b, 0, c)
-}
-
-func allHigh(n int) string {
-	s := make([]byte, n)
-	for i := range s {
-		s[i] = 'H'
-	}
-	return string(s)
 }

@@ -16,9 +16,6 @@
 package benchcheck
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
-	"encoding/json"
 	"fmt"
 
 	"repro/internal/core"
@@ -26,7 +23,6 @@ import (
 	"repro/internal/platform"
 	"repro/internal/powercap"
 	"repro/internal/prec"
-	"repro/internal/telemetry/agg"
 	"repro/internal/units"
 )
 
@@ -134,20 +130,6 @@ func Corpus() []Cell {
 	}
 }
 
-// Digest is the byte-identity fingerprint of one completed cell: the
-// SHA-256 of the canonical JSON of its full Result and its aggregation
-// rollup.  encoding/json renders map keys sorted and float64 values in
-// shortest-round-trip form, so the encoding is a pure deterministic
-// function of the numeric state — two runs digest equal iff every row,
-// device split, schedule stat, span and sketch is bit-identical.
-func Digest(cfg core.Config, res *core.Result) (string, error) {
-	blob, err := json.Marshal(struct {
-		Result *core.Result   `json:"result"`
-		Rollup agg.CellRollup `json:"rollup"`
-	}{res, core.BuildRollup(cfg, res)})
-	if err != nil {
-		return "", err
-	}
-	sum := sha256.Sum256(blob)
-	return hex.EncodeToString(sum[:]), nil
-}
+// Digest forwards to core.Digest, the byte-identity fingerprint of one
+// completed cell.
+func Digest(cfg core.Config, res *core.Result) (string, error) { return core.Digest(cfg, res) }

@@ -14,6 +14,14 @@
 // instead of silently computing the wrong cell.
 package core
 
+import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+
+	"repro/internal/telemetry/agg"
+)
+
 // GridCells expands a GridSpec into the executor's flat cell list —
 // exactly the Configs RunGrid feeds its pool, in the same order: per
 // row, the all-H baseline first, then every non-baseline plan, with
@@ -70,3 +78,21 @@ func EncodeResult(res *Result) ([]byte, error) { return encodeResult(res) }
 
 // DecodeResult restores a Result encoded by EncodeResult.
 func DecodeResult(payload []byte) (*Result, error) { return decodeResult(payload) }
+
+// Digest is the byte-identity fingerprint of one completed cell: the
+// SHA-256 of the canonical JSON of its full Result and its aggregation
+// rollup.  encoding/json renders map keys sorted and float64 values in
+// shortest-round-trip form, so the encoding is a pure deterministic
+// function of the numeric state — two runs digest equal iff every row,
+// device split, schedule stat, span and sketch is bit-identical.
+func Digest(cfg Config, res *Result) (string, error) {
+	blob, err := json.Marshal(struct {
+		Result *Result        `json:"result"`
+		Rollup agg.CellRollup `json:"rollup"`
+	}{res, BuildRollup(cfg, res)})
+	if err != nil {
+		return "", err
+	}
+	sum := sha256.Sum256(blob)
+	return hex.EncodeToString(sum[:]), nil
+}

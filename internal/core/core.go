@@ -269,7 +269,7 @@ func Run(cfg Config) (*Result, error) {
 		if nt := (cal.N + cal.NB - 1) / cal.NB; nt > maxTiles {
 			cal.N = cal.NB * maxTiles
 		}
-		if err := submit(calRT, cal); err != nil {
+		if err := Submit(calRT, cal); err != nil {
 			return nil, err
 		}
 		if _, err := calRT.Run(); err != nil {
@@ -342,7 +342,7 @@ func Run(cfg Config) (*Result, error) {
 	if inj != nil {
 		inj.Bind(rt, p)
 	}
-	if err := submit(rt, cfg.Workload); err != nil {
+	if err := Submit(rt, cfg.Workload); err != nil {
 		return nil, err
 	}
 	if scope != nil {
@@ -465,9 +465,9 @@ func readGPUEnergies(p *platform.Platform) ([]uint64, error) {
 	return out, nil
 }
 
-// submit builds the workload's DAG on the runtime (cost-only
+// Submit builds the workload's DAG on the runtime (cost-only
 // descriptors; numeric validation lives in the test suite).
-func submit(rt *starpu.Runtime, w Workload) error {
+func Submit(rt *starpu.Runtime, w Workload) error {
 	switch w.Precision {
 	case prec.Single:
 		return submitTyped[float32](rt, w)

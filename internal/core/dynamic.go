@@ -50,7 +50,7 @@ func RunDynamic(cfg Config, dyn dyncap.Config) (*Result, *dyncap.Controller, err
 	if nt := cal.N / cal.NB; nt > 6 {
 		cal.N = cal.NB * 6
 	}
-	if err := submit(calRT, cal); err != nil {
+	if err := Submit(calRT, cal); err != nil {
 		return nil, nil, err
 	}
 	if _, err := calRT.Run(); err != nil {
@@ -76,7 +76,7 @@ func RunDynamic(cfg Config, dyn dyncap.Config) (*Result, *dyncap.Controller, err
 	if err != nil {
 		return nil, nil, err
 	}
-	if err := submit(rt, cfg.Workload); err != nil {
+	if err := Submit(rt, cfg.Workload); err != nil {
 		return nil, nil, err
 	}
 

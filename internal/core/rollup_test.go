@@ -34,7 +34,7 @@ func sweepSurface(t *testing.T, workers int, journal *ckpt.Journal) ([]byte, []b
 
 // surfaceObserver adapts a bare Surface to the RollupObserver seam
 // (production wiring goes through agg.Aggregator; tests skip the
-// exporter).
+// stream).
 type surfaceObserver struct{ s *agg.Surface }
 
 func (o surfaceObserver) ObserveCell(c agg.CellRollup) { o.s.Add(c) }

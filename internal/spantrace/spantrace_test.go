@@ -13,12 +13,14 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/chameleon"
 	"repro/internal/core"
 	"repro/internal/fsutil"
 	"repro/internal/platform"
 	"repro/internal/powercap"
 	"repro/internal/prec"
 	"repro/internal/spantrace"
+	"repro/internal/starpu"
 	"repro/internal/trace"
 )
 
@@ -121,6 +123,96 @@ func TestCriticalPathBound(t *testing.T) {
 	}
 }
 
+// traceDirect runs a DAG built by submit on a fresh platform with a
+// tracer attached directly (no calibration pass, no caps), the way a
+// tool driving the runtime itself wires it.
+func traceDirect(t *testing.T, spec platform.Spec, sched string, submit func(*starpu.Runtime) error) *spantrace.Trace {
+	t.Helper()
+	p, err := platform.New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tracer := spantrace.NewTracer(p)
+	rt, err := starpu.New(p, starpu.Config{Scheduler: sched, Observer: tracer})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := submit(rt); err != nil {
+		t.Fatal(err)
+	}
+	tracer.Begin(rt)
+	if _, err := rt.Run(); err != nil {
+		t.Fatal(err)
+	}
+	return tracer.Finalize(nil)
+}
+
+// TestCriticalPathOfChain: on a pure chain the critical path is the
+// whole DAG and bounds the makespan exactly.
+func TestCriticalPathOfChain(t *testing.T) {
+	const n = 7
+	tr := traceDirect(t, platform.TwoV100Spec(), "eager", func(rt *starpu.Runtime) error {
+		cl := chameleon.Codelet("dgemm")
+		h := rt.Register(nil, 8, 512, 512)
+		for i := 0; i < n; i++ {
+			if err := rt.Submit(&starpu.Task{Codelet: cl, Handles: []*starpu.Handle{h},
+				Modes: []starpu.AccessMode{starpu.RW}, Work: 1e9}); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	cp := spantrace.Analyze(tr, 0).CritPath
+	if len(cp.Tasks) != n {
+		t.Errorf("chain critical path has %d tasks, want %d", len(cp.Tasks), n)
+	}
+	if cp.Fraction < 0.8 || cp.Fraction > 1.0001 {
+		t.Errorf("chain fraction = %.3f, want ~1 (makespan is the chain)", cp.Fraction)
+	}
+}
+
+// TestPotrfCriticalPathOnCPU validates the paper's §III-C observation:
+// the POTRF critical path runs through the CPU-only panel tasks.
+func TestPotrfCriticalPathOnCPU(t *testing.T) {
+	tr := traceDirect(t, platform.FourA100Spec(), "dmdas", func(rt *starpu.Runtime) error {
+		d, err := chameleon.NewDesc[float64](rt, 2880*12, 2880, false)
+		if err != nil {
+			return err
+		}
+		return chameleon.Potrf(rt, d)
+	})
+	cp := spantrace.Analyze(tr, 0).CritPath
+	cpu := cp.ByLevel["cpu"]
+	if cpu == 0 {
+		t.Fatal("POTRF critical path contains no CPU tasks")
+	}
+	if share := float64(cpu / cp.Length); share < 0.3 {
+		t.Errorf("CPU share of POTRF critical path = %.2f, want substantial (panels are CPU-only)", share)
+	}
+	// Every potrf panel must sit on the chain (they serialise the steps).
+	codelet := make(map[int]string, len(tr.Spans))
+	for _, s := range tr.Spans {
+		codelet[s.Task] = s.Codelet
+	}
+	panels := 0
+	for _, id := range cp.Tasks {
+		if codelet[id] == "dpotrf" {
+			panels++
+		}
+	}
+	if panels < 10 {
+		t.Errorf("only %d of 12 panels on the critical path", panels)
+	}
+}
+
+// TestCriticalPathEmpty: an empty trace has an empty, zero-length path.
+func TestCriticalPathEmpty(t *testing.T) {
+	cp := spantrace.Analyze(&spantrace.Trace{}, 0).CritPath
+	if cp.Length != 0 || len(cp.Tasks) != 0 || cp.Fraction != 0 {
+		t.Errorf("empty critical path = %+v", cp)
+	}
+}
+
 // TestEdgeSetShape pins the causal edge contract: edges point forward
 // in submission order, are sorted by (To, From), and every executed
 // task's recorded predecessors appear.
@@ -172,9 +264,13 @@ func TestChromeExport(t *testing.T) {
 		t.Fatalf("chrome trace is not valid JSON: %v", err)
 	}
 	starts := map[string]float64{}
-	var nS, nF, nX int
+	var nS, nF, nX, nThreads int
 	for _, e := range events {
 		switch e.Ph {
+		case "M":
+			if e.Name == "thread_name" {
+				nThreads++
+			}
 		case "s":
 			nS++
 			starts[e.ID] = e.Ts
@@ -185,7 +281,16 @@ func TestChromeExport(t *testing.T) {
 			}
 		case "X":
 			nX++
+			if e.Ts < 0 || e.Dur <= 0 {
+				t.Errorf("span event ts=%v dur=%v", e.Ts, e.Dur)
+			}
+			if e.Tid < 0 || e.Tid >= len(tr.Workers) {
+				t.Errorf("span event tid %d out of range", e.Tid)
+			}
 		}
+	}
+	if nThreads != len(tr.Workers) {
+		t.Errorf("thread_name metadata rows = %d, want one per worker (%d)", nThreads, len(tr.Workers))
 	}
 	if nS != len(tr.Edges) || nF != len(tr.Edges) {
 		t.Errorf("flow events = %d starts / %d finishes, want %d each", nS, nF, len(tr.Edges))

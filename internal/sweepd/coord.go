@@ -291,7 +291,7 @@ func (c *Coordinator) Start(ctx context.Context) {
 }
 
 // Close releases the coordinator's open journals — the active job's
-// cell journal and exporter sink plus the state journal — WITHOUT
+// cell journal and rollup stream plus the state journal — WITHOUT
 // sealing anything: no artifacts, no reports, no terminal records.
 // This is the crash-shaped shutdown (and the tests' in-process stand-in
 // for kill -9, since flocks are per open file description): everything
@@ -547,7 +547,7 @@ func (c *Coordinator) promote() {
 }
 
 // activate opens a promoted job's durable half — artifact directory,
-// exporter sink, cell journal — restores every cell any previous
+// rollup stream, cell journal — restores every cell any previous
 // process committed, and makes the job leasable.  Runs without c.mu
 // held (journal open and restore are I/O); a cancellation that lands
 // mid-activation is honoured at the two re-check points.
@@ -633,15 +633,15 @@ func (c *Coordinator) activate(job *activeJob) error {
 	return nil
 }
 
-// sealCancelled closes a cancelled job's open resources — exporter
-// sink and cell journal, if activation got that far — WITHOUT writing
+// sealCancelled closes a cancelled job's open resources — rollup stream
+// and cell journal, if activation got that far — WITHOUT writing
 // artifacts, digests or a report: a cancelled job never produces a
 // report.  Idempotent via the job's finish latch.
 func (c *Coordinator) sealCancelled(job *activeJob) {
 	job.finish.Do(func() {
 		if job.agg != nil {
 			if err := job.agg.Close(); err != nil {
-				c.cfg.Logf("sweepd: exporter close: %v", err)
+				c.cfg.Logf("sweepd: rollup stream close: %v", err)
 			}
 		}
 		if job.journal != nil {

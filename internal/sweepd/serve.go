@@ -26,7 +26,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/benchcheck"
 	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/fsutil"
@@ -34,7 +33,7 @@ import (
 )
 
 // Artifact files the coordinator writes next to the aggregation
-// artifacts: the per-cell benchcheck digest ledger (the chaos gate's
+// artifacts: the per-cell core.Digest ledger (the chaos gate's
 // identity fingerprint) and the job's durable summary.
 const (
 	DigestsFile = "digests.json"
@@ -501,7 +500,7 @@ func (c *Coordinator) acceptResult(job *activeJob, idx int, res *core.Result, pa
 			c.cfg.Logf("sweepd: journal commit %s: %v", key, err)
 		}
 	}
-	if d, err := benchcheck.Digest(cfg, res); err == nil {
+	if d, err := core.Digest(cfg, res); err == nil {
 		job.mu.Lock()
 		job.digests[key] = d
 		job.mu.Unlock()
@@ -683,7 +682,7 @@ func (c *Coordinator) checkFinished(job *activeJob) {
 	}
 }
 
-// finishJob seals a job exactly once: close the exporter, write the
+// finishJob seals a job exactly once: close the rollup stream, write the
 // deterministic artifacts plus the digest ledger and the job report,
 // close the journal, record the terminal state durably, publish the
 // final events, unblock waiters and promote the next queued job.  The
@@ -716,7 +715,7 @@ func (c *Coordinator) finishJob(job *activeJob, drained bool) {
 		}
 		if job.agg != nil {
 			if err := job.agg.Close(); err != nil {
-				c.cfg.Logf("sweepd: exporter close: %v", err)
+				c.cfg.Logf("sweepd: rollup stream close: %v", err)
 			}
 			if err := job.agg.WriteArtifacts(job.dir); err != nil {
 				c.cfg.Logf("sweepd: artifacts: %v", err)

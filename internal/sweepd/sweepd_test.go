@@ -124,7 +124,7 @@ func TestServiceSerialRun(t *testing.T) {
 
 // TestServiceChaosDigestIdentity is the chaos gate in-process: three
 // workers, one killed mid-sweep; the final surface.json and the
-// benchcheck digest ledger are byte-identical to a one-worker run.
+// core.Digest ledger are byte-identical to a one-worker run.
 func TestServiceChaosDigestIdentity(t *testing.T) {
 	// Baseline: a single worker, default lease config.
 	base := startService(t, Config{AggDir: t.TempDir()})

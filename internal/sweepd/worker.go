@@ -32,6 +32,12 @@ var ErrPoisoned = errors.New("sweepd: worker crashed on poisoned cell")
 // errRejoin is the internal signal that the worker's job is gone.
 var errRejoin = errors.New("sweepd: rejoin")
 
+// leaseBatch bounds the cells one lease grant hands a worker (one
+// batch: one heartbeat, one result message, one journal fsync).  The
+// coordinator may grant fewer: each grant is capped at the worker's fair
+// share of the pending cells.
+const leaseBatch = 8
+
 // WorkerConfig tunes a Worker.
 type WorkerConfig struct {
 	// ID names the worker; it is the lease holder identity and the
@@ -41,11 +47,6 @@ type WorkerConfig struct {
 	ID string
 	// Coordinator is the coordinator's base URL (http://host:port).
 	Coordinator string
-	// MaxLeases bounds the cells one lease grant hands the worker (one
-	// batch: one heartbeat, one result message, one journal fsync);
-	// defaults to 8.  The coordinator may grant fewer: each grant is
-	// capped at the worker's fair share of the pending cells.
-	MaxLeases int
 	// CellTimeout arms the executor's per-cell watchdog.
 	CellTimeout time.Duration
 	// Client overrides the HTTP client.
@@ -60,9 +61,6 @@ type WorkerConfig struct {
 }
 
 func (c WorkerConfig) withDefaults() WorkerConfig {
-	if c.MaxLeases <= 0 {
-		c.MaxLeases = 8
-	}
 	if c.Client == nil {
 		c.Client = &http.Client{Timeout: 30 * time.Second}
 	}
@@ -256,7 +254,7 @@ func (w *Worker) runJob(ctx context.Context, jr JoinReply) error {
 	w.cfg.Logf("sweepd: %s: working job %s (%d cells)", w.cfg.ID, jr.JobID, len(cells))
 	for ctx.Err() == nil {
 		var lr LeaseReply
-		if err := w.post(PathLease, LeaseRequest{WorkerID: w.cfg.ID, JobID: jr.JobID, Max: w.cfg.MaxLeases}, &lr); err != nil {
+		if err := w.post(PathLease, LeaseRequest{WorkerID: w.cfg.ID, JobID: jr.JobID, Max: leaseBatch}, &lr); err != nil {
 			w.cfg.Logf("sweepd: %s: lease: %v", w.cfg.ID, err)
 			if !sleep(ctx, w.jitter(hb/2)) {
 				break

@@ -7,23 +7,22 @@ import (
 	"testing"
 )
 
-// TestAggregatorObserveDedup: only fresh cells stream to the sink;
+// TestAggregatorObserveDedup: only fresh cells reach the stream;
 // re-observations (resume) touch the surface dedup only.
 func TestAggregatorObserveDedup(t *testing.T) {
-	sink := &memSink{}
-	a := New(sink, ExporterConfig{BatchSize: 1000, MaxAge: 0})
+	sink, path := newStream(t)
+	a := New(sink, ExporterConfig{})
 	c := cellN(0)
 	a.ObserveCell(c)
 	a.ObserveCell(c) // resume path: same key again
-	a.Flush()
-	if got := sink.delivered(); got != 1 {
-		t.Fatalf("sink saw %d rollups, want 1 (dedup)", got)
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(streamLines(t, path)); got != 1 {
+		t.Fatalf("stream holds %d rollups, want 1 (dedup)", got)
 	}
 	if a.Surface().Cells() != 1 {
 		t.Fatalf("surface cells = %d, want 1", a.Surface().Cells())
-	}
-	if err := a.Close(); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -32,7 +31,6 @@ func TestAggregatorObserveDedup(t *testing.T) {
 func TestNilAggregator(t *testing.T) {
 	var a *Aggregator
 	a.ObserveCell(cellN(0))
-	a.Flush()
 	if a.Dropped() != 0 || a.Surface() != nil {
 		t.Fatal("nil aggregator must be inert")
 	}

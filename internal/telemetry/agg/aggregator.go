@@ -10,22 +10,20 @@ import (
 
 // Aggregator is the per-process aggregation tier: every completed cell
 // is merged into the in-memory Surface (bounded, queryable via
-// /surface) and enqueued on the batching exporter (bounded, streamed to
-// the sink).  A nil *Aggregator is a valid no-op receiver, so callers
-// can wire it unconditionally.
+// /surface) and appended to the JSON-lines stream.  A nil *Aggregator
+// is a valid no-op receiver, so callers can wire it unconditionally.
 type Aggregator struct {
-	surface  *Surface
-	exporter *Exporter
+	surface *Surface
+	stream  *JSONLSink
 }
 
-// New builds an aggregator over the sink.  sink nil means surface-only
-// (no streaming export).
-func New(sink Sink, cfg ExporterConfig) *Aggregator {
-	a := &Aggregator{surface: NewSurface(DefaultAlpha)}
+// New builds an aggregator streaming into sink, which it owns from here
+// on.  sink nil means surface-only (no stream).
+func New(sink *JSONLSink, cfg ExporterConfig) *Aggregator {
 	if sink != nil {
-		a.exporter = NewExporter(sink, cfg)
+		sink.onDrop = cfg.OnDrop
 	}
-	return a
+	return &Aggregator{surface: NewSurface(DefaultAlpha), stream: sink}
 }
 
 // Surface exposes the live surface (nil on a nil aggregator).
@@ -37,42 +35,34 @@ func (a *Aggregator) Surface() *Surface {
 }
 
 // ObserveCell folds one cell rollup in.  Only a fresh cell (not a
-// duplicate re-observation) is exported — a resumed sweep restoring
+// duplicate re-observation) is streamed — a resumed sweep restoring
 // journalled cells re-populates the surface without re-streaming cells
-// an earlier incarnation already delivered... unless the stream file
-// was truncated, which is why the deterministic artifacts come from the
+// an earlier incarnation already wrote... unless the stream file was
+// truncated, which is why the deterministic artifacts come from the
 // surface, not the stream.
 func (a *Aggregator) ObserveCell(c CellRollup) {
 	if a == nil {
 		return
 	}
-	if fresh := a.surface.Add(c); fresh && a.exporter != nil {
-		a.exporter.Enqueue(c)
+	if fresh := a.surface.Add(c); fresh && a.stream != nil {
+		a.stream.Append(c)
 	}
 }
 
-// Flush synchronously drains the exporter (no-op without one).
-func (a *Aggregator) Flush() {
-	if a == nil || a.exporter == nil {
-		return
-	}
-	a.exporter.Flush()
-}
-
-// Dropped reports the exporter's dropped-rollup count.
+// Dropped reports how many rollups failed to reach the stream.
 func (a *Aggregator) Dropped() uint64 {
-	if a == nil || a.exporter == nil {
+	if a == nil || a.stream == nil {
 		return 0
 	}
-	return a.exporter.Dropped()
+	return a.stream.Dropped()
 }
 
-// Close flushes and closes the exporter and sink.
+// Close syncs and closes the stream, returning its first error.
 func (a *Aggregator) Close() error {
-	if a == nil || a.exporter == nil {
+	if a == nil || a.stream == nil {
 		return nil
 	}
-	return a.exporter.Close()
+	return a.stream.Close()
 }
 
 // Artifact file names WriteArtifacts produces under the -agg-dir.

@@ -4,233 +4,118 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
-
-// memSink collects emitted batches; fail(n) makes the next n Emit calls
-// error.
-type memSink struct {
-	mu      sync.Mutex
-	batches [][]CellRollup
-	fails   int
-	emits   int
-	closed  bool
-}
-
-func (s *memSink) Emit(batch []CellRollup) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.emits++
-	if s.fails > 0 {
-		s.fails--
-		return errors.New("sink down")
-	}
-	cp := make([]CellRollup, len(batch))
-	copy(cp, batch)
-	s.batches = append(s.batches, cp)
-	return nil
-}
-
-func (s *memSink) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.closed = true
-	return nil
-}
-
-func (s *memSink) delivered() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, b := range s.batches {
-		n += len(b)
-	}
-	return n
-}
 
 func cellN(i int) CellRollup {
 	return CellRollup{Key: fmt.Sprintf("cell-%04d", i), Platform: "p", Workload: "w", Plan: "HB"}
 }
 
-// TestExporterSizeFlush: reaching BatchSize triggers a flush without
-// waiting for the age timer.
-func TestExporterSizeFlush(t *testing.T) {
-	sink := &memSink{}
-	e := NewExporter(sink, ExporterConfig{BatchSize: 4, MaxAge: time.Hour})
-	for i := 0; i < 8; i++ {
-		e.Enqueue(cellN(i))
-	}
-	deadline := time.Now().Add(5 * time.Second)
-	for sink.delivered() < 8 && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := sink.delivered(); got != 8 {
-		t.Fatalf("delivered %d of 8 before the age timer", got)
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if !sink.closed {
-		t.Fatal("Close must close the sink")
-	}
-}
-
-// TestExporterCloseFlushesPartial: a partial batch drains on Close.
-func TestExporterCloseFlushesPartial(t *testing.T) {
-	sink := &memSink{}
-	e := NewExporter(sink, ExporterConfig{BatchSize: 100, MaxAge: time.Hour})
-	for i := 0; i < 7; i++ {
-		e.Enqueue(cellN(i))
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := sink.delivered(); got != 7 {
-		t.Fatalf("delivered %d of 7 after Close", got)
-	}
-	// Enqueue after Close is dropped silently (no panic, no growth).
-	e.Enqueue(cellN(99))
-	if e.Pending() != 0 {
-		t.Fatal("closed exporter must not queue")
-	}
-}
-
-// TestExporterRetryBackoff: transient sink failures retry with doubling
-// backoff and eventually deliver; the batch is not dropped.
-func TestExporterRetryBackoff(t *testing.T) {
-	sink := &memSink{fails: 3}
-	var slept []time.Duration
-	// BatchSize above the enqueue count keeps the background flusher out
-	// of the way: delivery happens synchronously inside Flush, so the
-	// recorded backoffs are race-free.
-	e := NewExporter(sink, ExporterConfig{
-		BatchSize: 10, MaxAge: time.Hour, Backoff: 10 * time.Millisecond,
-		Sleep: func(d time.Duration) { slept = append(slept, d) },
-	})
-	e.Enqueue(cellN(0))
-	e.Flush()
-	if got := sink.delivered(); got != 1 {
-		t.Fatalf("delivered %d, want 1 after retries", got)
-	}
-	if e.Dropped() != 0 {
-		t.Fatalf("dropped %d, want 0", e.Dropped())
-	}
-	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
-	if len(slept) != len(want) {
-		t.Fatalf("slept %v, want %v", slept, want)
-	}
-	for i := range want {
-		if slept[i] != want[i] {
-			t.Fatalf("backoff %d = %v, want %v", i, slept[i], want[i])
-		}
-	}
-	e.Close()
-}
-
-// TestExporterRetryExhaustionDrops: a sink that never recovers costs
-// exactly the batch, counted in Dropped and via OnDrop.
-func TestExporterRetryExhaustionDrops(t *testing.T) {
-	sink := &memSink{fails: 1 << 20}
-	var onDrop int
-	// BatchSize above the enqueue count: Flush delivers synchronously.
-	e := NewExporter(sink, ExporterConfig{
-		BatchSize: 10, MaxAge: time.Hour, MaxAttempts: 3,
-		Sleep:  func(time.Duration) {},
-		OnDrop: func(n int) { onDrop += n },
-	})
-	e.Enqueue(cellN(0))
-	e.Enqueue(cellN(1))
-	e.Flush()
-	if e.Dropped() != 2 || onDrop != 2 {
-		t.Fatalf("dropped=%d onDrop=%d, want 2/2", e.Dropped(), onDrop)
-	}
-	e.Close()
-}
-
-// TestExporterDropOldest: sustained backpressure sheds the oldest
-// entries, never grows the queue past its limit, and counts the loss.
-func TestExporterDropOldest(t *testing.T) {
-	// A sink that blocks forever on a gate keeps the queue from draining.
-	gate := make(chan struct{})
-	sink := &gateSink{gate: gate}
-	var onDrop int
-	var mu sync.Mutex
-	e := NewExporter(sink, ExporterConfig{
-		BatchSize: 1, QueueLimit: 8, MaxAge: time.Hour,
-		OnDrop: func(n int) { mu.Lock(); onDrop += n; mu.Unlock() },
-	})
-	for i := 0; i < 50; i++ {
-		e.Enqueue(cellN(i))
-	}
-	if p := e.Pending(); p > 8 {
-		t.Fatalf("queue grew to %d, limit is 8", p)
-	}
-	if d := e.Dropped(); d < 50-8-1 { // one cell may be in flight at the sink
-		t.Fatalf("dropped %d, want >= %d", d, 50-8-1)
-	}
-	mu.Lock()
-	if onDrop == 0 {
-		t.Fatal("OnDrop never observed the shed entries")
-	}
-	mu.Unlock()
-	close(gate)
-	e.Close()
-	// The retained tail is the newest entries: the last delivered cell
-	// must be the final enqueue.
-	sink.mu.Lock()
-	last := sink.last
-	sink.mu.Unlock()
-	if last != "cell-0049" {
-		t.Fatalf("last delivered = %q, want the newest cell", last)
-	}
-}
-
-type gateSink struct {
-	gate chan struct{}
-	mu   sync.Mutex
-	last string
-}
-
-func (s *gateSink) Emit(batch []CellRollup) error {
-	<-s.gate
-	s.mu.Lock()
-	s.last = batch[len(batch)-1].Key
-	s.mu.Unlock()
-	return nil
-}
-func (s *gateSink) Close() error { return nil }
-
-// TestJSONLSink writes batches as parseable JSON lines.
-func TestJSONLSink(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "stream.jsonl")
+// newStream opens a JSONL sink in a temp dir and returns it with its path.
+func newStream(t *testing.T) (*JSONLSink, string) {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), StreamFile)
 	sink, err := NewJSONLSink(path)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return sink, path
+}
+
+// streamLines reads the stream file back as its non-empty lines.
+func streamLines(t *testing.T, path string) []string {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) == 0 {
+		return nil
+	}
+	return strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+}
+
+// TestExporterSizeFlush: the stream writes and syncs once syncEvery
+// fresh rollups are pending, without waiting for Close.
+func TestExporterSizeFlush(t *testing.T) {
+	sink, path := newStream(t)
+	a := New(sink, ExporterConfig{})
+	for i := 0; i < syncEvery-1; i++ {
+		a.ObserveCell(cellN(i))
+	}
+	if got := len(streamLines(t, path)); got != 0 {
+		t.Fatalf("%d lines on disk before the sync threshold, want 0", got)
+	}
+	a.ObserveCell(cellN(syncEvery - 1))
+	if got := len(streamLines(t, path)); got != syncEvery {
+		t.Fatalf("%d lines on disk at the sync threshold, want %d", got, syncEvery)
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestExporterCloseFlushesPartial: a partial buffer reaches disk on
+// Close; an append after Close is dropped, never written.
+func TestExporterCloseFlushesPartial(t *testing.T) {
+	sink, path := newStream(t)
+	a := New(sink, ExporterConfig{})
+	for i := 0; i < 7; i++ {
+		a.ObserveCell(cellN(i))
+	}
+	if err := a.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(streamLines(t, path)); got != 7 {
+		t.Fatalf("%d lines after Close, want 7", got)
+	}
+	a.ObserveCell(cellN(99))
+	if got := len(streamLines(t, path)); got != 7 || a.Dropped() != 1 {
+		t.Fatalf("append after Close: %d lines, %d dropped; want 7 and 1", got, a.Dropped())
+	}
+}
+
+// TestExporterFailedSyncDrops: rollups whose write fails are counted
+// through OnDrop and Dropped, and Close returns the first error.
+func TestExporterFailedSyncDrops(t *testing.T) {
+	sink, _ := newStream(t)
+	onDrop := 0
+	a := New(sink, ExporterConfig{OnDrop: func(n int) { onDrop += n }})
+	sink.f.Close() // every later write fails
+	for i := 0; i < syncEvery+3; i++ {
+		a.ObserveCell(cellN(i))
+	}
+	if onDrop != syncEvery {
+		t.Fatalf("onDrop = %d after the first failed sync, want %d", onDrop, syncEvery)
+	}
+	err := a.Close()
+	if !errors.Is(err, os.ErrClosed) {
+		t.Fatalf("Close = %v, want the failed write's error", err)
+	}
+	if a.Dropped() != syncEvery+3 || onDrop != syncEvery+3 {
+		t.Fatalf("dropped=%d onDrop=%d, want %d/%d", a.Dropped(), onDrop, syncEvery+3, syncEvery+3)
+	}
+}
+
+// TestJSONLSink writes rollups as parseable JSON lines.
+func TestJSONLSink(t *testing.T) {
+	sink, path := newStream(t)
 	c := cellN(0)
 	c.Sketches = map[string]*Sketch{SketchTaskDuration: NewSketch(0)}
 	c.Sketches[SketchTaskDuration].Observe(0.5)
-	if err := sink.Emit([]CellRollup{c, cellN(1)}); err != nil {
-		t.Fatal(err)
-	}
+	sink.Append(c)
+	sink.Append(cellN(1))
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatalf("double close: %v", err)
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(string(data)), "\n")
+	lines := streamLines(t, path)
 	if len(lines) != 2 {
 		t.Fatalf("want 2 lines, got %d", len(lines))
 	}
@@ -243,60 +128,34 @@ func TestJSONLSink(t *testing.T) {
 	}
 }
 
-// TestHTTPSink posts JSON batches and treats non-2xx as retryable
-// errors.
-func TestHTTPSink(t *testing.T) {
-	var got [][]CellRollup
-	var status int = http.StatusOK
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var batch []CellRollup
-		if err := json.NewDecoder(r.Body).Decode(&batch); err != nil {
-			t.Errorf("bad body: %v", err)
-		}
-		got = append(got, batch)
-		w.WriteHeader(status)
-	}))
-	defer srv.Close()
-
-	sink := NewHTTPSink(srv.URL, srv.Client())
-	if err := sink.Emit([]CellRollup{cellN(0), cellN(1)}); err != nil {
-		t.Fatal(err)
+// TestJSONLSinkConcurrentAppends: the sweep pool appends from many
+// goroutines at once; every rollup lands as one whole line.
+func TestJSONLSinkConcurrentAppends(t *testing.T) {
+	sink, path := newStream(t)
+	const workers, each = 8, 40
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				sink.Append(cellN(w*each + i))
+			}
+		}(w)
 	}
-	if len(got) != 1 || len(got[0]) != 2 || got[0][1].Key != "cell-0001" {
-		t.Fatalf("server saw %+v", got)
-	}
-	status = http.StatusInternalServerError
-	if err := sink.Emit([]CellRollup{cellN(2)}); err == nil {
-		t.Fatal("non-2xx must be an error")
-	}
+	wg.Wait()
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// TestExporterThroughHTTPSink exercises the full exporter → HTTP path.
-func TestExporterThroughHTTPSink(t *testing.T) {
-	var mu sync.Mutex
-	received := 0
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		var batch []CellRollup
-		json.NewDecoder(r.Body).Decode(&batch)
-		mu.Lock()
-		received += len(batch)
-		mu.Unlock()
-	}))
-	defer srv.Close()
-
-	e := NewExporter(NewHTTPSink(srv.URL, srv.Client()), ExporterConfig{BatchSize: 5, MaxAge: time.Hour})
-	for i := 0; i < 23; i++ {
-		e.Enqueue(cellN(i))
+	seen := map[string]bool{}
+	for _, line := range streamLines(t, path) {
+		var back CellRollup
+		if err := json.Unmarshal([]byte(line), &back); err != nil {
+			t.Fatalf("torn line %q: %v", line, err)
+		}
+		seen[back.Key] = true
 	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if received != 23 {
-		t.Fatalf("received %d of 23", received)
+	if len(seen) != workers*each {
+		t.Fatalf("%d distinct rollups on disk, want %d", len(seen), workers*each)
 	}
 }

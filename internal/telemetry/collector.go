@@ -6,12 +6,9 @@ import (
 	"runtime"
 	"sync"
 
-	"repro/internal/dyncap"
 	"repro/internal/faults"
 	"repro/internal/obs"
 	"repro/internal/perfmodel"
-	"repro/internal/platform"
-	"repro/internal/starpu"
 	"repro/internal/units"
 )
 
@@ -29,12 +26,13 @@ type SurfaceSource interface {
 	WriteSurfaceJSON(w io.Writer, metric string) error
 }
 
-// Collector bundles the registry, the decision log and the per-run
-// sampler behind the starpu.Observer interface — the one object
-// experiment drivers thread through a run to get full telemetry.
+// Collector bundles the registry, the decision log and the most
+// recently attached sampler — the one object experiment drivers thread
+// through a sweep to get full telemetry.  Runs observe through a
+// RunScope (NewRunScope), which implements starpu.Observer.
 //
 // A Collector outlives individual runs: counters accumulate across a
-// sweep while AttachRun swaps the sampler per measured pass.
+// sweep while each RunScope.Attach swaps the current sampler.
 type Collector struct {
 	Registry  *Registry
 	Decisions *DecisionLog
@@ -95,7 +93,7 @@ func NewCollector() *Collector {
 	c.cellsHung = reg.NewCounter("capsim_cells_hung", "Sweep cells the watchdog abandoned for lack of progress.")
 	c.cellsResumed = reg.NewCounter("capsim_cells_resumed", "Sweep cells skipped because a checkpoint journal already held their result.")
 	c.breakerTrips = reg.NewCounter("capsim_cap_breaker_tripped", "Cap-write circuit breakers tripped (device declared dead after consecutive write failures).", "gpu")
-	c.droppedRollups = reg.NewCounter("capsim_telemetry_dropped_total", "Cell rollups dropped by the aggregation exporter under backpressure or after exhausting delivery retries.")
+	c.droppedRollups = reg.NewCounter("capsim_telemetry_dropped_total", "Cell rollups dropped because the aggregation stream failed to write or sync them.")
 	c.droppedRollups.With() // pre-create: a scrape shows 0, not absence
 	c.buildInfo = reg.NewGauge("capsim_build_info", "Build identity; the value is always 1, the labels carry the information.", "version", "goversion")
 	c.buildInfo.With(Version, runtime.Version()).Set(1)
@@ -103,8 +101,8 @@ func NewCollector() *Collector {
 	return c
 }
 
-// ObserveDroppedRollups counts cell rollups the aggregation exporter
-// dropped (queue overflow or exhausted delivery retries).
+// ObserveDroppedRollups counts cell rollups the aggregation stream
+// dropped (a failed write or sync).
 func (c *Collector) ObserveDroppedRollups(n int) {
 	if n > 0 {
 		c.droppedRollups.With().Add(float64(n))
@@ -174,96 +172,9 @@ func (c *Collector) ObserveFaults(st faults.Stats, capRetries, evicted int) {
 	}
 }
 
-// ---- starpu.Observer ----
-
-// TaskSubmitted counts one submission.
-func (c *Collector) TaskSubmitted(t *starpu.Task) {
-	c.tasksSubmitted.With(t.Codelet.Name).Inc()
-}
-
-// TaskStarted counts one compute-phase start, resolving labels through
-// the current run's sampler.  Concurrent runs should observe through a
-// RunScope instead, which pins label resolution to its own runtime.
-func (c *Collector) TaskStarted(workerID int, t *starpu.Task) {
-	c.taskStarted(c.currentRuntime(), workerID, t)
-}
-
-// TaskCompleted counts one completion with its duration and transfers.
-func (c *Collector) TaskCompleted(workerID int, t *starpu.Task) {
-	c.taskCompleted(c.currentRuntime(), workerID, t)
-}
-
-func (c *Collector) taskStarted(rt *starpu.Runtime, workerID int, _ *starpu.Task) {
-	c.tasksStarted.With(kindOf(rt, workerID)).Inc()
-}
-
-func (c *Collector) taskCompleted(rt *starpu.Runtime, workerID int, t *starpu.Task) {
-	kind := kindOf(rt, workerID)
-	name := nameOf(rt, workerID)
-	c.tasksCompleted.With(name, kind, t.Codelet.Name).Inc()
-	c.taskDuration.With(kind).Observe(float64(t.Duration()))
-	c.transferBytes.With(name).Add(float64(t.TransferBytes))
-}
-
-// currentRuntime resolves the runtime of the current run's sampler.
-func (c *Collector) currentRuntime() *starpu.Runtime {
-	if s := c.currentSampler(); s != nil {
-		return s.rt
-	}
-	return nil
-}
-
-// SchedDecision counts and logs one placement decision.
-func (c *Collector) SchedDecision(d starpu.Decision) {
-	c.decisions.With(d.Scheduler, d.Reason).Inc()
-	c.Decisions.Record(d)
-}
-
-var _ starpu.Observer = (*Collector)(nil)
-
-// kindOf / nameOf resolve worker labels through a run's runtime (the
-// observer callbacks do not carry the machine).
-func kindOf(rt *starpu.Runtime, workerID int) string {
-	if rt == nil || workerID < 0 || workerID >= len(rt.Workers()) {
-		return "unknown"
-	}
-	return rt.Workers()[workerID].Info.Kind.String()
-}
-
-func nameOf(rt *starpu.Runtime, workerID int) string {
-	if rt == nil || workerID < 0 || workerID >= len(rt.Workers()) {
-		return "unknown"
-	}
-	return rt.Workers()[workerID].Info.Name
-}
-
-// ---- run attachment ----
-
-// AttachRun starts a sampler over one measured pass and remembers it as
-// the collector's current run.  Call after building the runtime and
-// before Run.  For runs that may execute concurrently, attach through a
-// RunScope instead.
-func (c *Collector) AttachRun(plat *platform.Platform, rt *starpu.Runtime, cfg SamplerConfig) (*Sampler, error) {
-	s, err := AttachSampler(c.Registry, plat, rt, cfg)
-	if err != nil {
-		return nil, err
-	}
-	c.setCurrentSampler(s)
-	return s, nil
-}
-
-func (c *Collector) setCurrentSampler(s *Sampler) {
-	c.mu.Lock()
-	c.sampler = s
-	c.mu.Unlock()
-}
-
-// Sampler reports the current run's sampler (nil before AttachRun).
+// Sampler reports the most recently attached run's sampler (nil before
+// the first RunScope.Attach).
 func (c *Collector) Sampler() *Sampler {
-	return c.currentSampler()
-}
-
-func (c *Collector) currentSampler() *Sampler {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.sampler
@@ -287,19 +198,4 @@ func (c *Collector) InstallModelHook(h *perfmodel.History) {
 			c.estimateErr.With().Observe(rel)
 		}
 	}
-}
-
-// InstallDyncapHooks instruments the dynamic cap controller: ticks are
-// counted and every cap move lands in the sampler's event series.
-func (c *Collector) InstallDyncapHooks(ctl *dyncap.Controller) {
-	ctl.OnCapChange = func(ch dyncap.CapChange) {
-		c.countDyncapMove(ch.GPU)
-		if s := c.currentSampler(); s != nil {
-			s.ObserveCapChange(ch.T, ch.GPU, ch.Old, ch.New)
-		}
-	}
-}
-
-func (c *Collector) countDyncapMove(gpu int) {
-	c.dyncapMoves.With(fmt.Sprintf("%d", gpu)).Inc()
 }

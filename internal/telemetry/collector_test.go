@@ -14,10 +14,7 @@ import (
 
 func TestCollectorCountsRunEvents(t *testing.T) {
 	c := NewCollector()
-	plat, rt := newRun(t, c, "dmda", 15)
-	if _, err := c.AttachRun(plat, rt, SamplerConfig{}); err != nil {
-		t.Fatal(err)
-	}
+	_, rt, _ := attachRun(t, c, "dmda", 15, SamplerConfig{})
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -83,10 +80,7 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("/timeseries.json before attach: %d", code)
 	}
 
-	plat, rt := newRun(t, c, "dmda", 10)
-	if _, err := c.AttachRun(plat, rt, SamplerConfig{}); err != nil {
-		t.Fatal(err)
-	}
+	_, rt, _ := attachRun(t, c, "dmda", 10, SamplerConfig{})
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -140,10 +134,10 @@ func TestServeBindsAndCloses(t *testing.T) {
 }
 
 func TestCollectorObserverWithoutSampler(t *testing.T) {
-	// Observer callbacks before AttachRun must not panic; worker labels
-	// degrade to "unknown".
+	// Observer callbacks before RunScope.Attach must not panic; worker
+	// labels degrade to "unknown".
 	c := NewCollector()
-	_, rt := newRun(t, c, "eager", 3)
+	_, rt := newRun(t, c.NewRunScope(), "eager", 3)
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -152,6 +146,6 @@ func TestCollectorObserverWithoutSampler(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), `kind="unknown"`) {
-		t.Error("expected unknown worker kind before AttachRun")
+		t.Error("expected unknown worker kind before Attach")
 	}
 }

@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"fmt"
 	"sync"
 
 	"repro/internal/dyncap"
@@ -46,7 +47,9 @@ func (s *RunScope) Attach(plat *platform.Platform, rt *starpu.Runtime, cfg Sampl
 	s.rt = rt
 	s.sampler = smp
 	s.mu.Unlock()
-	s.c.setCurrentSampler(smp)
+	s.c.mu.Lock()
+	s.c.sampler = smp
+	s.c.mu.Unlock()
 	return smp, nil
 }
 
@@ -63,11 +66,11 @@ func (s *RunScope) runtime() *starpu.Runtime {
 	return s.rt
 }
 
-// InstallDyncapHooks mirrors Collector.InstallDyncapHooks but lands cap
-// events in this run's sampler rather than the collector's current one.
+// InstallDyncapHooks instruments the dynamic cap controller: every cap
+// move is counted and lands in this run's sampler's event series.
 func (s *RunScope) InstallDyncapHooks(ctl *dyncap.Controller) {
 	ctl.OnCapChange = func(ch dyncap.CapChange) {
-		s.c.countDyncapMove(ch.GPU)
+		s.c.dyncapMoves.With(fmt.Sprintf("%d", ch.GPU)).Inc()
 		if smp := s.Sampler(); smp != nil {
 			smp.ObserveCapChange(ch.T, ch.GPU, ch.Old, ch.New)
 		}
@@ -77,20 +80,46 @@ func (s *RunScope) InstallDyncapHooks(ctl *dyncap.Controller) {
 // ---- starpu.Observer ----
 
 // TaskSubmitted counts one submission on the shared collector.
-func (s *RunScope) TaskSubmitted(t *starpu.Task) { s.c.TaskSubmitted(t) }
-
-// TaskStarted counts one compute-phase start, labelled via this run's
-// runtime.
-func (s *RunScope) TaskStarted(workerID int, t *starpu.Task) {
-	s.c.taskStarted(s.runtime(), workerID, t)
+func (s *RunScope) TaskSubmitted(t *starpu.Task) {
+	s.c.tasksSubmitted.With(t.Codelet.Name).Inc()
 }
 
-// TaskCompleted counts one completion, labelled via this run's runtime.
+// TaskStarted counts one compute-phase start, labelled via this run's
+// runtime ("unknown" before Attach).
+func (s *RunScope) TaskStarted(workerID int, _ *starpu.Task) {
+	s.c.tasksStarted.With(kindOf(s.runtime(), workerID)).Inc()
+}
+
+// TaskCompleted counts one completion with its duration and transfers,
+// labelled via this run's runtime.
 func (s *RunScope) TaskCompleted(workerID int, t *starpu.Task) {
-	s.c.taskCompleted(s.runtime(), workerID, t)
+	rt := s.runtime()
+	kind, name := kindOf(rt, workerID), nameOf(rt, workerID)
+	s.c.tasksCompleted.With(name, kind, t.Codelet.Name).Inc()
+	s.c.taskDuration.With(kind).Observe(float64(t.Duration()))
+	s.c.transferBytes.With(name).Add(float64(t.TransferBytes))
 }
 
 // SchedDecision counts and logs one placement decision.
-func (s *RunScope) SchedDecision(d starpu.Decision) { s.c.SchedDecision(d) }
+func (s *RunScope) SchedDecision(d starpu.Decision) {
+	s.c.decisions.With(d.Scheduler, d.Reason).Inc()
+	s.c.Decisions.Record(d)
+}
 
 var _ starpu.Observer = (*RunScope)(nil)
+
+// kindOf / nameOf resolve worker labels through a run's runtime (the
+// observer callbacks do not carry the machine).
+func kindOf(rt *starpu.Runtime, workerID int) string {
+	if rt == nil || workerID < 0 || workerID >= len(rt.Workers()) {
+		return "unknown"
+	}
+	return rt.Workers()[workerID].Info.Kind.String()
+}
+
+func nameOf(rt *starpu.Runtime, workerID int) string {
+	if rt == nil || workerID < 0 || workerID >= len(rt.Workers()) {
+		return "unknown"
+	}
+	return rt.Workers()[workerID].Info.Name
+}

@@ -11,8 +11,8 @@ import (
 )
 
 // newRun builds a small instrumented platform+runtime pair with n
-// independent GEMM-sized CUDA tasks submitted.  The observer is usually
-// a *Collector; concurrent-run tests pass a *RunScope instead.
+// independent GEMM-sized CUDA tasks submitted, observed by obs (a
+// collector's *RunScope).
 func newRun(t *testing.T, obs starpu.Observer, sched string, n int) (*platform.Platform, *starpu.Runtime) {
 	t.Helper()
 	plat, err := platform.New(platform.TwoV100Spec())
@@ -35,13 +35,22 @@ func newRun(t *testing.T, obs starpu.Observer, sched string, n int) (*platform.P
 	return plat, rt
 }
 
-func TestSamplerRecordsTimeSeries(t *testing.T) {
-	c := NewCollector()
-	plat, rt := newRun(t, c, "dmda", 12)
-	s, err := c.AttachRun(plat, rt, SamplerConfig{Interval: 0.05})
+// attachRun builds a run observed through a fresh RunScope of c and
+// attaches the scope's sampler, as core.Run does for a measured pass.
+func attachRun(t *testing.T, c *Collector, sched string, n int, cfg SamplerConfig) (*platform.Platform, *starpu.Runtime, *Sampler) {
+	t.Helper()
+	scope := c.NewRunScope()
+	plat, rt := newRun(t, scope, sched, n)
+	s, err := scope.Attach(plat, rt, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return plat, rt, s
+}
+
+func TestSamplerRecordsTimeSeries(t *testing.T) {
+	c := NewCollector()
+	plat, rt, s := attachRun(t, c, "dmda", 12, SamplerConfig{Interval: 0.05})
 	makespan, err := rt.Run()
 	if err != nil {
 		t.Fatal(err)
@@ -111,11 +120,7 @@ func TestSamplerRecordsTimeSeries(t *testing.T) {
 
 func TestSamplerMaxSamplesBounds(t *testing.T) {
 	c := NewCollector()
-	plat, rt := newRun(t, c, "dmda", 30)
-	s, err := c.AttachRun(plat, rt, SamplerConfig{Interval: 0.001, MaxSamples: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rt, s := attachRun(t, c, "dmda", 30, SamplerConfig{Interval: 0.001, MaxSamples: 5})
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +131,7 @@ func TestSamplerMaxSamplesBounds(t *testing.T) {
 
 func TestWriteTimeSeriesJSON(t *testing.T) {
 	c := NewCollector()
-	plat, rt := newRun(t, c, "dmdas", 8)
-	s, err := c.AttachRun(plat, rt, SamplerConfig{Interval: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
+	plat, rt, s := attachRun(t, c, "dmdas", 8, SamplerConfig{Interval: 0.05})
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -173,11 +174,7 @@ func TestWriteTimeSeriesJSON(t *testing.T) {
 
 func TestSamplerSummaryTable(t *testing.T) {
 	c := NewCollector()
-	plat, rt := newRun(t, c, "dmda", 10)
-	s, err := c.AttachRun(plat, rt, SamplerConfig{Interval: 0.05})
-	if err != nil {
-		t.Fatal(err)
-	}
+	_, rt, s := attachRun(t, c, "dmda", 10, SamplerConfig{Interval: 0.05})
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}

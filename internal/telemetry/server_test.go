@@ -27,10 +27,7 @@ func getFull(t *testing.T, base, path string) (int, string, string) {
 // Prometheus scraper and JSON consumers both dispatch on it.
 func TestServerContentTypes(t *testing.T) {
 	c := NewCollector()
-	plat, rt := newRun(t, c, "dmda", 5)
-	if _, err := c.AttachRun(plat, rt, SamplerConfig{}); err != nil {
-		t.Fatal(err)
-	}
+	_, rt, _ := attachRun(t, c, "dmda", 5, SamplerConfig{})
 	if _, err := rt.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -2,20 +2,15 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 	"sort"
-
-	"repro/internal/starpu"
 )
 
-// Chrome Trace Event Format export: the run opens directly in
-// chrome://tracing or https://ui.perfetto.dev, one timeline row per
-// worker — the closest equivalent of StarPU's ViTE trace visualisation.
-//
-// ChromeEvent and ChromeTraceBuilder are exported so other exporters
-// (the spantrace package's causal traces) share one writer and one
-// ordering contract instead of growing a second JSON emitter.
+// Chrome Trace Event Format writer: traces open directly in
+// chrome://tracing or https://ui.perfetto.dev — the closest equivalent
+// of StarPU's ViTE trace visualisation.  The spantrace package's causal
+// traces and the benchmark's layer traces both write through this one
+// builder and its ordering contract.
 
 // ChromeEvent is one trace event.  Complete slices use Ph "X" with Ts
 // and Dur in microseconds; metadata rows use Ph "M"; flow events use
@@ -81,41 +76,4 @@ func (b *ChromeTraceBuilder) Write(w io.Writer) error {
 func (b *ChromeTraceBuilder) FlowPair(name, cat, id string, fromTs float64, fromTid int, toTs float64, toTid int) {
 	b.Add(ChromeEvent{Name: name, Cat: cat, Ph: "s", ID: id, Ts: fromTs, Pid: 0, Tid: fromTid})
 	b.Add(ChromeEvent{Name: name, Cat: cat, Ph: "f", ID: id, BP: "e", Ts: toTs, Pid: 0, Tid: toTid})
-}
-
-// WriteChromeTrace emits the executed DAG as a Chrome Trace JSON array:
-// one thread per worker, one complete event per task (compute phase),
-// events in stable (ts, tid, name) order.
-func WriteChromeTrace(w io.Writer, rt *starpu.Runtime) error {
-	var b ChromeTraceBuilder
-	for _, wk := range rt.Workers() {
-		b.Add(ChromeEvent{
-			Name: "thread_name", Ph: "M", Pid: 0, Tid: wk.ID,
-			Args: map[string]string{"name": fmt.Sprintf("%s (%s)", wk.Info.Name, wk.Info.Kind)},
-		})
-	}
-	b.Add(ChromeEvent{
-		Name: "process_name", Ph: "M", Pid: 0, Tid: 0,
-		Args: map[string]string{"name": "simulated node"},
-	})
-	for _, t := range rt.Tasks() {
-		if t.WorkerID < 0 {
-			continue
-		}
-		b.Add(ChromeEvent{
-			Name: t.Codelet.Name,
-			Cat:  t.Codelet.Name,
-			Ph:   "X",
-			Ts:   float64(t.StartT) * 1e6,
-			Dur:  float64(t.Duration()) * 1e6,
-			Pid:  0,
-			Tid:  t.WorkerID,
-			Args: map[string]string{
-				"tag":      t.Tag,
-				"priority": fmt.Sprintf("%d", t.Priority),
-				"work":     t.Work.String(),
-			},
-		})
-	}
-	return b.Write(w)
 }

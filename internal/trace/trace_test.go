@@ -1,7 +1,6 @@
 package trace
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 
@@ -151,35 +150,5 @@ func TestWritePowerTrace(t *testing.T) {
 		if !strings.Contains(out, dev) {
 			t.Errorf("trace CSV missing %s", dev)
 		}
-	}
-}
-
-func TestWriteChromeTrace(t *testing.T) {
-	rt := runSmallPotrf(t)
-	var b strings.Builder
-	if err := WriteChromeTrace(&b, rt); err != nil {
-		t.Fatal(err)
-	}
-	var objs []map[string]interface{}
-	if err := json.Unmarshal([]byte(b.String()), &objs); err != nil {
-		t.Fatalf("output is not valid JSON: %v", err)
-	}
-	events, metas := 0, 0
-	for _, o := range objs {
-		switch o["ph"] {
-		case "X":
-			events++
-			if o["dur"].(float64) <= 0 {
-				t.Error("zero-duration event")
-			}
-		case "M":
-			metas++
-		}
-	}
-	if events != chameleon.PotrfTaskCount(6) {
-		t.Errorf("chrome trace has %d task events, want %d", events, chameleon.PotrfTaskCount(6))
-	}
-	if metas == 0 {
-		t.Error("no thread-name metadata")
 	}
 }

@@ -1,7 +1,7 @@
-// Command benchgate maintains and enforces the committed benchmark
-// trajectories (BENCH_hotpath.json, BENCH_sweep.json).  Both files are
-// JSON-lines: one entry per PR/pass, oldest first, each entry carrying
-// the metrics printed by a benchmark's BENCH line plus provenance
+// Command benchgate maintains and enforces the committed hot-path
+// benchmark trajectory (BENCH_hotpath.json).  The file is JSON-lines:
+// one entry per PR/pass, oldest first, each entry carrying the metrics
+// printed by the benchmark's BENCH_HOTPATH line plus provenance
 // (git SHA, date, pass label) injected here.  Keeping history in the
 // file — instead of overwriting a single point — makes the perf
 // trajectory reviewable in the diff of every PR.
