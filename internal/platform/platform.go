@@ -231,6 +231,18 @@ func (p *Platform) WorkerClass(i int) string {
 	return w.class
 }
 
+// Domain reports worker i's power domain: the GPU index for a CUDA
+// worker, GPUCount + socket for a CPU worker.  Workers of one socket
+// share its cap (hence class string), kernel rates and busy-core power,
+// which is the starpu.DomainModel contract.
+func (p *Platform) Domain(i int) int {
+	w := &p.workers[i]
+	if w.gpu >= 0 {
+		return w.gpu
+	}
+	return len(p.gpus) + w.pkg
+}
+
 // CanRun gates codelets by worker kind; a CUDA worker whose board fell
 // off the bus is never eligible.
 func (p *Platform) CanRun(i int, c *starpu.Codelet) bool {
@@ -346,6 +358,7 @@ func (p *Platform) ReserveLink(from, to int, at units.Seconds, b units.Bytes) (u
 var _ starpu.Machine = (*Platform)(nil)
 var _ starpu.PowerModel = (*Platform)(nil)
 var _ starpu.CapacityModel = (*Platform)(nil)
+var _ starpu.DomainModel = (*Platform)(nil)
 
 // NodeCapacity bounds each GPU's memory node by the board's memory
 // size; host RAM (node 0) is unbounded.

@@ -28,11 +28,19 @@ func (m *fixedClassMachine) NodeCapacity(n int) units.Bytes {
 	return 4 * tileBytes
 }
 
+// nopObserver receives every runtime event and keeps nothing.
+type nopObserver struct{}
+
+func (nopObserver) TaskSubmitted(*Task)      {}
+func (nopObserver) TaskStarted(int, *Task)   {}
+func (nopObserver) TaskCompleted(int, *Task) {}
+func (nopObserver) SchedDecision(Decision)   {}
+
 // TestNoAllocsSteadyState pins the zero-allocation contract of the
 // dmdas scoring kernel: with the performance model warm, scoring one
 // ready task against every worker (estimate through the class table +
 // transfer estimate + locality bytes), the bounded-node memory-fit
-// check, a whole dmSched.Push with its per-node transfer memo, cycling
+// check, a whole dmSched.Push (bare and under an observer), cycling
 // the per-worker priority queue through the in-place locality pop, and
 // warm residency updates must not allocate.
 func TestNoAllocsSteadyState(t *testing.T) {
@@ -116,6 +124,20 @@ func TestNoAllocsSteadyState(t *testing.T) {
 	if allocs != 0 {
 		t.Errorf("dmdas Push allocates %.2f times per task, want 0", allocs)
 	}
+
+	// The same Push observed: Candidates gather in the runtime's reused
+	// buffer, so an attached observer adds no allocation either.
+	rt.cfg.Observer = nopObserver{}
+	sched.Push(task)
+	repop()
+	allocs = testing.AllocsPerRun(500, func() {
+		sched.Push(task)
+		repop()
+	})
+	if allocs != 0 {
+		t.Errorf("observed dmdas Push allocates %.2f times per task, want 0", allocs)
+	}
+	rt.cfg.Observer = nil
 
 	// Ready-queue steady state: push-one/pop-one through the sorted
 	// locality-aware pop the dmdas policy uses.

@@ -63,10 +63,24 @@ type Machine interface {
 	// NumNodes reports the memory-node count (node 0 is host RAM).
 	NumNodes() int
 	// TransferTime estimates moving b bytes from one node to another
-	// with no contention (used by dmda's completion-time estimates).
+	// with no contention (used by dmda's completion-time estimates).  It
+	// must be pure — a function of (from, to, b) alone, independent of
+	// link reservations and power state — because the runtime caches it
+	// per (byte size, source, destination) for the machine's lifetime.
 	TransferTime(from, to int, b units.Bytes) units.Seconds
 	// ReserveLink books the link for an actual transfer starting no
 	// earlier than at, returning the granted interval (contention
 	// included).
 	ReserveLink(from, to int, at units.Seconds, b units.Bytes) (start, end units.Seconds)
+}
+
+// DomainModel is an optional Machine capability: the power domain each
+// worker draws from (a GPU board, a CPU socket).  Workers reporting the
+// same domain, Kind and Node must always return equal WorkerClass and
+// CanRun (and, under PowerModel, equal ExecPower), so the dm-family
+// schedulers score a push once per such group instead of once per
+// worker.  A machine without it gets one group per worker.
+type DomainModel interface {
+	// Domain reports worker i's power-domain index.
+	Domain(i int) int
 }

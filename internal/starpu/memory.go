@@ -48,17 +48,18 @@ func newNodeMemory(node int, capacity units.Bytes) *nodeMemory {
 
 // state reports h's entry, growing the table to cover h.
 func (m *nodeMemory) state(h *Handle) *residency {
-	if h.id >= len(m.res) {
-		m.res = append(m.res, make([]residency, h.id+1-len(m.res))...)
+	id := int(h.id)
+	if id >= len(m.res) {
+		m.res = append(m.res, make([]residency, id+1-len(m.res))...)
 	}
-	r := &m.res[h.id]
+	r := &m.res[id]
 	r.h = h
 	return r
 }
 
 // peek reports h's entry without growing the table (zero if unseen).
 func (m *nodeMemory) peek(h *Handle) residency {
-	if h.id < len(m.res) {
+	if int(h.id) < len(m.res) {
 		return m.res[h.id]
 	}
 	return residency{}
@@ -96,14 +97,14 @@ func (m *nodeMemory) unlink(id int) {
 func (m *nodeMemory) touch(h *Handle) {
 	r := m.state(h)
 	if r.resident {
-		if m.tail != h.id {
-			m.unlink(h.id)
-			m.pushBack(h.id)
+		if id := int(h.id); m.tail != id {
+			m.unlink(id)
+			m.pushBack(id)
 		}
 		return
 	}
 	r.resident = true
-	m.pushBack(h.id)
+	m.pushBack(int(h.id))
 	m.used += h.bytes
 	if r.pins > 0 {
 		m.pinned += h.bytes
@@ -116,7 +117,7 @@ func (m *nodeMemory) drop(h *Handle) {
 		return
 	}
 	r := &m.res[h.id]
-	m.unlink(h.id)
+	m.unlink(int(h.id))
 	r.resident = false
 	m.used -= h.bytes
 	if r.pins > 0 {

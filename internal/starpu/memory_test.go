@@ -306,7 +306,7 @@ func TestCanFitMatchesLRUWalk(t *testing.T) {
 		handles := make([]*Handle, 12)
 		for i := range handles {
 			// Sparse ids, so the per-handle table grows mid-run.
-			handles[i] = &Handle{id: 3*i + rng.Intn(3), bytes: units.Bytes((1 + rng.Intn(3)) * tileBytes)}
+			handles[i] = &Handle{id: int32(3*i + rng.Intn(3)), bytes: units.Bytes((1 + rng.Intn(3)) * tileBytes)}
 		}
 		m := newNodeMemory(1, units.Bytes(8*tileBytes))
 		ref := newRefLRU(m.capacity)

@@ -64,7 +64,9 @@ type Decision struct {
 	// "calibration-spread").
 	Reason string
 	// Candidates lists the considered workers (nil for policies that do
-	// not estimate).
+	// not estimate).  The runtime reuses its backing array across
+	// decisions: it is valid only during the SchedDecision call, and an
+	// observer that keeps it must copy it.
 	Candidates []Candidate
 }
 

@@ -147,7 +147,7 @@ func TestPopBestLocalMatchesReference(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		handles := make([]*Handle, 10)
 		for i := range handles {
-			handles[i] = &Handle{id: i, bytes: units.Bytes((1 + rng.Intn(4)) * tileBytes)}
+			handles[i] = &Handle{id: int32(i), bytes: units.Bytes((1 + rng.Intn(4)) * tileBytes)}
 		}
 		shuffle := func() {
 			for _, h := range handles {

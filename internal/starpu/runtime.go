@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 
 	"repro/internal/perfmodel"
 	"repro/internal/units"
@@ -135,6 +136,23 @@ type Runtime struct {
 	strIDs    map[string]int32
 	classGen  []uint64
 
+	// workerGroup maps each worker to its scoring group: workers sharing
+	// a power domain (DomainModel), kind and memory node, which the
+	// dm-family Push scores once per push.  Without the capability each
+	// worker is its own group.  groups counts the groups.  cands is
+	// Push's reusable Candidates buffer for observed decisions.
+	workerGroup []int32
+	groups      int
+	cands       []Candidate
+
+	// sizeIDs interns each registered handle's byte size to a small id,
+	// and ttab[id][src*nodes+dst] holds Machine.TransferTime (pure, so
+	// valid for the runtime's lifetime), filled when the size is first
+	// seen.  nodes is the machine's memory-node count.
+	sizeIDs map[units.Bytes]int32
+	ttab    [][]units.Seconds
+	nodes   int
+
 	// Fault bookkeeping: evictions in order, tasks that exhausted their
 	// retry budget, tasks stranded with no surviving eligible worker.
 	evictions []Eviction
@@ -170,6 +188,8 @@ func New(machine Machine, cfg Config) (*Runtime, error) {
 		classIDs:   make(map[classKey]int32),
 		strIDs:     make(map[string]int32),
 		lastClass:  make([]cachedClass, machine.NumWorkers()),
+		sizeIDs:    make(map[units.Bytes]int32),
+		nodes:      machine.NumNodes(),
 	}
 	for i := 0; i < machine.NumWorkers(); i++ {
 		w := &Worker{ID: i, Info: machine.Worker(i)}
@@ -177,6 +197,7 @@ func New(machine Machine, cfg Config) (*Runtime, error) {
 		rt.workers = append(rt.workers, w)
 		rt.lastClass[i].id = -1
 	}
+	rt.initGroups()
 	sched, err := newScheduler(cfg.Scheduler)
 	if err != nil {
 		return nil, err
@@ -185,6 +206,32 @@ func New(machine Machine, cfg Config) (*Runtime, error) {
 	sched.Init(rt)
 	rt.initMemory()
 	return rt, nil
+}
+
+// initGroups assigns each worker its scoring group, numbering groups in
+// order of their lowest worker index.
+func (rt *Runtime) initGroups() {
+	type groupKey struct {
+		domain int
+		kind   WorkerKind
+		node   int
+	}
+	dm, grouped := rt.machine.(DomainModel)
+	keys := make([]groupKey, 0, len(rt.workers))
+	rt.workerGroup = make([]int32, len(rt.workers))
+	for i, w := range rt.workers {
+		k := groupKey{domain: i, kind: w.Info.Kind, node: w.Info.Node}
+		if grouped {
+			k.domain = dm.Domain(i)
+		}
+		g := slices.Index(keys, k)
+		if g < 0 {
+			g = len(keys)
+			keys = append(keys, k)
+		}
+		rt.workerGroup[i] = int32(g)
+	}
+	rt.groups = len(keys)
 }
 
 // Machine reports the underlying machine.
@@ -216,14 +263,31 @@ func (rt *Runtime) Register(data interface{}, elemBytes units.Bytes, dims ...int
 		n *= d
 	}
 	h := &Handle{
-		id:    len(rt.handles),
+		id:    int32(len(rt.handles)),
 		bytes: units.Bytes(float64(n)) * elemBytes,
 		dims:  append([]int(nil), dims...),
 		data:  data,
 		valid: 1, // host node
 	}
+	h.sizeID = rt.internSize(h.bytes)
 	rt.handles = append(rt.handles, h)
 	return h
+}
+
+// internSize returns the transfer-table id of byte size b, filling the
+// size's table row the first time b is seen.
+func (rt *Runtime) internSize(b units.Bytes) int32 {
+	id, ok := rt.sizeIDs[b]
+	if !ok {
+		id = int32(len(rt.ttab))
+		rt.sizeIDs[b] = id
+		row := make([]units.Seconds, rt.nodes*rt.nodes)
+		for i := range row {
+			row[i] = rt.machine.TransferTime(i/rt.nodes, i%rt.nodes, b)
+		}
+		rt.ttab = append(rt.ttab, row)
+	}
+	return id
 }
 
 // Submit adds a task to the DAG.  Dependencies on earlier tasks are
@@ -491,22 +555,23 @@ func (rt *Runtime) startTask(w *Worker, t *Task) {
 }
 
 // pickSource chooses the node to copy h from: the valid node with the
-// cheapest path to dst, lowest node index on ties.  Scanning node
-// indices instead of ranging over the valid map keeps tie-breaks
-// deterministic; map order would pick a different source (and reserve a
-// different link) from run to run.
+// cheapest path to dst, lowest node index on ties.  Walking the valid
+// bitset in ascending order keeps tie-breaks deterministic.
 func (rt *Runtime) pickSource(h *Handle, dst int) int {
 	best, bestT := 0, units.Seconds(math.Inf(1))
-	for n := 0; n < rt.machine.NumNodes(); n++ {
-		if !h.valid.has(n) {
-			continue
-		}
-		tt := rt.machine.TransferTime(n, dst, h.bytes)
-		if tt < bestT {
+	for s := uint64(h.valid); s != 0; s &= s - 1 {
+		n := bits.TrailingZeros64(s)
+		if tt := rt.transferTime(h, n, dst); tt < bestT {
 			best, bestT = n, tt
 		}
 	}
 	return best
+}
+
+// transferTime reports Machine.TransferTime(from, to, h.Bytes()) from
+// the runtime's transfer table.
+func (rt *Runtime) transferTime(h *Handle, from, to int) units.Seconds {
+	return rt.ttab[h.sizeID][from*rt.nodes+to]
 }
 
 // complete finishes t on w: power bookkeeping, model recording,
@@ -715,29 +780,9 @@ func (rt *Runtime) transferEstimate(t *Task, node int) units.Seconds {
 		if h.valid.has(node) {
 			continue
 		}
-		src := rt.pickSource(h, node)
-		sum += rt.machine.TransferTime(src, node, h.bytes)
+		sum += rt.transferTime(h, rt.pickSource(h, node), node)
 	}
 	return units.Seconds(float64(sum) * rt.cfg.TransferPenalty)
-}
-
-// transferMemo memoizes transferEstimate per memory node within one
-// scheduler Push: the cost depends only on (task, node), and workers
-// sharing a node (every CPU core sits on node 0) would otherwise
-// recompute it.  It lives on the Push's stack; filled marks the nodes
-// whose cost is set.
-type transferMemo struct {
-	filled nodeSet
-	cost   [maxNodes]units.Seconds
-}
-
-// get reports transferEstimate(t, node), computing it once per node.
-func (m *transferMemo) get(rt *Runtime, t *Task, node int) units.Seconds {
-	if !m.filled.has(node) {
-		m.cost[node] = rt.transferEstimate(t, node)
-		m.filled.set(node)
-	}
-	return m.cost[node]
 }
 
 // localBytes reports how many of t's input bytes already sit on worker

@@ -222,12 +222,37 @@ func (s *wsSched) DrainWorker(worker int) []*Task {
 //	dmdas — additionally keep per-worker queues sorted by the priority
 //	        the application expert assigned, breaking ties towards tasks
 //	        whose data already sits on the device.
+//	dmdae — dmdas plus an energy term (see newDmdae).
 type dmSched struct {
 	name      string
 	dataAware bool
 	sorted    bool
 	rt        *Runtime
 	queues    []taskQueue
+
+	// power prices dmdae's energy term (gamma > 0); it is nil for the
+	// other policies and when the machine has no PowerModel, which
+	// drops the term.
+	power PowerModel
+	gamma float64
+	pref  float64 // reference power (W) converting J to s
+
+	// scores holds each worker group's terms for the current push; an
+	// entry is current when its seq equals pushSeq.
+	scores  []groupScore
+	pushSeq uint64
+}
+
+// groupScore is one worker group's share of a Push: every worker in
+// the group has the same eligibility, estimate, transfer and energy
+// terms (the DomainModel contract), so they are computed once.
+type groupScore struct {
+	seq        uint64
+	eligible   bool
+	calibrated bool
+	est        units.Seconds
+	xfer       units.Seconds
+	energy     units.Seconds
 }
 
 func (s *dmSched) Name() string { return s.name }
@@ -237,49 +262,88 @@ func (s *dmSched) Init(rt *Runtime) {
 	for i := range s.queues {
 		s.queues[i].sorted = s.sorted
 	}
+	s.scores = make([]groupScore, rt.groups)
+	if s.gamma > 0 {
+		s.power, _ = rt.machine.(PowerModel)
+	}
 }
 
+// Push places t on the worker with the least metric
+//
+//	metric = max(exp_end, now) + estimate [+ transfer] [+ energy]
+//
+// scanning workers in index order, first of equals winning.  The
+// estimate, transfer and energy terms are computed once per worker
+// group, from the group's first live member; only availability is per
+// worker.
 func (s *dmSched) Push(t *Task) {
-	now := s.rt.machine.Engine().Now()
+	rt := s.rt
+	now := rt.machine.Engine().Now()
+	s.pushSeq++
+	observing := rt.observing()
+	cands := rt.cands[:0]
 	best := -1
 	bestMetric := units.Seconds(math.Inf(1))
 	var bestECT units.Seconds
-	var cands []Candidate
-	var xfers transferMemo
-	for i := 0; i < s.rt.machine.NumWorkers(); i++ {
-		if !s.rt.CanRun(i, t.Codelet) {
+	for i, w := range rt.workers {
+		if w.dead {
 			continue
 		}
-		w := s.rt.workers[i]
+		g := &s.scores[rt.workerGroup[i]]
+		if g.seq != s.pushSeq {
+			s.scoreGroup(g, t, i)
+		}
+		if !g.eligible {
+			continue
+		}
 		avail := w.expEnd
 		if now > avail {
 			avail = now
 		}
-		est, calibrated := s.rt.estimate(t, i)
 		// ect is when the worker's compute engine would finish this
 		// task; the (weighted) transfer term only biases the choice —
 		// staging overlaps compute, so it must not inflate exp_end.
-		ect := avail + est
-		metric := ect
-		var xfer units.Seconds
-		if s.dataAware {
-			xfer = xfers.get(s.rt, t, w.Info.Node)
-			metric += xfer
-		}
-		if s.rt.observing() {
-			cands = append(cands, Candidate{Worker: i, Estimate: est, Transfer: xfer, Metric: metric, Calibrated: calibrated})
+		// Terms a policy does not use are zero.
+		ect := avail + g.est
+		metric := ect + g.xfer + g.energy
+		if observing {
+			cands = append(cands, Candidate{Worker: i, Estimate: g.est, Transfer: g.xfer, Metric: metric, Calibrated: g.calibrated})
 		}
 		if metric < bestMetric {
 			best, bestMetric, bestECT = i, metric, ect
 		}
 	}
 	if best < 0 {
-		panic("starpu: dm push found no eligible worker (Submit should have rejected)")
+		panic(fmt.Sprintf("starpu: %s push found no eligible worker (Submit should have rejected)", s.name))
 	}
-	s.rt.workers[best].expEnd = bestECT
+	rt.workers[best].expEnd = bestECT
 	s.queues[best].push(t)
-	s.rt.observeDecision(Decision{Task: t, Scheduler: s.name, Chosen: best, Reason: "min-completion-time", Candidates: cands})
-	s.rt.WakeWorker(best)
+	if observing {
+		rt.cands = cands
+		reason := "min-completion-time"
+		if s.power != nil {
+			reason = "min-energy-completion-time"
+		}
+		rt.observeDecision(Decision{Task: t, Scheduler: s.name, Chosen: best, Reason: reason, Candidates: cands})
+	}
+	rt.WakeWorker(best)
+}
+
+// scoreGroup fills g's terms for t from worker i, a live member.
+func (s *dmSched) scoreGroup(g *groupScore, t *Task, i int) {
+	rt := s.rt
+	*g = groupScore{seq: s.pushSeq, eligible: rt.machine.CanRun(i, t.Codelet)}
+	if !g.eligible {
+		return
+	}
+	g.est, g.calibrated = rt.estimate(t, i)
+	if s.dataAware {
+		g.xfer = rt.transferEstimate(t, rt.workers[i].Info.Node)
+	}
+	if s.power != nil {
+		energy := float64(s.power.ExecPower(i, t)) * float64(g.est)
+		g.energy = units.Seconds(s.gamma * energy / s.pref)
+	}
 }
 
 func (s *dmSched) Pop(w *Worker) *Task {

@@ -181,10 +181,13 @@ func (s nodeSet) count() int     { return bits.OnesCount64(uint64(s)) }
 // history drives implicit dependency inference, and its per-node
 // validity set implements MSI coherence during the simulated run.
 type Handle struct {
-	id    int
-	bytes units.Bytes
-	dims  []int
-	data  interface{}
+	id int32
+	// sizeID indexes the runtime's transfer table (Runtime.ttab).  It
+	// shares a word with id, keeping Handle in its 96-byte size class.
+	sizeID int32
+	bytes  units.Bytes
+	dims   []int
+	data   interface{}
 
 	// valid holds the nodes with an up-to-date copy.
 	valid nodeSet

@@ -5,7 +5,9 @@
 # Protocol (noise mitigation on shared CI runners):
 #   1. one warmup run, discarded (page cache, JIT-less but still: first
 #      run pays binary load + first-GC sizing);
-#   2. one measured run, parsed from its BENCH_HOTPATH line;
+#   2. a measured run of 5 samples, parsed from
+#      their BENCH_HOTPATH lines, which benchgate folds into per-field
+#      medians;
 #   3. benchgate compares: cells_per_sec with a noise-tolerant floor
 #      (BENCH_GATE_TOLERANCE, default 0.25 — wall clock on shared
 #      runners jitters), allocs_per_cell with a strict 10% ceiling
@@ -28,9 +30,9 @@ bench() {
 echo "bench-gate: warmup run"
 bench > /dev/null
 
-echo "bench-gate: measured run"
-bench | tee "$OUT/bench.out"
-sed -n 's/^BENCH_HOTPATH //p' "$OUT/bench.out" > "$OUT/measured.json"
+echo "bench-gate: measured run (5 samples)"
+bench -count 5 | tee "$OUT/bench.out"
+sed -n 's/.*BENCH_HOTPATH //p' "$OUT/bench.out" > "$OUT/measured.json"
 [ -s "$OUT/measured.json" ] || { echo "bench-gate: no BENCH_HOTPATH line captured" >&2; exit 1; }
 
 if "$GO" run ./scripts/benchgate -mode gate -baseline BENCH_hotpath.json \

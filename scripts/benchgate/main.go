@@ -6,6 +6,11 @@
 // file — instead of overwriting a single point — makes the perf
 // trajectory reviewable in the diff of every PR.
 //
+// The -measured file holds one BENCH JSON object per line, one per
+// benchmark sample (`go test -count N`).  Both modes fold them into one
+// entry: every numeric field is the median over the samples, and
+// "samples" records N.
+//
 // Modes:
 //
 //	benchgate -mode append -file BENCH_hotpath.json -measured line.json \
@@ -28,6 +33,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strings"
 )
 
@@ -36,7 +42,7 @@ func main() {
 		mode     = flag.String("mode", "", "append | gate")
 		file     = flag.String("file", "", "trajectory file to append to (append mode)")
 		baseline = flag.String("baseline", "", "committed trajectory to gate against (gate mode)")
-		measured = flag.String("measured", "", "file holding one BENCH JSON object")
+		measured = flag.String("measured", "", "file holding one BENCH JSON object per sample")
 		sha      = flag.String("sha", "", "git SHA to record (append mode)")
 		date     = flag.String("date", "", "date to record (append mode)")
 		pass     = flag.String("pass", "", "optional pass label to record (append mode)")
@@ -60,16 +66,57 @@ func main() {
 	}
 }
 
-func readObject(path string) (map[string]any, error) {
-	data, err := os.ReadFile(path)
+// readMeasured reads one BENCH JSON object per non-empty line of path
+// and folds the samples into one object (see medianObject).
+func readMeasured(path string) (map[string]any, error) {
+	ls, err := lines(path)
 	if err != nil {
 		return nil, err
 	}
-	var obj map[string]any
-	if err := json.Unmarshal([]byte(strings.TrimSpace(string(data))), &obj); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
+	if len(ls) == 0 {
+		return nil, fmt.Errorf("%s: no BENCH samples", path)
 	}
-	return obj, nil
+	samples := make([]map[string]any, len(ls))
+	for i, l := range ls {
+		if err := json.Unmarshal([]byte(l), &samples[i]); err != nil {
+			return nil, fmt.Errorf("%s line %d: %w", path, i+1, err)
+		}
+	}
+	return medianObject(samples), nil
+}
+
+// medianObject folds benchmark samples into one entry: each numeric
+// field of the first sample becomes its median over the samples that
+// carry it, other fields keep the first sample's value, and "samples"
+// records how many were folded.
+func medianObject(samples []map[string]any) map[string]any {
+	out := make(map[string]any, len(samples[0])+1)
+	for k, v := range samples[0] {
+		if _, ok := v.(float64); !ok {
+			out[k] = v
+			continue
+		}
+		var xs []float64
+		for _, o := range samples {
+			if x, ok := num(o, k); ok {
+				xs = append(xs, x)
+			}
+		}
+		out[k] = median(xs)
+	}
+	out["samples"] = len(samples)
+	return out
+}
+
+// median reports the middle value of xs (the mean of the two middle
+// values for an even count); xs is sorted in place.
+func median(xs []float64) float64 {
+	sort.Float64s(xs)
+	n := len(xs)
+	if n%2 == 1 {
+		return xs[n/2]
+	}
+	return (xs[n/2-1] + xs[n/2]) / 2
 }
 
 // lines returns the trajectory file's non-empty lines (oldest first);
@@ -95,7 +142,7 @@ func appendEntry(file, measured, sha, date, pass string) error {
 	if file == "" || measured == "" {
 		return fmt.Errorf("append mode needs -file and -measured")
 	}
-	obj, err := readObject(measured)
+	obj, err := readMeasured(measured)
 	if err != nil {
 		return err
 	}
@@ -151,7 +198,7 @@ func gate(baseline, measured string, tol, allocTol float64) error {
 	if err := json.Unmarshal([]byte(hist[len(hist)-1]), &base); err != nil {
 		return fmt.Errorf("%s last entry: %w", baseline, err)
 	}
-	meas, err := readObject(measured)
+	meas, err := readMeasured(measured)
 	if err != nil {
 		return err
 	}
