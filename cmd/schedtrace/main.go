@@ -183,9 +183,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-	cal := cfg.Workload
-	cal.N = min(cal.N/cal.NB, 4) * cal.NB
-	if err := core.Submit(calRT, cal); err != nil {
+	if err := core.Submit(calRT, core.CalibrationWorkload(cfg.Workload)); err != nil {
 		return err
 	}
 	if _, err := calRT.Run(); err != nil {

@@ -7,6 +7,7 @@ package core
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/chameleon"
 	"repro/internal/faults"
@@ -264,12 +265,7 @@ func Run(cfg Config) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		cal := cfg.Workload
-		maxTiles := 6
-		if nt := (cal.N + cal.NB - 1) / cal.NB; nt > maxTiles {
-			cal.N = cal.NB * maxTiles
-		}
-		if err := Submit(calRT, cal); err != nil {
+		if err := Submit(calRT, CalibrationWorkload(cfg.Workload)); err != nil {
 			return nil, err
 		}
 		if _, err := calRT.Run(); err != nil {
@@ -465,9 +461,72 @@ func readGPUEnergies(p *platform.Platform) ([]uint64, error) {
 	return out, nil
 }
 
-// Submit builds the workload's DAG on the runtime (cost-only
-// descriptors; numeric validation lives in the test suite).
+// Submit instantiates the workload's DAG (cost-only descriptors;
+// numeric validation lives in the test suite) into rt, which must be
+// empty.  The DAG is recorded once per workload and cached (graphFor).
 func Submit(rt *starpu.Runtime, w Workload) error {
+	g, err := graphFor(w)
+	if err != nil {
+		return err
+	}
+	return rt.SubmitGraph(g)
+}
+
+// graphCacheTasks bounds the recorded tasks the DAG cache holds.  At
+// ~70 B of graph per task that is about 4.5 MB; a reduced Fig. 4 grid's
+// shapes take a quarter of it.
+const graphCacheTasks = 64 << 10
+
+// graphs caches recorded DAGs by workload.  A graph is a pure function
+// of its key and never written after starpu.Record, so sharing one
+// across goroutines, jobs and sweeps cannot change any output.  When a
+// new graph would exceed the bound, the oldest entries are dropped
+// first; a graph larger than the bound is used but not kept.
+var graphs struct {
+	sync.Mutex
+	m     map[Workload]*starpu.Graph
+	order []Workload // insertion order, oldest first
+	tasks int
+}
+
+// graphFor returns w's recorded DAG, recording it on a miss.  Two
+// goroutines missing on the same workload both record it; the first
+// to finish is kept.
+func graphFor(w Workload) (*starpu.Graph, error) {
+	graphs.Lock()
+	g := graphs.m[w]
+	graphs.Unlock()
+	if g != nil {
+		return g, nil
+	}
+	g, err := starpu.Record(func(rt *starpu.Runtime) error { return build(rt, w) })
+	if err != nil {
+		return nil, err
+	}
+	graphs.Lock()
+	defer graphs.Unlock()
+	if old := graphs.m[w]; old != nil {
+		return old, nil
+	}
+	if g.NumTasks() > graphCacheTasks {
+		return g, nil
+	}
+	for graphs.tasks+g.NumTasks() > graphCacheTasks {
+		graphs.tasks -= graphs.m[graphs.order[0]].NumTasks()
+		delete(graphs.m, graphs.order[0])
+		graphs.order = graphs.order[1:]
+	}
+	if graphs.m == nil {
+		graphs.m = make(map[Workload]*starpu.Graph)
+	}
+	graphs.m[w] = g
+	graphs.order = append(graphs.order, w)
+	graphs.tasks += g.NumTasks()
+	return g, nil
+}
+
+// build submits the workload's DAG through the Chameleon builders.
+func build(rt *starpu.Runtime, w Workload) error {
 	switch w.Precision {
 	case prec.Single:
 		return submitTyped[float32](rt, w)
@@ -475,6 +534,21 @@ func Submit(rt *starpu.Runtime, w Workload) error {
 		return submitTyped[float64](rt, w)
 	}
 }
+
+// CalibrationWorkload reports the reduced instance the calibration pass
+// runs before a measured pass of w: the same tile size (so the same
+// footprints) over at most calibrationTiles tile rows.  An order of
+// more than calibrationTiles tiles, edge tile included, is cut to
+// exactly calibrationTiles full tiles.
+func CalibrationWorkload(w Workload) Workload {
+	if nt := (w.N + w.NB - 1) / w.NB; nt > calibrationTiles {
+		w.N = w.NB * calibrationTiles
+	}
+	return w
+}
+
+// calibrationTiles bounds the calibration instance's tile rows.
+const calibrationTiles = 6
 
 func submitTyped[T linalg.Float](rt *starpu.Runtime, w Workload) error {
 	switch w.Op {

@@ -46,11 +46,7 @@ func RunDynamic(cfg Config, dyn dyncap.Config) (*Result, *dyncap.Controller, err
 	if err != nil {
 		return nil, nil, err
 	}
-	cal := cfg.Workload
-	if nt := cal.N / cal.NB; nt > 6 {
-		cal.N = cal.NB * 6
-	}
-	if err := Submit(calRT, cal); err != nil {
+	if err := Submit(calRT, CalibrationWorkload(cfg.Workload)); err != nil {
 		return nil, nil, err
 	}
 	if _, err := calRT.Run(); err != nil {

@@ -33,3 +33,39 @@ func TestNoAllocsSteadyState(t *testing.T) {
 		t.Fatalf("only %d events fired; the measurement loop did not run", fired)
 	}
 }
+
+// selfScheduler is a typed event that reschedules itself one second
+// later, counting firings in its argument — the shape of a task
+// attempt's start and end events.
+type selfScheduler struct {
+	e    *Engine
+	last uint64
+}
+
+func (s *selfScheduler) Fire(arg uint64) {
+	s.last = arg
+	s.e.Schedule(s.e.Now()+1, s, arg+1)
+}
+
+// TestNoAllocsTypedEvent pins the contract typed events exist for:
+// scheduling and firing one allocates nothing, where a closure event
+// allocates its captures.
+func TestNoAllocsTypedEvent(t *testing.T) {
+	e := NewEngine()
+	s := &selfScheduler{e: e}
+	e.Schedule(1, s, 0)
+	for i := 0; i < 64; i++ {
+		e.Step()
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		if !e.Step() {
+			t.Fatal("queue drained mid-measurement")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("typed event schedule+fire allocates %.2f times per op, want 0", allocs)
+	}
+	if s.last < 1064 {
+		t.Fatalf("only %d typed events fired", s.last)
+	}
+}

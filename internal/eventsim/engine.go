@@ -17,13 +17,27 @@ import (
 	"repro/internal/units"
 )
 
-// event is a callback scheduled to fire at a virtual timestamp.  It is
-// stored by value in the queue: scheduling allocates nothing per event,
-// only (rarely) to grow the backing array.
+// Handler receives typed events: Fire is called with the argument the
+// event was scheduled with.  A handler that decodes its state from arg
+// lets a hot path schedule events without building a closure per event.
+type Handler interface {
+	Fire(arg uint64)
+}
+
+// funcHandler adapts a plain callback to Handler.  A func value is
+// pointer-shaped, so converting it to the interface allocates nothing.
+type funcHandler func()
+
+func (f funcHandler) Fire(uint64) { f() }
+
+// event is a handler and its argument scheduled to fire at a virtual
+// timestamp.  It is stored by value in the queue: scheduling allocates
+// nothing per event, only (rarely) to grow the backing array.
 type event struct {
 	at  units.Seconds
 	seq uint64
-	fn  func()
+	h   Handler
+	arg uint64
 }
 
 // eventQueue is a slice-backed binary min-heap ordered by (time,
@@ -89,8 +103,8 @@ func PoolingEnabled() bool { return poolingEnabled.Load() }
 // queuePool recycles event-queue backing arrays across engines (one
 // engine per simulated cell, so a sweep would otherwise regrow the
 // array once per cell).  Ownership rule: an array enters the pool only
-// via Engine recycling a fully drained queue — length zero, so no fn
-// references survive — and leaves it zero-length via At.
+// via Engine recycling a fully drained queue — length zero, so no handler
+// references survive — and leaves it zero-length via Schedule.
 var queuePool sync.Pool // holds *eventQueue
 
 func getQueue() eventQueue {
@@ -132,7 +146,12 @@ func (e *Engine) Now() units.Seconds { return e.now }
 
 // At schedules fn to run at absolute virtual time t.  Scheduling in the
 // past panics: it would silently corrupt causality.
-func (e *Engine) At(t units.Seconds, fn func()) {
+func (e *Engine) At(t units.Seconds, fn func()) { e.Schedule(t, funcHandler(fn), 0) }
+
+// Schedule queues h.Fire(arg) at absolute virtual time t.  Typed and
+// closure events share one queue and one (time, sequence) order, so
+// same-time events fire in scheduling order whatever their kind.
+func (e *Engine) Schedule(t units.Seconds, h Handler, arg uint64) {
 	if t < e.now {
 		panic(fmt.Sprintf("eventsim: scheduling event at %v before now %v", t, e.now))
 	}
@@ -143,7 +162,7 @@ func (e *Engine) At(t units.Seconds, fn func()) {
 		e.events = getQueue()
 	}
 	e.seq++
-	e.events = append(e.events, event{at: t, seq: e.seq, fn: fn})
+	e.events = append(e.events, event{at: t, seq: e.seq, h: h, arg: arg})
 	e.events.siftUp(len(e.events) - 1)
 }
 
@@ -167,13 +186,13 @@ func (e *Engine) Step() bool {
 	}
 	ev := e.events[0]
 	e.events[0] = e.events[n-1]
-	e.events[n-1] = event{} // drop the fn reference for GC
+	e.events[n-1] = event{} // drop the handler reference for GC
 	e.events = e.events[:n-1]
 	if n > 2 {
 		e.events.siftDown(0)
 	}
 	e.now = ev.at
-	ev.fn()
+	ev.h.Fire(ev.arg)
 	return true
 }
 

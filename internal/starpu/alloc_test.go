@@ -37,12 +37,13 @@ func (nopObserver) TaskCompleted(int, *Task) {}
 func (nopObserver) SchedDecision(Decision)   {}
 
 // TestNoAllocsSteadyState pins the zero-allocation contract of the
-// dmdas scoring kernel: with the performance model warm, scoring one
-// ready task against every worker (estimate through the class table +
-// transfer estimate + locality bytes), the bounded-node memory-fit
-// check, a whole dmSched.Push (bare and under an observer), cycling
-// the per-worker priority queue through the in-place locality pop, and
-// warm residency updates must not allocate.
+// simulation's inner loops: with the performance model warm, a task
+// attempt's start/complete cycle, scoring one ready task against every
+// worker (estimate through the class table + transfer estimate +
+// locality bytes), the bounded-node memory-fit check, a whole
+// dmSched.Push (bare and under an observer), cycling the per-worker
+// priority queue through the in-place locality pop, and residency
+// updates on a fresh runtime must not allocate.
 func TestNoAllocsSteadyState(t *testing.T) {
 	m := newTestMachine()
 	fm := &fixedClassMachine{
@@ -74,10 +75,34 @@ func TestNoAllocsSteadyState(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// A task attempt's start/complete cycle: startTask schedules the
+	// attempt's typed start and end events, and firing them runs the
+	// task to completion (power hooks, model record, dependency
+	// release).  The last task has no successors, so re-arming it
+	// replays the same cycle.
+	last := rt.Tasks()[len(rt.Tasks())-1]
+	gpu := rt.workers[2]
+	engine := fm.Engine()
+	attempt := func() {
+		last.done = false
+		rt.nPending++
+		rt.startTask(gpu, last)
+		for engine.Step() {
+		}
+		if !last.done {
+			t.Fatal("attempt did not complete")
+		}
+	}
+	attempt()
+	allocs := testing.AllocsPerRun(500, attempt)
+	if allocs != 0 {
+		t.Errorf("task attempt start/complete allocates %.2f times per cycle, want 0", allocs)
+	}
+
 	// Scoring kernel: every worker's estimate for one warm task.
 	task := rt.Tasks()[20]
 	n := fm.NumWorkers()
-	allocs := testing.AllocsPerRun(500, func() {
+	allocs = testing.AllocsPerRun(500, func() {
 		for i := 0; i < n; i++ {
 			rt.estimate(task, i)
 			rt.transferEstimate(task, rt.workers[i].Info.Node)
@@ -172,12 +197,23 @@ func TestNoAllocsSteadyState(t *testing.T) {
 		t.Errorf("full-window popBestLocal allocates %.2f times per op, want 0", allocs)
 	}
 
-	// Warm residency updates: once a node's per-handle table covers the
-	// handles, touch, pin, unpin and the LRU victim scan are index
-	// arithmetic.
-	mem := newNodeMemory(1, 64*tileBytes)
-	for _, h := range handles {
-		mem.touch(h)
+	// Residency updates on a fresh runtime: Run sizes each bounded
+	// node's per-handle table once, so the first touch, pin and unpin of
+	// every handle and the LRU victim scan are index arithmetic.
+	fresh, err := New(&fixedClassMachine{testMachine: newTestMachine(), classes: fm.classes}, Config{Scheduler: "dmdas"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	handles = handles[:0]
+	for i := 0; i < 8; i++ {
+		handles = append(handles, fresh.Register(nil, 8, 64, 64))
+	}
+	if _, err := fresh.Run(); err != nil {
+		t.Fatal(err)
+	}
+	mem := fresh.memory[1]
+	if len(mem.res) != len(handles) {
+		t.Fatalf("Run sized node 1's residency table to %d entries, want %d", len(mem.res), len(handles))
 	}
 	allocs = testing.AllocsPerRun(500, func() {
 		for _, h := range handles {
@@ -190,6 +226,6 @@ func TestNoAllocsSteadyState(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("warm touch/pin/unpin allocates %.2f times per cycle, want 0", allocs)
+		t.Errorf("touch/pin/unpin allocates %.2f times per cycle, want 0", allocs)
 	}
 }

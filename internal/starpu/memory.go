@@ -2,6 +2,7 @@ package starpu
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/units"
 )
@@ -202,6 +203,18 @@ func (rt *Runtime) initMemory() {
 	for n := range rt.memory {
 		if c := cm.NodeCapacity(n); c > 0 {
 			rt.memory[n] = newNodeMemory(n, c)
+		}
+	}
+}
+
+// sizeResidency grows each bounded node's residency table to cover
+// every registered handle at once, instead of one handle id at a time
+// as the run first touches them.  Handles registered later still grow
+// the table on demand (nodeMemory.state).
+func (rt *Runtime) sizeResidency() {
+	for _, m := range rt.memory {
+		if m != nil && len(m.res) < len(rt.handles) {
+			m.res = slices.Grow(m.res, len(rt.handles)-len(m.res))[:len(rt.handles)]
 		}
 	}
 }

@@ -305,7 +305,7 @@ func (rt *Runtime) Submit(t *Task) error {
 	}
 	t.ID = len(rt.tasks)
 	t.WorkerID = -1
-	t.estSlot = rt.internEstimate(t)
+	t.estSlot = rt.internEstimate(estKey{codelet: t.Codelet, footprint: t.Footprint(), work: t.Work})
 	t.SubmitT = rt.machine.Engine().Now()
 	// Dependency sets are a handful of tasks, so dedup scans a small
 	// stack-backed slice; the per-Submit map was the largest allocation
@@ -366,6 +366,14 @@ func (rt *Runtime) Submit(t *Task) error {
 		}
 		preds[j+1] = p
 	}
+	rt.admit(t)
+	return nil
+}
+
+// admit is the tail Submit and SubmitGraph share: t, with its edges in
+// place, joins the runtime's task list and goes to the scheduler once
+// it has no unfinished dependency.
+func (rt *Runtime) admit(t *Task) {
 	rt.tasks = append(rt.tasks, t)
 	rt.nPending++
 	if rt.cfg.Observer != nil {
@@ -374,7 +382,6 @@ func (rt *Runtime) Submit(t *Task) error {
 	if t.ndeps == 0 {
 		rt.markReady(t)
 	}
-	return nil
 }
 
 // addDep appends d to deps unless it is self or already present
@@ -518,13 +525,51 @@ func (rt *Runtime) startTask(w *Worker, t *Task) {
 	w.computeFree = t.EndT
 	w.xferTime += ready - now
 	w.busyTime += dur
-	// Events carry the attempt generation: an abort or eviction bumps
-	// t.attempt, turning this attempt's still-queued events into no-ops.
-	gen := t.attempt
-	engine.At(start, func() {
-		if t.attempt != gen {
+	// The attempt's events are typed (see attemptEvents): scheduling
+	// them allocates nothing.
+	engine.Schedule(start, attemptEvents{rt}, attemptArg(t, attemptStart))
+	if rt.cfg.Faults != nil {
+		if fail, frac := rt.cfg.Faults.TaskAttempt(t, w.ID, t.attempt); fail {
+			engine.Schedule(abortTime(start, dur, frac), attemptEvents{rt}, attemptArg(t, attemptFail))
 			return
 		}
+	}
+	engine.Schedule(t.EndT, attemptEvents{rt}, attemptArg(t, attemptEnd))
+}
+
+// Kinds of attempt event.
+const (
+	attemptStart = iota // compute begins
+	attemptEnd          // compute ends
+	attemptFail         // an injected fault aborts the attempt
+)
+
+// attemptArg packs an attempt event's argument: the task ID in the high
+// 32 bits, the attempt generation (mod 2^30) in the next 30 and the
+// kind in the low 2.
+func attemptArg(t *Task, kind uint64) uint64 {
+	return uint64(t.ID)<<32 | (uint64(t.attempt)&genMask)<<2 | kind
+}
+
+// genMask keeps the attempt generation's low 30 bits.
+const genMask = 1<<30 - 1
+
+// attemptEvents fires the typed events of task attempts.  A struct
+// holding one pointer is stored in an interface without allocating.
+type attemptEvents struct{ rt *Runtime }
+
+// Fire runs one attempt event.  Events carry the attempt generation: an
+// abort or eviction bumps t.attempt, turning the attempt's still-queued
+// events into no-ops.  A live attempt's task is on worker t.WorkerID.
+func (e attemptEvents) Fire(arg uint64) {
+	rt := e.rt
+	t := rt.tasks[arg>>32]
+	if uint64(t.attempt)&genMask != (arg>>2)&genMask {
+		return
+	}
+	w := rt.workers[t.WorkerID]
+	switch arg & 3 {
+	case attemptStart:
 		t.powerOn = true
 		rt.machine.OnTaskStart(w.ID, t)
 		if rt.cfg.Observer != nil {
@@ -533,25 +578,11 @@ func (rt *Runtime) startTask(w *Worker, t *Task) {
 		// The staging slot is free once compute begins: prefetch the
 		// next task's data while this one runs.
 		rt.tryStart(w)
-	})
-	if rt.cfg.Faults != nil {
-		if fail, frac := rt.cfg.Faults.TaskAttempt(t, w.ID, t.attempt); fail {
-			failAt := abortTime(start, dur, frac)
-			engine.At(failAt, func() {
-				if t.attempt != gen {
-					return
-				}
-				rt.failAttempt(w, t)
-			})
-			return
-		}
-	}
-	engine.At(t.EndT, func() {
-		if t.attempt != gen {
-			return
-		}
+	case attemptEnd:
 		rt.complete(w, t)
-	})
+	case attemptFail:
+		rt.failAttempt(w, t)
+	}
 }
 
 // pickSource chooses the node to copy h from: the valid node with the
@@ -625,6 +656,7 @@ func (rt *Runtime) complete(w *Worker, t *Task) {
 func (rt *Runtime) Run() (units.Seconds, error) {
 	engine := rt.machine.Engine()
 	start := engine.Now()
+	rt.sizeResidency()
 	rt.WakeAll()
 	engine.Run()
 	if len(rt.permanent) > 0 || len(rt.stranded) > 0 {
@@ -704,10 +736,9 @@ func (rt *Runtime) workerClass(i int) int32 {
 	return id
 }
 
-// internEstimate returns t's estimate slot, registering its key the
+// internEstimate returns k's estimate slot, registering the key the
 // first time it is seen.  Rows start empty and grow on demand.
-func (rt *Runtime) internEstimate(t *Task) int32 {
-	k := estKey{codelet: t.Codelet, footprint: t.Footprint(), work: t.Work}
+func (rt *Runtime) internEstimate(k estKey) int32 {
 	slot, ok := rt.estSlots[k]
 	if !ok {
 		slot = int32(len(rt.estRows))
