@@ -131,6 +131,12 @@ trace-demo:
 	$(GO) run ./cmd/schedtrace analyze -platform 24-Intel-2-V100 -op potrf \
 		-scale 10 -plan HB -chrome /tmp/capsim-trace-demo/potrf.json \
 		-folded /tmp/capsim-trace-demo/potrf.folded
+	$(GO) run ./cmd/schedtrace -platform 24-Intel-2-V100 -op potrf \
+		-scale 10 -plan HB -model -telemetry \
+		-chrome /tmp/capsim-trace-demo/plain.json \
+		-gantt /tmp/capsim-trace-demo/gantt.csv \
+		-power /tmp/capsim-trace-demo/power.csv \
+		-decisions /tmp/capsim-trace-demo/decisions.json
 
 clean:
 	$(GO) clean ./...

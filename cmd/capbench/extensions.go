@@ -17,7 +17,7 @@ import (
 // conclusion calls for: the most efficient plan within a slowdown
 // budget, plus the Pareto frontier.
 func runAutoPlan(o *options) error {
-	platforms, err := platformsFor(o)
+	platforms, err := core.Platforms(o.platform)
 	if err != nil {
 		return err
 	}

@@ -14,19 +14,9 @@ import (
 // Each row's simulation is seeded by CellSeed(-seed, row identity), so
 // the output is byte-identical at any -parallel value.
 func runGrid(o *options) error {
-	platforms, err := platformsFor(o)
+	rows, err := core.ExperimentRows("grid", o.platform, o.scale)
 	if err != nil {
 		return err
-	}
-	keep := make(map[string]bool, len(platforms))
-	for _, p := range platforms {
-		keep[p] = true
-	}
-	var rows []core.TableIIRow
-	for _, r := range core.TableII {
-		if keep[r.Platform] {
-			rows = append(rows, core.ScaleRow(r, o.scale))
-		}
 	}
 
 	sweep := o.sweepOpts(nil)

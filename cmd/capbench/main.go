@@ -24,11 +24,13 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -49,7 +51,11 @@ func main() {
 	}
 	cmd, args := os.Args[1], os.Args[2:]
 	fs := flag.NewFlagSet(cmd, flag.ExitOnError)
-	opts := parseOpts(fs, args)
+	opts, err := parseOpts(fs, args)
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "capbench: %v\n", err)
+		os.Exit(2)
+	}
 
 	// SIGINT/SIGTERM cancel the pool context: in-flight cells finish and
 	// commit to the checkpoint journal, queued cells never start, and the
@@ -171,38 +177,12 @@ func main() {
 		}
 	}
 
-	var err error
-	switch cmd {
-	case "fig1":
-		err = runFig1(opts)
-	case "table1":
-		err = runTable1(opts)
-	case "table2":
-		err = runTable2(opts)
-	case "fig3":
-		err = runFig34(opts, false)
-	case "fig4":
-		err = runFig34(opts, true)
-	case "fig5":
-		err = runFig5(opts)
-	case "fig6":
-		err = runFig6(opts)
-	case "fig7":
-		err = runFig7(opts)
-	case "grid":
-		err = runGrid(opts)
-	case "autoplan":
-		err = runAutoPlan(opts)
-	case "ablation":
-		err = runAblation(opts)
-	case "budget":
-		err = runBudget(opts)
-	case "all":
-		err = runAll(opts)
-	default:
+	run := experimentFunc(cmd)
+	if run == nil {
 		usage()
 		os.Exit(2)
 	}
+	err = run(opts)
 	if err == nil && opts.telem != nil {
 		err = telemetrySummary(opts)
 	}
@@ -342,7 +322,8 @@ type options struct {
 	profiler *obs.Profiler
 }
 
-func parseOpts(fs *flag.FlagSet, args []string) *options {
+// parseOpts parses the shared flags; an error is a usage error.
+func parseOpts(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{}
 	fs.StringVar(&o.platform, "platform", "all",
 		"platform name (24-Intel-2-V100, 64-AMD-2-A100, 32-AMD-4-A100) or \"all\"")
@@ -384,8 +365,7 @@ func parseOpts(fs *flag.FlagSet, args []string) *options {
 	fs.Parse(args)
 	spec, err := faults.ParseSpec(*faultSpec)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "capbench: -faults: %v\n", err)
-		os.Exit(2)
+		return nil, fmt.Errorf("-faults: %w", err)
 	}
 	o.faults = spec
 	o.faultsRaw = *faultSpec
@@ -396,15 +376,30 @@ func parseOpts(fs *flag.FlagSet, args []string) *options {
 		o.parallel = 1
 	}
 	if o.resume && o.checkpoint == "" {
-		fmt.Fprintln(os.Stderr, "capbench: -resume requires -checkpoint DIR")
-		os.Exit(2)
+		return nil, errors.New("-resume requires -checkpoint DIR")
 	}
 	if o.hold > 0 && o.metricsAddr == "" {
-		fmt.Fprintln(os.Stderr, "capbench: -hold requires -metrics-addr (there is no telemetry endpoint to hold open)")
-		os.Exit(2)
+		return nil, errors.New("-hold requires -metrics-addr (there is no telemetry endpoint to hold open)")
 	}
-	return o
+	if o.submit != "" {
+		var local []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(localOnlyFlags, f.Name) {
+				local = append(local, "-"+f.Name)
+			}
+		})
+		if len(local) > 0 {
+			return nil, fmt.Errorf("-submit runs the sweep on the service, which ignores %s", strings.Join(local, ", "))
+		}
+	}
+	return o, nil
 }
+
+// localOnlyFlags name what only an in-process run honours: under
+// -submit the service owns journals, traces, aggregation and telemetry,
+// and the client prints no tables.
+var localOnlyFlags = []string{"trace-dir", "checkpoint", "resume", "agg-dir", "metrics-addr",
+	"out", "csv", "cell-timeout", "stall-profile"}
 
 // popt builds the executor options: the -parallel pool size plus, when
 // fanning out, a progress line on stderr (stdout stays clean for the
@@ -496,25 +491,42 @@ func fileExists(path string) bool {
 	return err == nil
 }
 
-func runAll(o *options) error {
-	steps := []struct {
-		name string
-		fn   func(*options) error
-	}{
-		{"fig1", runFig1},
-		{"table1", runTable1},
-		{"table2", runTable2},
-		{"fig3", func(o *options) error { return runFig34(o, false) }},
-		{"fig4", func(o *options) error { return runFig34(o, true) }},
-		{"fig5", runFig5},
-		{"fig6", runFig6},
-		{"fig7", runFig7},
-		{"grid", runGrid},
-		{"autoplan", runAutoPlan},
-		{"ablation", runAblation},
-		{"budget", runBudget},
+// experiments lists every experiment in paper order, the order "all"
+// runs them in.
+var experiments = []struct {
+	name string
+	fn   func(*options) error
+}{
+	{"fig1", runFig1},
+	{"table1", runTable1},
+	{"table2", runTable2},
+	{"fig3", func(o *options) error { return runFig34(o, false) }},
+	{"fig4", func(o *options) error { return runFig34(o, true) }},
+	{"fig5", runFig5},
+	{"fig6", runFig6},
+	{"fig7", runFig7},
+	{"grid", runGrid},
+	{"autoplan", runAutoPlan},
+	{"ablation", runAblation},
+	{"budget", runBudget},
+}
+
+// experimentFunc resolves an experiment name, "all" included; nil when
+// the name is unknown.
+func experimentFunc(cmd string) func(*options) error {
+	if cmd == "all" {
+		return runAll
 	}
-	for _, s := range steps {
+	for _, e := range experiments {
+		if e.name == cmd {
+			return e.fn
+		}
+	}
+	return nil
+}
+
+func runAll(o *options) error {
+	for _, s := range experiments {
 		fmt.Printf("==== %s ====\n", s.name)
 		if err := s.fn(o); err != nil {
 			return fmt.Errorf("%s: %w", s.name, err)

@@ -11,43 +11,20 @@ import (
 	"repro/internal/units"
 )
 
-// platformsFor expands "-platform all".
-func platformsFor(o *options) ([]string, error) {
-	if o.platform == "all" {
-		return []string{platform.FourA100Name, platform.TwoA100Name, platform.TwoV100Name}, nil
-	}
-	if _, err := platform.SpecByName(o.platform); err != nil {
-		return nil, err
-	}
-	return []string{o.platform}, nil
-}
-
 // runFig34 prints the plan sweeps of Fig. 3 (double) or Fig. 4 (single):
 // per plan, the performance and energy change against the default and
 // the absolute efficiency, for GEMM and POTRF on each platform.
 func runFig34(o *options, single bool) error {
-	p := prec.Double
-	fig := "Fig. 3"
+	exp, fig := "fig3", "Fig. 3"
 	if single {
-		p = prec.Single
-		fig = "Fig. 4"
+		exp, fig = "fig4", "Fig. 4"
 	}
-	platforms, err := platformsFor(o)
+	// Fan the whole figure's cells across the worker pool, then render in
+	// row order — the output is byte-identical to a serial loop at any
+	// -parallel.
+	rows, err := core.ExperimentRows(exp, o.platform, o.scale)
 	if err != nil {
 		return err
-	}
-	// Enumerate every (platform, op) row first, fan the whole figure's
-	// cells across the worker pool, then render in enumeration order —
-	// the output is byte-identical to the serial loop at any -parallel.
-	var rows []core.TableIIRow
-	for _, plat := range platforms {
-		for _, op := range []core.Operation{core.GEMM, core.POTRF} {
-			row, err := core.LookupTableII(plat, op, p)
-			if err != nil {
-				return err
-			}
-			rows = append(rows, core.ScaleRow(row, o.scale))
-		}
 	}
 	opt := o.sweepOpts(nil)
 	sweeps, err := runSweep(o, rows, opt)
@@ -108,13 +85,9 @@ func schedName(o *options) string {
 // runFig5 prints the per-device energy split per plan on the V100 node
 // in double precision — the paper's Fig. 5.
 func runFig5(o *options) error {
-	var rows []core.TableIIRow
-	for _, op := range []core.Operation{core.GEMM, core.POTRF} {
-		row, err := core.LookupTableII(platform.TwoV100Name, op, prec.Double)
-		if err != nil {
-			return err
-		}
-		rows = append(rows, core.ScaleRow(row, o.scale))
+	rows, err := core.ExperimentRows("fig3", platform.TwoV100Name, o.scale)
+	if err != nil {
+		return err
 	}
 	opt := o.sweepOpts(nil)
 	sweeps, err := runSweep(o, rows, opt)
@@ -196,7 +169,7 @@ func runFig6(o *options) error {
 // runFig7 prints the efficiency of every plan across the Fig. 7 tile
 // sizes.  On the V100 platform one CPU is capped, as the figure notes.
 func runFig7(o *options) error {
-	platforms, err := platformsFor(o)
+	platforms, err := core.Platforms(o.platform)
 	if err != nil {
 		return err
 	}

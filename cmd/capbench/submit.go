@@ -26,21 +26,9 @@ import (
 	"repro/internal/sweepd"
 )
 
-// submittable lists the experiments that map onto sweepd job specs.
-func submittable(cmd string) bool {
-	switch cmd {
-	case "grid", "fig3", "fig4":
-		return true
-	}
-	return false
-}
-
 // runSubmit posts the experiment to the coordinator and waits for the
 // job to finish, mirroring a local run's lifecycle.
 func runSubmit(o *options, cmd string) error {
-	if !submittable(cmd) {
-		return fmt.Errorf("-submit supports grid, fig3 and fig4 (got %q)", cmd)
-	}
 	base := strings.TrimSuffix(o.submit, "/")
 	spec := sweepd.JobSpec{
 		Experiment: cmd,
@@ -50,6 +38,10 @@ func runSubmit(o *options, cmd string) error {
 		Scheduler:  o.scheduler,
 		Faults:     o.faultsRaw,
 		Tenant:     o.tenant,
+	}
+	// Reject here exactly what the coordinator would reject on submit.
+	if err := spec.Validate(); err != nil {
+		return err
 	}
 
 	// Two cancellation causes share one context: the signal handler

@@ -32,16 +32,13 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/perfmodel"
 	"repro/internal/platform"
 	"repro/internal/powercap"
 	"repro/internal/prec"
 	"repro/internal/sigctx"
 	"repro/internal/spantrace"
-	"repro/internal/starpu"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
-	"repro/internal/units"
 )
 
 func main() {
@@ -145,9 +142,9 @@ func writeFile(path string, render func(io.Writer) error) error {
 	return err
 }
 
-// run is the plain mode: it builds the platform and runtime itself
-// (rather than calling core.Run) so the runtime and the calibrated model
-// stay inspectable after the run.
+// run is the plain mode: it runs the cell through core.Inspect, which
+// keeps the runtime, the platform and the calibrated model inspectable
+// after the run, and renders them.
 func run(ctx context.Context, args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("schedtrace", flag.ExitOnError)
 	var cell cellFlags
@@ -170,42 +167,14 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	if err != nil {
 		return err
 	}
-
-	plat, err := platform.New(cfg.Spec)
-	if err != nil {
-		return err
-	}
-	if err := plat.SetGPUCaps(cfg.Plan.Caps(cfg.Spec.GPUArch, cfg.BestFrac)); err != nil {
-		return err
-	}
-	model := perfmodel.NewHistory()
-	calRT, err := starpu.New(plat, starpu.Config{Scheduler: "calibrate", Model: model})
-	if err != nil {
-		return err
-	}
-	if err := core.Submit(calRT, core.CalibrationWorkload(cfg.Workload)); err != nil {
-		return err
-	}
-	if _, err := calRT.Run(); err != nil {
-		return err
-	}
-
-	if *powerPath != "" {
-		plat.EnablePowerTraces()
-	}
-	// The span tracer always observes the measured pass: the critical
-	// path and the Chrome trace come from it.  Telemetry tees in beside
-	// it through a run scope, as core.Run wires it, when the decision
+	// The span trace always records: the critical path and the Chrome
+	// trace come from it.  Telemetry observes beside it when the decision
 	// log, the summaries or the endpoint were asked for.
-	tracer := spantrace.NewTracer(plat)
-	observers := []starpu.Observer{tracer}
+	cfg.Trace = true
 	var collector *telemetry.Collector
-	var scope *telemetry.RunScope
 	if *decPath != "" || *telem || *metricsAddr != "" {
 		collector = telemetry.NewCollector()
-		collector.InstallModelHook(model)
-		scope = collector.NewRunScope()
-		observers = append(observers, scope)
+		cfg.Telemetry = collector
 	}
 	var srv *telemetry.Server
 	if *metricsAddr != "" {
@@ -218,30 +187,16 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "telemetry: serving /metrics and /debug/pprof/ on http://%s\n", srv.Addr())
 	}
-	rt, err := starpu.New(plat, starpu.Config{Scheduler: cfg.Scheduler, Model: model,
-		Observer: starpu.CombineObservers(observers...)})
+	in, err := core.Inspect(cfg)
 	if err != nil {
 		return err
 	}
-	if err := core.Submit(rt, cfg.Workload); err != nil {
-		return err
-	}
-	if scope != nil {
-		if _, err := scope.Attach(plat, rt, telemetry.SamplerConfig{}); err != nil {
-			return err
-		}
-	}
-	tracer.Begin(rt)
-	makespan, err := rt.Run()
-	if err != nil {
-		return err
-	}
-	tr := tracer.Finalize(nil)
+	rt, plat := in.Runtime, in.Platform
 
 	fmt.Fprintln(out, describe(cfg))
-	fmt.Fprintf(out, "makespan %v, %v\n\n", makespan, units.Rate(cfg.Workload.Op.Flops(cfg.Workload.N), makespan))
-	fmt.Fprint(out, trace.Collect(rt).String())
-	cp := spantrace.Analyze(tr, 0).CritPath
+	fmt.Fprintf(out, "makespan %v, %v\n\n", in.Makespan, in.Rate)
+	fmt.Fprint(out, in.Stats.String())
+	cp := spantrace.Analyze(in.Trace, 0).CritPath
 	cpuShare := 0.0
 	if cp.Length > 0 {
 		cpuShare = float64(cp.ByLevel["cpu"] / cp.Length)
@@ -255,7 +210,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 
 	if *dumpModel {
 		fmt.Fprintln(out, "\nperformance model:")
-		fmt.Fprint(out, model.Dump())
+		fmt.Fprint(out, in.Model.Dump())
 	}
 	if *ganttPath != "" {
 		if err := writeFile(*ganttPath, func(w io.Writer) error { return trace.WriteGantt(w, rt) }); err != nil {
@@ -281,20 +236,20 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		fmt.Fprintln(out)
 	}
 	if *chromePath != "" {
-		if err := writeFile(*chromePath, func(w io.Writer) error { return spantrace.WriteChrome(w, tr) }); err != nil {
+		if err := writeFile(*chromePath, func(w io.Writer) error { return spantrace.WriteChrome(w, in.Trace) }); err != nil {
 			return err
 		}
 		fmt.Fprintf(out, "chrome trace written to %s (open in chrome://tracing or ui.perfetto.dev)\n", *chromePath)
 	}
-	if *telem && scope != nil {
+	if *telem {
 		fmt.Fprintln(out)
-		if s := scope.Sampler(); s != nil {
+		if s := collector.Sampler(); s != nil {
 			s.SummaryTable().Write(out)
 			fmt.Fprintln(out)
 		}
 		collector.Decisions.SummaryTable().Write(out)
 	}
-	if *decPath != "" && collector != nil {
+	if *decPath != "" {
 		if err := writeFile(*decPath, collector.Decisions.WriteJSON); err != nil {
 			return err
 		}

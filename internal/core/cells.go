@@ -29,13 +29,7 @@ import (
 // pure function of the spec: any process expanding the same spec gets
 // the same cells with the same CheckpointKeys.
 func GridCells(spec GridSpec) ([]Config, error) {
-	opts := make([]SweepOptions, len(spec.Rows))
-	for i, row := range spec.Rows {
-		o := spec.Sweep
-		o.Seed = CellSeed(spec.RootSeed, rowKey(row, o))
-		opts[i] = o
-	}
-	cfgs, _, err := expandCells(spec.Rows, opts)
+	cfgs, _, err := expandCells(spec.Rows, spec.rowOptions())
 	return cfgs, err
 }
 
@@ -43,11 +37,7 @@ func GridCells(spec GridSpec) ([]Config, error) {
 // SweepOptions (and so one seed), the shape of ParallelSweep and the
 // fig3/fig4 experiments — into the executor's flat cell list.
 func SweepCellConfigs(rows []TableIIRow, opt SweepOptions) ([]Config, error) {
-	opts := make([]SweepOptions, len(rows))
-	for i := range opts {
-		opts[i] = opt
-	}
-	cfgs, _, err := expandCells(rows, opts)
+	cfgs, _, err := expandCells(rows, sameOptions(opt, len(rows)))
 	return cfgs, err
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync"
 
 	"repro/internal/chameleon"
+	"repro/internal/dyncap"
 	"repro/internal/faults"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -192,6 +193,37 @@ type FaultReport struct {
 // calibration pass, then the measured pass bracketed by RAPL and NVML
 // energy counter reads.
 func Run(cfg Config) (*Result, error) {
+	in, err := run(cfg, nil, false)
+	if err != nil {
+		return nil, err
+	}
+	return in.Result, nil
+}
+
+// Inspection is one run together with what it ran on, kept inspectable
+// after the measured pass: the platform (with per-device power traces
+// of the measured pass), the measured runtime and the calibrated model.
+type Inspection struct {
+	*Result
+	Platform *platform.Platform
+	Runtime  *starpu.Runtime
+	Model    *perfmodel.History
+
+	// ctl is the online cap controller of a dynamic run.
+	ctl *dyncap.Controller
+}
+
+// Inspect executes one configuration as Run does, records per-device
+// power traces over the measured pass, and also returns the platform,
+// runtime and model it used.
+func Inspect(cfg Config) (*Inspection, error) {
+	return run(cfg, nil, true)
+}
+
+// run is the one measurement protocol behind Run, Inspect and
+// RunDynamic.  dyn, when set, installs the online cap controller on the
+// measured pass; powerTraces records per-device power steps over it.
+func run(cfg Config, dyn *dyncap.Config, powerTraces bool) (*Inspection, error) {
 	p, err := platform.New(cfg.Spec)
 	if err != nil {
 		return nil, err
@@ -202,6 +234,10 @@ func Run(cfg Config) (*Result, error) {
 	if len(cfg.Plan) != cfg.Spec.GPUCount {
 		return nil, fmt.Errorf("core: plan %s does not match %d GPUs", cfg.Plan, cfg.Spec.GPUCount)
 	}
+	planLabel := cfg.Plan.String()
+	if dyn != nil {
+		planLabel = "dynamic"
+	}
 	p.ClassIgnoresCap = cfg.StaleModels
 	p.SetCapBreaker(cfg.CapBreaker)
 	// The event seams must be armed before the first cap write so retry
@@ -209,7 +245,7 @@ func Run(cfg Config) (*Result, error) {
 	var cellID string
 	if cfg.Events != nil {
 		cellID = cfg.CheckpointKey()
-		bus, cell, plan := cfg.Events, cellID, cfg.Plan.String()
+		bus, cell, plan := cfg.Events, cellID, planLabel
 		p.OnCapExhausted = func(g int, t units.Seconds, err error) {
 			bus.Publish(obs.Event{Type: obs.CapRetryExhausted, Cell: cell, Plan: plan,
 				GPU: g, SimTime: float64(t), Detail: err.Error()})
@@ -282,6 +318,9 @@ func Run(cfg Config) (*Result, error) {
 
 	// Measured pass, bracketed by the energy counters the paper uses:
 	// PAPI/RAPL for the CPUs, NVML for the GPUs.
+	if powerTraces {
+		p.EnablePowerTraces()
+	}
 	region, err := p.RAPL.Start()
 	if err != nil {
 		return nil, err
@@ -329,7 +368,7 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 	if cfg.Events != nil {
-		bus, cell, plan := cfg.Events, cellID, cfg.Plan.String()
+		bus, cell, plan := cfg.Events, cellID, planLabel
 		rt.SetEvictionHook(func(ev starpu.Eviction) {
 			bus.Publish(obs.Event{Type: obs.WorkerEvicted, Cell: cell, Plan: plan,
 				Worker: ev.Worker, SimTime: float64(ev.T), Detail: ev.Reason})
@@ -351,6 +390,12 @@ func Run(cfg Config) (*Result, error) {
 		// so the tracer's window coincides with the energy bracket.
 		tracer.Begin(rt)
 	}
+	var ctl *dyncap.Controller
+	if dyn != nil {
+		if ctl, err = startController(p, rt, scope, *dyn); err != nil {
+			return nil, err
+		}
+	}
 	makespan, err := rt.Run()
 	if err != nil {
 		return nil, err
@@ -365,12 +410,16 @@ func Run(cfg Config) (*Result, error) {
 		return nil, err
 	}
 
+	stats := trace.Collect(rt)
+	if ctl != nil {
+		makespan = stats.Makespan // excludes the trailing controller tick
+	}
 	res := &Result{
-		Plan:     cfg.Plan.String(),
+		Plan:     planLabel,
 		Workload: cfg.Workload,
 		Makespan: makespan,
 		Device:   make(map[string]units.Joules),
-		Stats:    trace.Collect(rt),
+		Stats:    stats,
 	}
 	for i, j := range cpuJoules {
 		res.Device[fmt.Sprintf("CPU%d", i)] = j
@@ -423,7 +472,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 	if cfg.Events != nil && res.Degraded != nil {
 		cfg.Events.Publish(obs.Event{Type: obs.DegradedRun, Cell: cellID,
-			Plan: cfg.Plan.String(), Workload: cfg.Workload.String(),
+			Plan: planLabel, Workload: cfg.Workload.String(),
 			SimTime: float64(res.Makespan), Detail: res.Degraded.Plan})
 	}
 	if tracer != nil {
@@ -437,7 +486,7 @@ func Run(cfg Config) (*Result, error) {
 				rep.IdleFraction, rep.Parallelism)
 		}
 	}
-	return res, nil
+	return &Inspection{Result: res, Platform: p, Runtime: rt, Model: model, ctl: ctl}, nil
 }
 
 // readGPUEnergies snapshots every GPU's cumulative energy counter (mJ).

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/dyncap"
+	"repro/internal/faults"
 	"repro/internal/platform"
 	"repro/internal/powercap"
 	"repro/internal/prec"
@@ -53,5 +54,44 @@ func TestRunDynamicRejectsStaticPlan(t *testing.T) {
 	cfg.Plan = powercap.MustParsePlan("HHHH")
 	if _, _, err := RunDynamic(cfg, dyncap.DefaultConfig()); err == nil {
 		t.Error("static plan accepted by RunDynamic")
+	}
+}
+
+// TestRunDynamicHonoursConfig checks that a dynamic run goes through the
+// same protocol as Run: the span tracer and the fault injector arm its
+// measured pass, and the trace reconciles against the result's own
+// per-device counters.
+func TestRunDynamicHonoursConfig(t *testing.T) {
+	cfg := smallGemm()
+	cfg.Trace = true
+	res, _, err := RunDynamic(cfg, dyncap.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Trace == nil {
+		t.Fatal("Trace: true returned no trace")
+	}
+	if len(res.Trace.Devices) != len(res.Device) {
+		t.Fatalf("trace reconciles %d devices, result has %d", len(res.Trace.Devices), len(res.Device))
+	}
+	for _, d := range res.Trace.Devices {
+		if d.MeasuredJ != res.Device[d.Device] {
+			t.Errorf("%s: trace measured %v, result %v", d.Device, d.MeasuredJ, res.Device[d.Device])
+		}
+	}
+
+	cfg = smallGemm()
+	if cfg.Faults, err = faults.ParseSpec("taskfail=0.05"); err != nil {
+		t.Fatal(err)
+	}
+	res, _, err = RunDynamic(cfg, dyncap.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Faults == nil || res.Faults.Spec != cfg.Faults.String() {
+		t.Fatalf("fault report = %+v, want one for %s", res.Faults, cfg.Faults)
+	}
+	if res.Plan != "dynamic" {
+		t.Errorf("plan label = %q", res.Plan)
 	}
 }

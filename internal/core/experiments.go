@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/gpu"
@@ -53,6 +54,57 @@ func LookupTableII(platformName string, op Operation, p prec.Precision) (TableII
 		}
 	}
 	return TableIIRow{}, fmt.Errorf("core: no Table II row for %s/%s/%s", platformName, op, p)
+}
+
+// Platforms expands a platform filter: "all" names the three Table II
+// platforms, any other value must name one of them.
+func Platforms(filter string) ([]string, error) {
+	if filter == "all" {
+		return []string{platform.FourA100Name, platform.TwoA100Name, platform.TwoV100Name}, nil
+	}
+	if _, err := platform.SpecByName(filter); err != nil {
+		return nil, err
+	}
+	return []string{filter}, nil
+}
+
+// ExperimentRows is the experiment catalogue: the Table II rows, reduced
+// by ScaleRow, that a plan-sweep experiment covers on the filtered
+// platforms.  "grid" keeps every row in Table II order; "fig3" and
+// "fig4" take GEMM then POTRF per platform in double and single
+// precision.  capbench and the sweep service both select rows here, so
+// a local run and a submitted job cover the same cells.
+func ExperimentRows(experiment, platformFilter string, scale int) ([]TableIIRow, error) {
+	platforms, err := Platforms(platformFilter)
+	if err != nil {
+		return nil, err
+	}
+	var rows []TableIIRow
+	switch experiment {
+	case "grid":
+		for _, r := range TableII {
+			if slices.Contains(platforms, r.Platform) {
+				rows = append(rows, ScaleRow(r, scale))
+			}
+		}
+	case "fig3", "fig4":
+		p := prec.Double
+		if experiment == "fig4" {
+			p = prec.Single
+		}
+		for _, plat := range platforms {
+			for _, op := range []Operation{GEMM, POTRF} {
+				row, err := LookupTableII(plat, op, p)
+				if err != nil {
+					return nil, err
+				}
+				rows = append(rows, ScaleRow(row, scale))
+			}
+		}
+	default:
+		return nil, fmt.Errorf("core: unknown experiment %q (grid, fig3, fig4)", experiment)
+	}
+	return rows, nil
 }
 
 // Fig7TileSizes lists the additional tile sizes of Fig. 7 per

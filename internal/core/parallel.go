@@ -462,11 +462,16 @@ func sweepCells(rows []TableIIRow, opts []SweepOptions, popt ParallelOptions) ([
 // output byte-identical to calling SweepPlans serially, at any worker
 // count.
 func ParallelSweep(rows []TableIIRow, opt SweepOptions, popt ParallelOptions) ([][]PlanResult, error) {
-	opts := make([]SweepOptions, len(rows))
+	return sweepCells(rows, sameOptions(opt, len(rows)), popt)
+}
+
+// sameOptions gives every one of n rows the same options.
+func sameOptions(opt SweepOptions, n int) []SweepOptions {
+	opts := make([]SweepOptions, n)
 	for i := range opts {
 		opts[i] = opt
 	}
-	return sweepCells(rows, opts, popt)
+	return opts
 }
 
 // GridSpec declares a full experiment grid: the cross product of
@@ -495,19 +500,24 @@ type GridResult struct {
 // rows never changes another row's simulation, and neither does the
 // worker count.
 func RunGrid(spec GridSpec, popt ParallelOptions) (*GridResult, error) {
-	opts := make([]SweepOptions, len(spec.Rows))
-	for i, row := range spec.Rows {
-		o := spec.Sweep
-		o.Seed = CellSeed(spec.RootSeed, rowKey(row, o))
-		opts[i] = o
-	}
-	results, err := sweepCells(spec.Rows, opts, popt)
+	results, err := sweepCells(spec.Rows, spec.rowOptions(), popt)
 	if err != nil {
 		return nil, err
 	}
 	rows := make([]TableIIRow, len(spec.Rows))
 	copy(rows, spec.Rows)
 	return &GridResult{Rows: rows, Results: results}, nil
+}
+
+// rowOptions gives each row the shared options with its derived seed.
+func (spec GridSpec) rowOptions() []SweepOptions {
+	opts := make([]SweepOptions, len(spec.Rows))
+	for i, row := range spec.Rows {
+		o := spec.Sweep
+		o.Seed = CellSeed(spec.RootSeed, rowKey(row, o))
+		opts[i] = o
+	}
+	return opts
 }
 
 // rowKey is the stable identity CellSeed hashes for a grid row.

@@ -48,7 +48,6 @@ type gpuState struct {
 	lastEff  float64
 	lastWork units.Flops
 	lastJ    units.Joules
-	moves    int
 	disabled bool // board fell off the bus; never touched again
 }
 
@@ -79,8 +78,6 @@ type Controller struct {
 	Evict func(gpu int)
 
 	ticks   int
-	skips   int
-	clamps  int
 	history []CapChange
 }
 
@@ -106,29 +103,6 @@ func New(plat *platform.Platform, cfg Config) (*Controller, error) {
 
 // Ticks reports how many control decisions have fired.
 func (c *Controller) Ticks() int { return c.ticks }
-
-// Skips reports per-GPU decisions abandoned because the cap write
-// failed: the controller holds its hill-climbing state and re-decides
-// next tick rather than attributing the coming interval to a cap that
-// was never applied.
-func (c *Controller) Skips() int { return c.skips }
-
-// Clamps reports applied moves whose read-back differed from the
-// request (driver clamping/drift); the controller adopts the device's
-// actual value as its climbing position.
-func (c *Controller) Clamps() int { return c.clamps }
-
-// Disabled reports how many boards the controller stopped driving
-// because they fell off the bus.
-func (c *Controller) Disabled() int {
-	n := 0
-	for i := range c.gpus {
-		if c.gpus[i].disabled {
-			n++
-		}
-	}
-	return n
-}
 
 // History reports every cap move the controller applied, in virtual-time
 // order (the final Caps() snapshot is the last move per GPU).
@@ -212,11 +186,11 @@ func (c *Controller) tick() {
 				continue
 			}
 			if err != nil {
-				c.skips++ // transient failure: re-decide next tick
-				// The breaker turns "skip every tick forever" into a
-				// bounded decision: enough consecutive failures and the
-				// board is declared dead, its worker evicted, and the run
-				// continues degraded on the survivors.
+				// Transient failure: re-decide next tick.  The breaker
+				// turns "skip every tick forever" into a bounded decision:
+				// enough consecutive failures and the board is declared
+				// dead, its worker evicted, and the run continues degraded
+				// on the survivors.
 				if c.plat.NoteCapWriteFailure(i) {
 					g.disabled = true
 					if c.Evict != nil {
@@ -230,16 +204,11 @@ func (c *Controller) tick() {
 			// (it may have clamped or drifted the request) as the new
 			// climbing position.
 			if got, vret := h.GetPowerManagementLimit(); vret == nvml.SUCCESS {
-				actual := units.Watts(float64(got) / 1000)
-				if actual != next {
-					c.clamps++
-					next = actual
-				}
+				next = units.Watts(float64(got) / 1000)
 			}
 			if next != g.cap {
 				change := CapChange{T: c.plat.Engine().Now(), GPU: i, Old: g.cap, New: next}
 				g.cap = next
-				g.moves++
 				c.history = append(c.history, change)
 				if c.OnCapChange != nil {
 					c.OnCapChange(change)

@@ -117,18 +117,6 @@ func NewTracker(bus *Bus) *Tracker {
 // SetClock overrides the wall clock (tests).
 func (t *Tracker) SetClock(now func() time.Time) { t.now = now }
 
-// Run subscribes to the bus and folds events until ctx is cancelled.
-// The subscriber's ring is private to the tracker, so a slow /events
-// client can never starve progress accounting.
-//
-// Run subscribes on the calling goroutine; callers that want a
-// background drain should use Start, which registers the subscription
-// before returning — `go tr.Run(...)` races the subscription against
-// the caller's next Publish and can miss the sweep's opening events.
-func (t *Tracker) Run(ctx context.Context, buffer int) {
-	t.drain(ctx, t.bus.Subscribe(buffer))
-}
-
 // Start subscribes synchronously and drains on a background goroutine
 // until ctx is cancelled: events published after Start returns — even
 // immediately after — are never missed.  The returned function waits

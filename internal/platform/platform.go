@@ -102,9 +102,8 @@ type Platform struct {
 	// dynamic capping controller optimises against.
 	gpuWork []units.Flops
 
-	// capRetry configures the verified cap applicator; capStats
-	// accumulates its retry/clamp counts (see resilience.go).
-	capRetry CapRetry
+	// capStats accumulates the verified cap applicator's retry/clamp
+	// counts (see resilience.go).
 	capStats CapApplyStats
 
 	// Cap-write circuit breaker (see resilience.go): consecutive
@@ -550,6 +549,3 @@ func (p *Platform) ResetMeters() {
 		m.Reset()
 	}
 }
-
-// CPUWorkerCount reports the number of plain CPU workers.
-func (p *Platform) CPUWorkerCount() int { return len(p.workers) - len(p.gpus) }

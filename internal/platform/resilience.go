@@ -13,27 +13,14 @@ import (
 	"repro/internal/units"
 )
 
-// CapRetry configures the verified cap applicator.  Transient driver
-// failures (nvml.ErrUnknown, the EBUSY-style contention) are retried up
-// to MaxAttempts with exponential backoff in virtual time; anything
-// else fails immediately.
-type CapRetry struct {
-	// MaxAttempts bounds tries per device, first included (default 5).
-	MaxAttempts int
-	// Backoff is the delay before the first retry, doubled each retry
-	// (default 2 ms of virtual time).
-	Backoff units.Seconds
-}
-
-func (r CapRetry) withDefaults() CapRetry {
-	if r.MaxAttempts <= 0 {
-		r.MaxAttempts = 5
-	}
-	if r.Backoff <= 0 {
-		r.Backoff = 2e-3
-	}
-	return r
-}
+// The verified cap applicator retries transient driver failures
+// (nvml.ErrUnknown, the EBUSY-style contention) up to capMaxAttempts
+// tries per device, first included, with exponential backoff in virtual
+// time starting at capBackoff; anything else fails immediately.
+const (
+	capMaxAttempts               = 5
+	capBackoff     units.Seconds = 2e-3
+)
 
 // CapApplyStats accumulates what applying caps took over the platform's
 // lifetime — the fault/retry summary capbench prints per cell.
@@ -46,15 +33,11 @@ type CapApplyStats struct {
 	Clamped int
 }
 
-// SetCapRetry overrides the applicator policy (zero fields keep
-// defaults).
-func (p *Platform) SetCapRetry(r CapRetry) { p.capRetry = r }
-
 // CapStats reports the cumulative applicator statistics.
 func (p *Platform) CapStats() CapApplyStats { return p.capStats }
 
 // verifiedApply is the shared verify-after-set applicator core: one
-// set/read-back cycle under the platform's retry policy.  set reports
+// set/read-back cycle under the retry policy above.  set reports
 // whether its failure is transient (worth retrying); verify reports
 // whether the read-back matches the request — a mismatch means the
 // driver clamped or drifted the value, which is counted and adopted
@@ -64,10 +47,9 @@ func (p *Platform) CapStats() CapApplyStats { return p.capStats }
 // mid-run controllers (dyncap) use a single non-blocking attempt and
 // skip their tick instead.
 func (p *Platform) verifiedApply(set func() (transient bool, err error), verify func() bool) error {
-	retry := p.capRetry.withDefaults()
-	backoff := retry.Backoff
+	backoff := capBackoff
 	var lastErr error
-	for attempt := 0; attempt < retry.MaxAttempts; attempt++ {
+	for attempt := 0; attempt < capMaxAttempts; attempt++ {
 		if attempt > 0 {
 			p.capStats.Retries++
 			p.engine.RunUntil(p.engine.Now() + backoff)
@@ -86,7 +68,7 @@ func (p *Platform) verifiedApply(set func() (transient bool, err error), verify 
 		}
 		return nil
 	}
-	return fmt.Errorf("gave up after %d attempts: %w", retry.MaxAttempts, lastErr)
+	return fmt.Errorf("gave up after %d attempts: %w", capMaxAttempts, lastErr)
 }
 
 // applyGPUCap routes one board's cap through the verified applicator,
@@ -132,7 +114,7 @@ func (p *Platform) applyGPUCap(g int, cap units.Watts) error {
 
 // DefaultBreakerThreshold is the consecutive exhausted-write count that
 // trips a board's cap-write breaker.  Each count is itself a fully
-// exhausted applicator call (MaxAttempts set/verify cycles) or a dyncap
+// exhausted applicator call (capMaxAttempts set/verify cycles) or a dyncap
 // single-shot failure, so the default demands persistent, not flaky,
 // misbehaviour before declaring a board dead.
 const DefaultBreakerThreshold = 3

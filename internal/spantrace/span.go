@@ -150,12 +150,3 @@ func (tr *Trace) MaxDeviceRelError() float64 {
 	}
 	return worst
 }
-
-// TotalMeasured sums the device counters.
-func (tr *Trace) TotalMeasured() units.Joules {
-	var sum units.Joules
-	for _, d := range tr.Devices {
-		sum += d.MeasuredJ
-	}
-	return sum
-}

@@ -203,9 +203,6 @@ func (h *Handle) Bytes() units.Bytes { return h.bytes }
 // Dims reports the registered dimensions.
 func (h *Handle) Dims() []int { return h.dims }
 
-// Data reports the host payload registered with the handle (may be nil).
-func (h *Handle) Data() interface{} { return h.data }
-
 // ValidOn reports whether node n holds an up-to-date copy.
 func (h *Handle) ValidOn(n int) bool { return h.valid.has(n) }
 

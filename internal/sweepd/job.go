@@ -28,8 +28,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/faults"
-	"repro/internal/platform"
-	"repro/internal/prec"
 )
 
 // JobSpec declares one sweep job.  It is the unit the submit endpoint
@@ -120,17 +118,6 @@ func (j JobSpec) ID() string {
 	return hex.EncodeToString(sum[:])[:12]
 }
 
-// platformNames expands the platform filter.
-func (j JobSpec) platformNames() ([]string, error) {
-	if j.Platform == "all" {
-		return []string{platform.FourA100Name, platform.TwoA100Name, platform.TwoV100Name}, nil
-	}
-	if _, err := platform.SpecByName(j.Platform); err != nil {
-		return nil, err
-	}
-	return []string{j.Platform}, nil
-}
-
 // Cells expands the job into the executor's flat, deterministic cell
 // list.  Coordinator and workers call this independently and must (and
 // do) agree: the expansion is a pure function of the spec.
@@ -140,49 +127,20 @@ func (j JobSpec) Cells() ([]core.Config, error) {
 	if err != nil {
 		return nil, fmt.Errorf("sweepd: job faults: %w", err)
 	}
-	platforms, err := j.platformNames()
+	rows, err := core.ExperimentRows(j.Experiment, j.Platform, j.Scale)
 	if err != nil {
-		return nil, fmt.Errorf("sweepd: job platform: %w", err)
+		return nil, fmt.Errorf("sweepd: job: %w", err)
 	}
-	keep := make(map[string]bool, len(platforms))
-	for _, p := range platforms {
-		keep[p] = true
-	}
-
-	switch j.Experiment {
-	case "grid":
-		var rows []core.TableIIRow
-		for _, r := range core.TableII {
-			if keep[r.Platform] {
-				rows = append(rows, core.ScaleRow(r, j.Scale))
-			}
-		}
+	if j.Experiment == "grid" {
 		return core.GridCells(core.GridSpec{
 			Rows:     rows,
 			Sweep:    core.SweepOptions{Scheduler: j.Scheduler, Faults: spec},
 			RootSeed: j.Seed,
 		})
-	case "fig3", "fig4":
-		p := prec.Double
-		if j.Experiment == "fig4" {
-			p = prec.Single
-		}
-		var rows []core.TableIIRow
-		for _, plat := range platforms {
-			for _, op := range []core.Operation{core.GEMM, core.POTRF} {
-				row, err := core.LookupTableII(plat, op, p)
-				if err != nil {
-					return nil, err
-				}
-				rows = append(rows, core.ScaleRow(row, j.Scale))
-			}
-		}
-		return core.SweepCellConfigs(rows, core.SweepOptions{
-			Scheduler: j.Scheduler, Seed: j.Seed, Faults: spec,
-		})
-	default:
-		return nil, fmt.Errorf("sweepd: unknown experiment %q (grid, fig3, fig4)", j.Experiment)
 	}
+	return core.SweepCellConfigs(rows, core.SweepOptions{
+		Scheduler: j.Scheduler, Seed: j.Seed, Faults: spec,
+	})
 }
 
 // Poisoned reports whether a cell key falls under the job's poison

@@ -566,23 +566,6 @@ func (t *Table) Finished() bool {
 	return t.done+t.quar == len(t.cells)
 }
 
-// NextDeadline reports the soonest outstanding lease deadline (zero
-// time when no leases are outstanding) — the coordinator's expiry
-// scanner uses it to sleep precisely instead of polling hot.
-func (t *Table) NextDeadline() time.Time {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var next time.Time
-	for _, c := range t.cells {
-		for _, d := range c.holders {
-			if next.IsZero() || d.Before(next) {
-				next = d
-			}
-		}
-	}
-	return next
-}
-
 // Counts reports the live census.
 func (t *Table) Counts() TableCounts {
 	t.mu.Lock()

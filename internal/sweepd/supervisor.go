@@ -68,19 +68,6 @@ func NewSupervisor(cfg SupervisorConfig) (*Supervisor, error) {
 	return &Supervisor{cfg: cfg.withDefaults(), procs: make(map[int]*exec.Cmd)}, nil
 }
 
-// Pids snapshots the live fleet (chaos harnesses pick victims here).
-func (s *Supervisor) Pids() []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	pids := make([]int, 0, len(s.procs))
-	for _, cmd := range s.procs {
-		if cmd.Process != nil {
-			pids = append(pids, cmd.Process.Pid)
-		}
-	}
-	return pids
-}
-
 // Run spawns the fleet and keeps every slot populated until the
 // context is cancelled; it returns after all children are reaped.
 func (s *Supervisor) Run(ctx context.Context) {

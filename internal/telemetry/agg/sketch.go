@@ -73,9 +73,6 @@ func NewSketch(alpha float64) *Sketch {
 	}
 }
 
-// Alpha reports the sketch's relative-error bound.
-func (s *Sketch) Alpha() float64 { return s.alpha }
-
 // index maps a positive value to its logarithmic bucket.
 func (s *Sketch) index(v float64) int {
 	return int(math.Ceil(math.Log(v) / s.lnGamma))

@@ -188,9 +188,6 @@ func AttachSampler(reg *Registry, plat *platform.Platform, rt *starpu.Runtime, c
 	return s, nil
 }
 
-// Interval reports the sample spacing.
-func (s *Sampler) Interval() units.Seconds { return s.interval }
-
 // ObserveCapChange records an exact cap-change event (wired to
 // dyncap.Controller.OnCapChange) next to the sampled series.
 func (s *Sampler) ObserveCapChange(t units.Seconds, gpu int, old, new units.Watts) {
