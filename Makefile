@@ -70,16 +70,19 @@ bench-gate:
 # Short coverage-guided fuzz pass over the fuzz targets: the plan
 # parser (input validation), the event engine (ordering/determinism
 # under adversarial schedules), the grouped dm-family Push (identity
-# with the per-worker reference under fuzzed operation schedules) and
-# the sweep service's result-batch intake (adversarial wire bodies).  Go runs one fuzz target per
-# invocation.  The intake's inputs are JSON with base64 payloads, slow
-# to minimise, so its minimisation is capped to leave the time for
-# fuzzing.
+# with the per-worker reference under fuzzed operation schedules), the
+# sweep service's result-batch intake (adversarial wire bodies) and the
+# result codec's decoder (never panics; every accepted payload
+# re-encodes to itself).  Go runs one fuzz target per invocation.  The
+# intake's inputs are JSON with base64 payloads and the codec's seeds
+# are traced results of several KB, both slow to minimise, so their
+# minimisation is capped to leave the time for fuzzing.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/powercap
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrdering$$' -fuzztime $(FUZZTIME) ./internal/eventsim
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupedPush$$' -fuzztime $(FUZZTIME) ./internal/starpu
 	$(GO) test -run '^$$' -fuzz '^FuzzResultBatch$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sweepd
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
 
 # Race-enabled chaos fleet: seeded fault schedules through the full
 # core.Run path, checking completion-or-DegradedRun, attribution

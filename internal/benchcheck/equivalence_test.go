@@ -139,8 +139,8 @@ func TestEquivalence(t *testing.T) {
 // resumed run of the full fleet restores those cells from the journal
 // and computes the rest.  Digests of the resumed run must match the
 // direct run cell-for-cell — restored Results are byte-identical to
-// recomputed ones, so the optimization passes cannot break the gob
-// round-trip either.
+// recomputed ones, so the optimization passes cannot break the result
+// codec's round-trip either.
 func TestEquivalenceResume(t *testing.T) {
 	cells := Corpus()
 	direct := runCorpus(t, cells, core.ParallelOptions{Workers: 4})

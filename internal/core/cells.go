@@ -60,13 +60,16 @@ func ScaleRow(r TableIIRow, scale int) TableIIRow {
 }
 
 // EncodeResult serialises a Result with the checkpoint journal's exact
-// codec (gob; float64 bit-for-bit).  Exported for the sweep service:
-// workers ship results to the coordinator in the same bytes the journal
-// stores, so a result is byte-identical whether it arrived over HTTP,
-// was restored from a journal, or was computed in-process.
+// codec (codec.go: fixed schema, versioned, float64 bit-for-bit).
+// Exported for the sweep service: workers ship results to the
+// coordinator in the same bytes the journal stores, so a result is
+// byte-identical whether it arrived over HTTP, was restored from a
+// journal, or was computed in-process.
 func EncodeResult(res *Result) ([]byte, error) { return encodeResult(res) }
 
-// DecodeResult restores a Result encoded by EncodeResult.
+// DecodeResult restores a Result encoded by EncodeResult.  A payload of
+// another codec version, or an old gob record, fails with a
+// *ResultFormatError.
 func DecodeResult(payload []byte) (*Result, error) { return decodeResult(payload) }
 
 // Digest is the byte-identity fingerprint of one completed cell: the

@@ -1,14 +1,10 @@
 // Checkpoint support for the sweep executor: a stable per-cell identity
-// key and a byte-exact result codec.  Together they let RunCells skip a
-// journalled cell on resume and hand back a Result indistinguishable
-// from re-running it — gob round-trips float64 bit-for-bit, and every
-// struct a Result reaches (trace.Stats, spantrace.Trace, DegradedRun,
-// FaultReport) carries only exported fields.
+// key.  With the result codec (codec.go), which round-trips every field
+// a Result reaches bit-for-bit, it lets RunCells skip a journalled cell
+// on resume and hand back a Result indistinguishable from re-running it.
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"sort"
 )
@@ -75,21 +71,3 @@ func (c Config) identityKey(withSeed bool) string {
 // restored: pre-trained models are process state the journal cannot
 // carry, so those cells always re-run.
 func (c Config) checkpointable() bool { return c.Model == nil }
-
-// encodeResult serialises a Result for the checkpoint journal.
-func encodeResult(res *Result) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(res); err != nil {
-		return nil, fmt.Errorf("core: encode checkpoint result: %w", err)
-	}
-	return buf.Bytes(), nil
-}
-
-// decodeResult restores a journalled Result.
-func decodeResult(payload []byte) (*Result, error) {
-	res := new(Result)
-	if err := gob.NewDecoder(bytes.NewReader(payload)).Decode(res); err != nil {
-		return nil, fmt.Errorf("core: decode checkpoint result: %w", err)
-	}
-	return res, nil
-}

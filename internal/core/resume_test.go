@@ -36,7 +36,7 @@ func resumeCells(t *testing.T) []Config {
 }
 
 // encodeAll renders results into the byte string the determinism
-// contract is checked over.  JSON (not gob) because it serialises maps
+// contract is checked over.  JSON because it serialises maps
 // in sorted key order, making equal values equal bytes.
 func encodeAll(t *testing.T, results []*Result) []byte {
 	t.Helper()

@@ -1,7 +1,7 @@
 // Rollup construction: the bridge from a cell's (Config, Result) pair
 // to the aggregation tier's CellRollup.  The rollup is a pure function
 // of the pair — no clocks, no worker identity — so a cell restored from
-// the checkpoint journal (whose gob codec round-trips the Result
+// the checkpoint journal (whose result codec round-trips the Result
 // byte-exactly) rolls up identically to the run that journalled it.
 // That is what lets a resumed sweep rebuild the efficiency surface
 // without re-running anything.

@@ -598,6 +598,7 @@ func (c *Coordinator) activate(job *activeJob) error {
 	// worker journals alike — is restored, fed to the surface and the
 	// digest ledger, and never dispatched.
 	if job.journal != nil {
+		undecodable := 0
 		for i, key := range job.keys {
 			rec, ok := job.journal.Lookup(key)
 			if !ok || rec.Status != ckpt.StatusDone {
@@ -605,7 +606,10 @@ func (c *Coordinator) activate(job *activeJob) error {
 			}
 			res, err := core.DecodeResult(rec.Payload)
 			if err != nil {
-				continue // corrupt payload: the cell re-runs
+				// Another codec version (an old gob journal) or a corrupt
+				// payload: the cell re-runs.
+				undecodable++
+				continue
 			}
 			job.table.RestoreDone(key)
 			job.resumed++
@@ -616,6 +620,9 @@ func (c *Coordinator) activate(job *activeJob) error {
 		}
 		if job.resumed > 0 {
 			c.cfg.Logf("sweepd: job %s: resumed %d cell(s) from %s", job.id, job.resumed, job.ckptDir)
+		}
+		if undecodable > 0 {
+			c.cfg.Logf("sweepd: job %s: %d journalled cell(s) in %s did not decode and will re-run", job.id, undecodable, job.ckptDir)
 		}
 	}
 

@@ -1,8 +1,9 @@
 // The wire protocol between coordinator and workers: small JSON
-// messages over HTTP POST.  Everything durable travels as the
-// checkpoint codec's exact bytes (core.EncodeResult, base64-framed by
-// encoding/json), so a result is bit-identical whether it crossed the
-// wire, was restored from a journal, or was computed in-process.
+// messages over HTTP POST.  Everything durable travels as the result
+// codec's exact bytes (core.EncodeResult, the fixed-schema, versioned
+// format of the checkpoint journals; base64-framed by encoding/json), so
+// a result is bit-identical whether it crossed the wire, was restored
+// from a journal, or was computed in-process.
 package sweepd
 
 import "time"

@@ -3,6 +3,7 @@ package sweepd
 import (
 	"bytes"
 	"context"
+	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -10,11 +11,14 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/ckpt"
+	"repro/internal/core"
 	"repro/internal/obs"
 )
 
@@ -401,5 +405,61 @@ func TestServiceHTTPSurface(t *testing.T) {
 	getJSON(t, s.srv.URL+PathState, &state)
 	if len(state.Workers) != 1 || state.Workers[0].ID != "w0" || state.Workers[0].CellsServed == 0 {
 		t.Fatalf("state workers = %+v", state.Workers)
+	}
+}
+
+// TestResumeLogsUndecodableCells: journalled cells whose payloads the
+// result codec does not read (a gob journal from before the codec) are
+// counted in one log line for the job and re-run, not restored.
+func TestResumeLogsUndecodableCells(t *testing.T) {
+	spec := testSpec().withDefaults()
+	cells, err := spec.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	j, err := ckpt.Open(filepath.Join(root, spec.Name+"-"+spec.ID()),
+		ckpt.Manifest{Identity: spec.Identity(), RootSeed: spec.Seed}, "w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const stale = 3
+	for _, cell := range cells[:stale] {
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(&core.Result{Plan: "HH", Makespan: 1}); err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Commit(ckpt.Record{Key: cell.CheckpointKey(), Status: ckpt.StatusDone, Payload: buf.Bytes()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	var mu sync.Mutex
+	var undecodable []string
+	logf := func(format string, args ...any) {
+		if line := fmt.Sprintf(format, args...); strings.Contains(line, "did not decode") {
+			mu.Lock()
+			undecodable = append(undecodable, line)
+			mu.Unlock()
+		}
+	}
+	s := startService(t, Config{CheckpointDir: root, Logf: logf})
+	job, err := s.coord.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, s, "w1", nil)
+	waitDone(t, job, 90*time.Second)
+
+	if rep := job.Report(); rep == nil || rep.Done != len(cells) || rep.Resumed != 0 {
+		t.Fatalf("report = %+v, want all %d cells run and none resumed", rep, len(cells))
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(undecodable) != 1 || !strings.Contains(undecodable[0], fmt.Sprintf(": %d journalled cell(s)", stale)) {
+		t.Fatalf("undecodable-cell log lines = %q, want one counting %d cells", undecodable, stale)
 	}
 }
