@@ -71,9 +71,11 @@ bench-gate:
 # parser (input validation), the event engine (ordering/determinism
 # under adversarial schedules), the grouped dm-family Push (identity
 # with the per-worker reference under fuzzed operation schedules), the
-# sweep service's result-batch intake (adversarial wire bodies) and the
+# sweep service's result-batch intake (adversarial wire bodies), the
 # result codec's decoder (never panics; every accepted payload
-# re-encodes to itself).  Go runs one fuzz target per invocation.  The
+# re-encodes to itself) and the platform's operating-point memo (bit
+# identity with the device models under fuzzed cap, throttle and
+# death sequences).  Go runs one fuzz target per invocation.  The
 # intake's inputs are JSON with base64 payloads and the codec's seeds
 # are traced results of several KB, both slow to minimise, so their
 # minimisation is capped to leave the time for fuzzing.
@@ -83,6 +85,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupedPush$$' -fuzztime $(FUZZTIME) ./internal/starpu
 	$(GO) test -run '^$$' -fuzz '^FuzzResultBatch$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sweepd
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
+	$(GO) test -run '^$$' -fuzz '^FuzzOperatingPointMemo$$' -fuzztime $(FUZZTIME) ./internal/platform
 
 # Race-enabled chaos fleet: seeded fault schedules through the full
 # core.Run path, checking completion-or-DegradedRun, attribution

@@ -69,9 +69,18 @@ func main() {
 	drainGrace := fs.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight leases before sealing the job")
 	fs.Parse(os.Args[1:])
 
-	if *serial && *workers > 0 {
-		fmt.Fprintln(os.Stderr, "capserved: -serial and -workers are mutually exclusive")
+	usageErr := func(format string, args ...any) {
+		fmt.Fprintf(os.Stderr, "capserved: "+format+"\n", args...)
+		fs.Usage()
 		os.Exit(2)
+	}
+	switch {
+	case fs.NArg() > 0:
+		usageErr("unexpected argument %q", fs.Arg(0))
+	case *cellTimeout < 0:
+		usageErr("-cell-timeout %v is negative (0 turns the watchdog off)", *cellTimeout)
+	case *serial && *workers > 0:
+		usageErr("-serial and -workers are mutually exclusive")
 	}
 
 	// First SIGINT/SIGTERM drains: leases resolve, the job seals, a

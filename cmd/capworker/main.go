@@ -20,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net/http"
@@ -31,17 +32,53 @@ import (
 	"repro/internal/sweepd"
 )
 
+// options are capworker's parsed flags.
+type options struct {
+	id          string
+	coordinator string
+	cellTimeout time.Duration
+	netFaults   faults.NetSpec
+	netSeed     int64
+}
+
+// parseArgs parses capworker's flags; an error is a usage error.
+func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	fs.StringVar(&o.id, "id", "", "worker identity: lease holder and journal writer namespace (default w-<pid>)")
+	fs.StringVar(&o.coordinator, "coordinator", "", "coordinator base URL (http://host:port)")
+	fs.DurationVar(&o.cellTimeout, "cell-timeout", 0, "per-cell watchdog (0 = off)")
+	netFaults := fs.String("net-faults", "", "wire fault spec on every coordinator call (faults.ParseNetSpec syntax)")
+	fs.Int64Var(&o.netSeed, "net-seed", 1, "root seed for the wire fault injector (this worker derives its own from it)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	if o.coordinator == "" {
+		return nil, errors.New("-coordinator is required")
+	}
+	if o.cellTimeout < 0 {
+		return nil, fmt.Errorf("-cell-timeout %v is negative (0 turns the watchdog off)", o.cellTimeout)
+	}
+	ns, err := faults.ParseNetSpec(*netFaults)
+	if err != nil {
+		return nil, fmt.Errorf("-net-faults: %w", err)
+	}
+	o.netFaults = ns
+	if o.id == "" {
+		o.id = fmt.Sprintf("w-%d", os.Getpid())
+	}
+	return o, nil
+}
+
 func main() {
 	fs := flag.NewFlagSet("capworker", flag.ExitOnError)
-	id := fs.String("id", "", "worker identity: lease holder and journal writer namespace (default w-<pid>)")
-	coordinator := fs.String("coordinator", "", "coordinator base URL (http://host:port)")
-	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell watchdog (0 = off)")
-	netFaults := fs.String("net-faults", "", "wire fault spec on every coordinator call (faults.ParseNetSpec syntax)")
-	netSeed := fs.Int64("net-seed", 1, "root seed for the wire fault injector (this worker derives its own from it)")
-	fs.Parse(os.Args[1:])
-
-	if *id == "" {
-		*id = fmt.Sprintf("w-%d", os.Getpid())
+	o, err := parseArgs(fs, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "capworker: %v\n", err)
+		fs.Usage()
+		os.Exit(2)
 	}
 	ctx, stop := sigctx.New(context.Background(), nil)
 	defer stop()
@@ -50,24 +87,17 @@ func main() {
 	// protocol: every retry, duplicate and dropped reply the spec
 	// injects exercises the same idempotency the real network relies on.
 	var client *http.Client
-	if *netFaults != "" {
-		ns, err := faults.ParseNetSpec(*netFaults)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "capworker: -net-faults: %v\n", err)
-			os.Exit(2)
-		}
-		if !ns.Zero() {
-			client = &http.Client{
-				Timeout:   30 * time.Second,
-				Transport: faults.NewNetInjector(ns, sweepd.DeriveNetSeed(*netSeed, *id), nil),
-			}
+	if !o.netFaults.Zero() {
+		client = &http.Client{
+			Timeout:   30 * time.Second,
+			Transport: faults.NewNetInjector(o.netFaults, sweepd.DeriveNetSeed(o.netSeed, o.id), nil),
 		}
 	}
 
 	w, err := sweepd.NewWorker(sweepd.WorkerConfig{
-		ID:          *id,
-		Coordinator: *coordinator,
-		CellTimeout: *cellTimeout,
+		ID:          o.id,
+		Coordinator: o.coordinator,
+		CellTimeout: o.cellTimeout,
 		Client:      client,
 		Logf: func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, format+"\n", args...)
@@ -82,11 +112,11 @@ func main() {
 	switch {
 	case ctx.Err() != nil:
 		fmt.Fprintf(os.Stderr, "capworker: %s: interrupted after %v — unfinished leases released for re-run\n",
-			*id, time.Since(start).Round(time.Millisecond))
+			o.id, time.Since(start).Round(time.Millisecond))
 		os.Exit(130)
 	case err != nil:
-		fmt.Fprintf(os.Stderr, "capworker: %s: %v\n", *id, err)
+		fmt.Fprintf(os.Stderr, "capworker: %s: %v\n", o.id, err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "capworker: %s: drained cleanly after %v\n", *id, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "capworker: %s: drained cleanly after %v\n", o.id, time.Since(start).Round(time.Millisecond))
 }

@@ -119,8 +119,9 @@ func (p *Package) Uncapped() bool { return p.PowerLimit() == p.arch.TDP }
 // ClockFraction reports the all-core clock fraction the cap allows,
 // sized for the worst case of every core busy (RAPL enforces the limit
 // regardless of instantaneous occupancy, and HPC runs keep cores busy).
-func (p *Package) ClockFraction() float64 {
-	cap := p.PowerLimit()
+func (p *Package) ClockFraction() float64 { return p.clockFractionAt(p.PowerLimit()) }
+
+func (p *Package) clockFractionAt(cap units.Watts) float64 {
 	full := p.arch.UncorePower + units.Watts(float64(p.arch.Cores)*float64(p.arch.CorePower))
 	if cap >= full {
 		return 1
@@ -156,8 +157,12 @@ func (p *Package) IdlePower() units.Watts { return p.arch.UncorePower }
 
 // BusyCorePower reports the incremental draw of one busy core under the
 // current cap.
-func (p *Package) BusyCorePower() units.Watts {
-	x := p.ClockFraction()
+func (p *Package) BusyCorePower() units.Watts { return p.BusyCorePowerAt(p.PowerLimit()) }
+
+// BusyCorePowerAt is BusyCorePower under an explicit package limit, a
+// pure function of it.
+func (p *Package) BusyCorePowerAt(limit units.Watts) units.Watts {
+	x := p.clockFractionAt(limit)
 	return units.Watts(float64(p.arch.CorePower) * math.Pow(x, beta))
 }
 

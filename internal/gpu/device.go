@@ -135,9 +135,14 @@ func (d *Device) IdlePower() units.Watts { return d.arch.IdlePower }
 // derates the GEMM curve for kernels with a lower fraction of peak
 // (TRSM, SYRK, panel factorisations).
 func (d *Device) Operate(p prec.Precision, work units.Flops, efficiencyFactor float64) OperatingPoint {
+	return d.operateAt(d.PowerLimit(), p, work, efficiencyFactor)
+}
+
+// operateAt is Operate under an explicit effective limit.
+func (d *Device) operateAt(limit units.Watts, p prec.Precision, work units.Flops, efficiencyFactor float64) OperatingPoint {
 	curve := d.arch.Curve(p)
 	occ := d.arch.Occupancy(work)
-	op := curve.Operate(d.PowerLimit(), occ)
+	op := curve.Operate(limit, occ)
 	if efficiencyFactor > 0 && efficiencyFactor < 1 {
 		op.Rate = units.FlopsPerSec(float64(op.Rate) * efficiencyFactor)
 	}
@@ -147,6 +152,13 @@ func (d *Device) Operate(p prec.Precision, work units.Flops, efficiencyFactor fl
 // KernelTime reports the duration of one kernel launch (including the
 // fixed launch overhead) at the current operating point.
 func (d *Device) KernelTime(p prec.Precision, work units.Flops, efficiencyFactor float64) (units.Seconds, OperatingPoint) {
-	op := d.Operate(p, work, efficiencyFactor)
+	return d.KernelTimeAt(d.PowerLimit(), p, work, efficiencyFactor)
+}
+
+// KernelTimeAt is KernelTime under an explicit effective limit.  It is
+// a pure function of its arguments, which is what lets the platform
+// memoize it per limit (DESIGN §14).
+func (d *Device) KernelTimeAt(limit units.Watts, p prec.Precision, work units.Flops, efficiencyFactor float64) (units.Seconds, OperatingPoint) {
+	op := d.operateAt(limit, p, work, efficiencyFactor)
 	return d.arch.LaunchOverhead + units.DurationFor(work, op.Rate), op
 }

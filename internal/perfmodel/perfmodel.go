@@ -34,33 +34,43 @@ func (k Key) String() string {
 	return fmt.Sprintf("%s/%x@%s", k.Codelet, k.Footprint, k.WorkerClass)
 }
 
-// entry accumulates duration samples with Welford's algorithm.
-type entry struct {
+// Entry is one key's accumulator of duration samples (Welford's
+// algorithm), and the handle History.Handle hands out for the key.  A
+// handle stays valid for the life of its History: Invalidate, Reset
+// and Load reset or overwrite entries in place and never drop them, so
+// a caller that holds a handle records and estimates through it without
+// hashing the key again.  An entry with no samples is absent from Len,
+// Dump and Save.
+type Entry struct {
+	key  Key
 	n    int
 	mean float64
 	m2   float64
 }
 
-func (e *entry) add(x float64) {
+func (e *Entry) add(x float64) {
 	e.n++
 	d := x - e.mean
 	e.mean += d / float64(e.n)
 	e.m2 += d * (x - e.mean)
 }
 
-func (e *entry) stddev() float64 {
+func (e *Entry) stddev() float64 {
 	if e.n < 2 {
 		return 0
 	}
 	return math.Sqrt(e.m2 / float64(e.n-1))
 }
 
+// reset drops the entry's samples.
+func (e *Entry) reset() { e.n, e.mean, e.m2 = 0, 0, 0 }
+
 // History is a history-based performance model ("the measured execution
 // times of previous identical tasks predict the next one").
 // It is safe for concurrent use.
 type History struct {
 	mu      sync.Mutex
-	entries map[Key]*entry
+	entries map[Key]*Entry
 	// MinSamples is how many observations a key needs before Estimate
 	// trusts it (StarPU's calibration threshold; default 1).
 	MinSamples int
@@ -75,26 +85,48 @@ type History struct {
 
 // NewHistory returns an empty model with the default sample threshold.
 func NewHistory() *History {
-	return &History{entries: make(map[Key]*entry), MinSamples: 1}
+	return &History{entries: make(map[Key]*Entry), MinSamples: 1}
 }
+
+// Handle returns k's entry, creating an empty one the first time k is
+// seen.  Record(k, d) and RecordAt(Handle(k), d) are the same
+// operation, as are Estimate(k) and EstimateAt(Handle(k)).
+func (h *History) Handle(k Key) *Entry {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.entry(k)
+}
+
+// entry returns k's entry, creating it if needed; h.mu is held.
+func (h *History) entry(k Key) *Entry {
+	e, ok := h.entries[k]
+	if !ok {
+		e = &Entry{key: k}
+		h.entries[k] = e
+	}
+	return e
+}
+
+// minSamples reports the effective calibration threshold; h.mu is held.
+func (h *History) minSamples() int { return max(h.MinSamples, 1) }
 
 // Record adds one observed duration.
 func (h *History) Record(k Key, d units.Seconds) {
 	if d < 0 {
 		return
 	}
+	h.RecordAt(h.Handle(k), d)
+}
+
+// RecordAt adds one observed duration to the entry e, a handle from
+// this History.
+func (h *History) RecordAt(e *Entry, d units.Seconds) {
+	if d < 0 {
+		return
+	}
 	h.mu.Lock()
-	e, ok := h.entries[k]
-	if !ok {
-		e = &entry{}
-		h.entries[k] = e
-	}
-	min := h.MinSamples
-	if min < 1 {
-		min = 1
-	}
 	predicted := units.Seconds(e.mean)
-	calibrated := e.n >= min
+	calibrated := e.n >= h.minSamples()
 	e.add(float64(d))
 	hook := h.OnRecord
 	h.mu.Unlock()
@@ -102,7 +134,7 @@ func (h *History) Record(k Key, d units.Seconds) {
 		if !calibrated {
 			predicted = 0
 		}
-		hook(k, d, predicted, calibrated)
+		hook(e.key, d, predicted, calibrated)
 	}
 }
 
@@ -112,11 +144,22 @@ func (h *History) Estimate(k Key) (d units.Seconds, ok bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	e, exists := h.entries[k]
-	min := h.MinSamples
-	if min < 1 {
-		min = 1
+	if !exists {
+		return 0, false
 	}
-	if !exists || e.n < min {
+	return h.estimate(e)
+}
+
+// EstimateAt is Estimate for the entry e, a handle from this History.
+func (h *History) EstimateAt(e *Entry) (d units.Seconds, ok bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	return h.estimate(e)
+}
+
+// estimate reports e's trusted mean; h.mu is held.
+func (h *History) estimate(e *Entry) (units.Seconds, bool) {
+	if e.n < h.minSamples() {
 		return 0, false
 	}
 	return units.Seconds(e.mean), true
@@ -142,7 +185,8 @@ func (h *History) Stddev(k Key) units.Seconds {
 	return 0
 }
 
-// Invalidate drops every entry whose worker class matches the predicate.
+// Invalidate drops the samples of every entry whose worker class
+// matches the predicate and reports how many entries had any.
 // Changing a device's power cap changes its class string, so stale
 // entries are simply never hit again; Invalidate exists for explicit
 // recalibration experiments (the "stale model" ablation).
@@ -150,27 +194,35 @@ func (h *History) Invalidate(match func(workerClass string) bool) int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	n := 0
-	for k := range h.entries {
-		if match(k.WorkerClass) {
-			delete(h.entries, k)
+	for k, e := range h.entries {
+		if e.n > 0 && match(k.WorkerClass) {
+			e.reset()
 			n++
 		}
 	}
 	return n
 }
 
-// Reset drops all entries.
+// Reset drops all samples.
 func (h *History) Reset() {
 	h.mu.Lock()
-	h.entries = make(map[Key]*entry)
+	for _, e := range h.entries {
+		e.reset()
+	}
 	h.mu.Unlock()
 }
 
-// Len reports the number of distinct keys.
+// Len reports the number of distinct keys with samples.
 func (h *History) Len() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return len(h.entries)
+	n := 0
+	for _, e := range h.entries {
+		if e.n > 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // Dump renders the table sorted by key, for debugging and the schedtrace
@@ -178,8 +230,10 @@ func (h *History) Len() int {
 func (h *History) Dump() string {
 	h.mu.Lock()
 	keys := make([]Key, 0, len(h.entries))
-	for k := range h.entries {
-		keys = append(keys, k)
+	for k, e := range h.entries {
+		if e.n > 0 {
+			keys = append(keys, k)
+		}
 	}
 	h.mu.Unlock()
 	sort.Slice(keys, func(i, j int) bool { return keys[i].String() < keys[j].String() })

@@ -36,6 +36,9 @@ func (h *History) Save(w io.Writer) error {
 	h.mu.Lock()
 	doc := persistedModel{Version: persistVersion, MinSamples: h.MinSamples}
 	for k, e := range h.entries {
+		if e.n == 0 {
+			continue
+		}
 		doc.Entries = append(doc.Entries, persistedEntry{
 			Codelet: k.Codelet, Footprint: k.Footprint, WorkerClass: k.WorkerClass,
 			N: e.n, Mean: e.mean, M2: e.m2,
@@ -58,7 +61,7 @@ func (h *History) Save(w io.Writer) error {
 }
 
 // Load merges a previously saved model into h (existing buckets are
-// replaced by the loaded ones).
+// overwritten in place by the loaded ones, so held handles stay valid).
 func (h *History) Load(r io.Reader) error {
 	var doc persistedModel
 	if err := json.NewDecoder(r).Decode(&doc); err != nil {
@@ -76,8 +79,8 @@ func (h *History) Load(r io.Reader) error {
 		if pe.N <= 0 || pe.Mean < 0 {
 			return fmt.Errorf("perfmodel: load: invalid entry %+v", pe)
 		}
-		h.entries[Key{Codelet: pe.Codelet, Footprint: pe.Footprint, WorkerClass: pe.WorkerClass}] =
-			&entry{n: pe.N, mean: pe.Mean, m2: pe.M2}
+		e := h.entry(Key{Codelet: pe.Codelet, Footprint: pe.Footprint, WorkerClass: pe.WorkerClass})
+		e.n, e.mean, e.m2 = pe.N, pe.Mean, pe.M2
 	}
 	return nil
 }

@@ -69,6 +69,19 @@ type workerDesc struct {
 	classBare  bool
 }
 
+// board is the platform's bookkeeping for one GPU.
+type board struct {
+	// work accumulates completed flops, the signal the dynamic capping
+	// controller optimises against.
+	work units.Flops
+	// Cap-write circuit breaker (see resilience.go): consecutive
+	// exhausted writes, and whether the breaker has tripped.
+	breakerFails int
+	breakerOpen  bool
+	// memo caches the board's operating points (memo.go).
+	memo [opMemoSize]opEntry
+}
+
 // Platform is a live simulated node.
 type Platform struct {
 	Spec
@@ -92,25 +105,26 @@ type Platform struct {
 	RAPL *rapl.Component
 
 	workers []workerDesc
-	links   map[[2]int]*eventsim.Resource
+	// links holds the contended interconnect per unordered node pair
+	// (index lo*NumNodes()+hi), created on first use.
+	links []*eventsim.Resource
+
+	// boards holds the per-GPU bookkeeping, coreMemo each package's
+	// memoized busy-core draw (memo.go).
+	boards   []board
+	coreMemo []corePower
 
 	// addedPower remembers the exact wattage added per busy worker so
 	// a cap change between tasks cannot unbalance the meters.
 	addedPower []units.Watts
 
-	// gpuWork accumulates completed flops per GPU, the signal the
-	// dynamic capping controller optimises against.
-	gpuWork []units.Flops
-
 	// capStats accumulates the verified cap applicator's retry/clamp
 	// counts (see resilience.go).
 	capStats CapApplyStats
 
-	// Cap-write circuit breaker (see resilience.go): consecutive
-	// exhausted writes per GPU, and which breakers have tripped.
+	// breakerThreshold sets when a board's cap-write circuit breaker
+	// trips (see resilience.go).
 	breakerThreshold int
-	breakerFails     []int
-	breakerOpen      []bool
 
 	// OnCapExhausted and OnBreakerTrip, when set, are notified from the
 	// resilience layer: a cap write that exhausted its retry budget, and
@@ -131,7 +145,6 @@ func New(spec Spec) (*Platform, error) {
 	p := &Platform{
 		Spec:   spec,
 		engine: eventsim.NewEngine(),
-		links:  make(map[[2]int]*eventsim.Resource),
 	}
 	for i := 0; i < spec.GPUCount; i++ {
 		p.gpus = append(p.gpus, gpu.NewDevice(spec.GPUArch, i))
@@ -165,9 +178,9 @@ func New(spec Spec) (*Platform, error) {
 		}
 	}
 	p.addedPower = make([]units.Watts, len(p.workers))
-	p.gpuWork = make([]units.Flops, spec.GPUCount)
-	p.breakerFails = make([]int, spec.GPUCount)
-	p.breakerOpen = make([]bool, spec.GPUCount)
+	p.links = make([]*eventsim.Resource, p.NumNodes()*p.NumNodes())
+	p.boards = make([]board, spec.GPUCount)
+	p.coreMemo = make([]corePower, spec.Sockets)
 
 	sources := make([]nvml.EnergySource, len(p.gpuMeters))
 	for i, m := range p.gpuMeters {
@@ -255,7 +268,7 @@ func (p *Platform) CanRun(i int, c *starpu.Codelet) bool {
 func (p *Platform) Exec(i int, t *starpu.Task) units.Seconds {
 	w := p.workers[i]
 	if w.gpu >= 0 {
-		d, _ := p.gpus[w.gpu].KernelTime(t.Codelet.Precision, t.Work, eff(t.Codelet.GPUEfficiency))
+		d, _ := p.gpuPoint(w.gpu, t)
 		return d
 	}
 	return p.packages[w.pkg].KernelTime(t.Codelet.Precision, t.Work, eff(t.Codelet.CPUEfficiency))
@@ -273,18 +286,14 @@ func eff(v float64) float64 {
 func (p *Platform) OnTaskStart(i int, t *starpu.Task) {
 	w := p.workers[i]
 	if w.gpu >= 0 {
-		op := p.gpus[w.gpu].Operate(t.Codelet.Precision, t.Work, eff(t.Codelet.GPUEfficiency))
-		delta := op.Power - p.GPUArch.IdlePower
-		if delta < 0 {
-			delta = 0
-		}
+		delta := p.gpuDelta(w.gpu, t)
 		p.gpuMeters[w.gpu].AddPower(delta)
-		core := p.packages[w.pkg].BusyCorePower()
+		core := p.busyCorePower(w.pkg)
 		p.cpuMeters[w.pkg].AddPower(core)
 		p.addedPower[i] = delta + core
 		return
 	}
-	core := p.packages[w.pkg].BusyCorePower()
+	core := p.busyCorePower(w.pkg)
 	p.cpuMeters[w.pkg].AddPower(core)
 	p.addedPower[i] = core
 }
@@ -293,7 +302,7 @@ func (p *Platform) OnTaskStart(i int, t *starpu.Task) {
 // credits the completed flops.
 func (p *Platform) OnTaskEnd(i int, t *starpu.Task) {
 	if w := p.workers[i]; w.gpu >= 0 {
-		p.gpuWork[w.gpu] += t.Work
+		p.boards[w.gpu].work += t.Work
 	}
 	p.removeTaskPower(i)
 }
@@ -303,7 +312,7 @@ func (p *Platform) OnTaskEnd(i int, t *starpu.Task) {
 func (p *Platform) removeTaskPower(i int) {
 	w := p.workers[i]
 	if w.gpu >= 0 {
-		core := p.packages[w.pkg].BusyCorePower()
+		core := p.busyCorePower(w.pkg)
 		gpuPart := p.addedPower[i] - core
 		// Reconstruct the split: the core part was measured at start; if
 		// the cap changed mid-task the residual lands on the GPU meter,
@@ -342,16 +351,12 @@ func (p *Platform) TransferTime(from, to int, b units.Bytes) units.Seconds {
 
 // ReserveLink books the (contended) link for a real transfer.
 func (p *Platform) ReserveLink(from, to int, at units.Seconds, b units.Bytes) (units.Seconds, units.Seconds) {
-	key := [2]int{from, to}
-	if from > to {
-		key = [2]int{to, from}
+	lo, hi := min(from, to), max(from, to)
+	l := &p.links[lo*p.NumNodes()+hi]
+	if *l == nil {
+		*l = eventsim.NewResource(fmt.Sprintf("link%d-%d", lo, hi))
 	}
-	l, ok := p.links[key]
-	if !ok {
-		l = eventsim.NewResource(fmt.Sprintf("link%d-%d", key[0], key[1]))
-		p.links[key] = l
-	}
-	return l.Reserve(at, p.TransferTime(from, to, b))
+	return (*l).Reserve(at, p.TransferTime(from, to, b))
 }
 
 var _ starpu.Machine = (*Platform)(nil)
@@ -374,21 +379,16 @@ func (p *Platform) NodeCapacity(n int) units.Bytes {
 // for a CPU worker, one busy core.
 func (p *Platform) ExecPower(i int, t *starpu.Task) units.Watts {
 	w := p.workers[i]
-	core := p.packages[w.pkg].BusyCorePower()
+	core := p.busyCorePower(w.pkg)
 	if w.gpu >= 0 {
-		op := p.gpus[w.gpu].Operate(t.Codelet.Precision, t.Work, eff(t.Codelet.GPUEfficiency))
-		delta := op.Power - p.GPUArch.IdlePower
-		if delta < 0 {
-			delta = 0
-		}
-		return delta + core
+		return p.gpuDelta(w.gpu, t) + core
 	}
 	return core
 }
 
 // GPUWorkDone reports the flops completed on GPU i since construction
 // (the dynamic capping controller's throughput signal).
-func (p *Platform) GPUWorkDone(i int) units.Flops { return p.gpuWork[i] }
+func (p *Platform) GPUWorkDone(i int) units.Flops { return p.boards[i].work }
 
 // ---- span-trace model (spantrace.Model) ----
 
@@ -407,13 +407,9 @@ func (p *Platform) WorkerPackage(i int) int { return p.workers[i].pkg }
 // energies sum back to the device meters.
 func (p *Platform) SpanPower(i int, t *starpu.Task) (accel, host units.Watts) {
 	w := p.workers[i]
-	host = p.packages[w.pkg].BusyCorePower()
+	host = p.busyCorePower(w.pkg)
 	if w.gpu >= 0 {
-		op := p.gpus[w.gpu].Operate(t.Codelet.Precision, t.Work, eff(t.Codelet.GPUEfficiency))
-		accel = op.Power - p.GPUArch.IdlePower
-		if accel < 0 {
-			accel = 0
-		}
+		accel = p.gpuDelta(w.gpu, t)
 	}
 	return accel, host
 }

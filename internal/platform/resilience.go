@@ -76,7 +76,7 @@ func (p *Platform) verifiedApply(set func() (transient bool, err error), verify 
 // the write (the board has already been declared dead), and the write
 // that trips it converts a hard failure into a degraded continuation.
 func (p *Platform) applyGPUCap(g int, cap units.Watts) error {
-	if p.breakerOpen[g] {
+	if p.boards[g].breakerOpen {
 		return nil
 	}
 	h, ret := p.NVML.DeviceGetHandleByIndex(g)
@@ -135,13 +135,13 @@ func (p *Platform) breakerLimit() int {
 }
 
 // BreakerOpen reports whether board g's cap-write breaker has tripped.
-func (p *Platform) BreakerOpen(g int) bool { return p.breakerOpen[g] }
+func (p *Platform) BreakerOpen(g int) bool { return p.boards[g].breakerOpen }
 
 // BreakerTrips lists the boards whose breaker tripped, ascending.
 func (p *Platform) BreakerTrips() []int {
 	var out []int
-	for g, open := range p.breakerOpen {
-		if open {
+	for g := range p.boards {
+		if p.boards[g].breakerOpen {
 			out = append(out, g)
 		}
 	}
@@ -157,14 +157,15 @@ func (p *Platform) BreakerTrips() []int {
 // failures; the verified applicator calls it on retry exhaustion.
 func (p *Platform) NoteCapWriteFailure(g int) bool {
 	limit := p.breakerLimit()
-	if limit == 0 || p.breakerOpen[g] {
+	b := &p.boards[g]
+	if limit == 0 || b.breakerOpen {
 		return false
 	}
-	p.breakerFails[g]++
-	if p.breakerFails[g] < limit {
+	b.breakerFails++
+	if b.breakerFails < limit {
 		return false
 	}
-	p.breakerOpen[g] = true
+	b.breakerOpen = true
 	p.gpus[g].MarkDead()
 	if p.OnBreakerTrip != nil {
 		p.OnBreakerTrip(g, p.engine.Now())
@@ -175,8 +176,8 @@ func (p *Platform) NoteCapWriteFailure(g int) bool {
 // NoteCapWriteSuccess resets board g's consecutive-failure count: only
 // uninterrupted failure runs trip the breaker.
 func (p *Platform) NoteCapWriteSuccess(g int) {
-	if g >= 0 && g < len(p.breakerFails) {
-		p.breakerFails[g] = 0
+	if g >= 0 && g < len(p.boards) {
+		p.boards[g].breakerFails = 0
 	}
 }
 

@@ -616,15 +616,11 @@ func (rt *Runtime) complete(w *Worker, t *Task) {
 	w.tasksRun++
 	rt.nPending--
 
-	class := &rt.classes[rt.workerClass(w.ID)]
-	key := perfmodel.Key{
-		Codelet:     t.Codelet.Name,
-		Footprint:   t.Footprint(),
-		WorkerClass: class.name,
-	}
-	rt.model.Record(key, t.Duration())
+	id := rt.workerClass(w.ID)
+	class := &rt.classes[id]
+	rt.model.RecordAt(rt.modelEntry(t, id), t.Duration())
 	if rt.cfg.Regression != nil {
-		rt.cfg.Regression.Record(t.Codelet.Name, key.WorkerClass, t.Work, t.Duration())
+		rt.cfg.Regression.Record(t.Codelet.Name, class.name, t.Work, t.Duration())
 	}
 	// The new sample moved the model's mean (and regression fit) for this
 	// class string; cached estimates rendered under the old generation
@@ -679,9 +675,11 @@ type estKey struct {
 }
 
 // estVal is a memoized estimate plus the class-string generation it was
-// computed under (see Runtime.estRows).  The zero value is an empty
-// entry.
+// computed under (see Runtime.estRows), and the performance-model
+// handle of the cell's (codelet name, footprint, class string) key.
+// The zero value is an empty entry.
 type estVal struct {
+	model      *perfmodel.Entry
 	filled     bool
 	gen        uint64
 	dur        units.Seconds
@@ -748,11 +746,35 @@ func (rt *Runtime) internEstimate(k estKey) int32 {
 	return slot
 }
 
-// flushEstimates empties every memoized estimate; slots stay interned.
+// flushEstimates empties every memoized estimate; slots stay interned
+// and model handles stay cached (they survive History.Invalidate).
 func (rt *Runtime) flushEstimates() {
 	for _, row := range rt.estRows {
-		clear(row)
+		for i := range row {
+			row[i] = estVal{model: row[i].model}
+		}
 	}
+}
+
+// modelEntry returns t's performance-model handle under class id.  The
+// string key is resolved once per estimate table cell.  A row too short
+// for id means no estimate was ever asked for the cell (the calibrate
+// and eager policies ask none); growing it here would allocate once per
+// slot for a handle used once, so the key is resolved uncached.
+func (rt *Runtime) modelEntry(t *Task, id int32) *perfmodel.Entry {
+	row := rt.estRows[t.estSlot]
+	if int(id) < len(row) && row[id].model != nil {
+		return row[id].model
+	}
+	e := rt.model.Handle(perfmodel.Key{
+		Codelet:     t.Codelet.Name,
+		Footprint:   t.Footprint(),
+		WorkerClass: rt.classes[id].name,
+	})
+	if int(id) < len(row) {
+		row[id].model = e
+	}
+	return e
 }
 
 // estimate reports the model's prediction for t on worker i, falling
@@ -772,29 +794,25 @@ func (rt *Runtime) estimate(t *Task, i int) (units.Seconds, bool) {
 	if v.filled && v.gen == gen {
 		return v.dur, v.calibrated
 	}
-	dur, calibrated := rt.estimateUncached(t, c.kind, c.name)
-	*v = estVal{filled: true, gen: gen, dur: dur, calibrated: calibrated}
+	dur, calibrated := rt.estimateUncached(t, id)
+	v.filled, v.gen, v.dur, v.calibrated = true, gen, dur, calibrated
 	return dur, calibrated
 }
 
-func (rt *Runtime) estimateUncached(t *Task, kind WorkerKind, class string) (units.Seconds, bool) {
-	key := perfmodel.Key{
-		Codelet:     t.Codelet.Name,
-		Footprint:   t.Footprint(),
-		WorkerClass: class,
-	}
-	if d, ok := rt.model.Estimate(key); ok {
+func (rt *Runtime) estimateUncached(t *Task, id int32) (units.Seconds, bool) {
+	if d, ok := rt.model.EstimateAt(rt.modelEntry(t, id)); ok {
 		return d, true
 	}
+	c := &rt.classes[id]
 	if rt.cfg.Regression != nil {
-		if d, ok := rt.cfg.Regression.Estimate(t.Codelet.Name, class, t.Work); ok {
+		if d, ok := rt.cfg.Regression.Estimate(t.Codelet.Name, c.name, t.Work); ok {
 			return d, true
 		}
 	}
 	// Uncalibrated fallback: a crude flat rate that at least prefers
 	// GPUs, as StarPU's eager warm-up would discover quickly.
 	rate := 5e9
-	if kind == CUDAWorker {
+	if c.kind == CUDAWorker {
 		rate = 1e12
 	}
 	return units.Seconds(float64(t.Work) / rate), false
