@@ -71,6 +71,7 @@ bench-gate:
 # parser (input validation), the event engine (ordering/determinism
 # under adversarial schedules), the grouped dm-family Push (identity
 # with the per-worker reference under fuzzed operation schedules), the
+# dmdas ready queue (pop order identity with a plain-slice oracle), the
 # sweep service's result-batch intake (adversarial wire bodies), the
 # result codec's decoder (never panics; every accepted payload
 # re-encodes to itself) and the platform's operating-point memo (bit
@@ -83,6 +84,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/powercap
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrdering$$' -fuzztime $(FUZZTIME) ./internal/eventsim
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupedPush$$' -fuzztime $(FUZZTIME) ./internal/starpu
+	$(GO) test -run '^$$' -fuzz '^FuzzReadyQueue$$' -fuzztime $(FUZZTIME) ./internal/starpu
 	$(GO) test -run '^$$' -fuzz '^FuzzResultBatch$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sweepd
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzOperatingPointMemo$$' -fuzztime $(FUZZTIME) ./internal/platform

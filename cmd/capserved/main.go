@@ -20,6 +20,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"net"
@@ -36,51 +37,106 @@ import (
 	"repro/internal/telemetry"
 )
 
+// options are capserved's parsed flags.
+type options struct {
+	listen, checkpoint, aggDir string
+	workers                    int
+	workerBin                  string
+	serial                     bool
+
+	maxQueue, tenantQuota int
+	netFaults             string // validated; passed on to workers verbatim
+	netSeed               int64
+
+	experiment, name, platform string
+	scale                      int
+	seed                       int64
+	scheduler, faults, poison  string
+
+	leaseTTL, heartbeat, workerTimeout, stealAfter time.Duration
+	maxFailures, killBudget                        int
+	cellTimeout, drainGrace                        time.Duration
+}
+
+// parseArgs parses capserved's flags; an error is a usage error.
+func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
+	o := &options{}
+	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "dispatch + telemetry address (host:port; :0 picks a free port)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "base directory for per-job checkpoint journals (shared with workers; empty = no crash safety)")
+	fs.StringVar(&o.aggDir, "agg-dir", "", "base directory for per-job artifacts (surface.json, digests.json, jobreport.json, events.jsonl)")
+	fs.IntVar(&o.workers, "workers", 0, "supervise this many local capworker processes (0 = external workers only)")
+	fs.StringVar(&o.workerBin, "worker-bin", "", "capworker binary for the supervised fleet (default: next to this binary, then $PATH)")
+	fs.BoolVar(&o.serial, "serial", false, "run one in-process worker instead of spawning processes (baseline/debug mode)")
+
+	fs.IntVar(&o.maxQueue, "max-queue", 0, "bound on queued jobs; a full queue answers 429 + Retry-After (0 = default 8)")
+	fs.IntVar(&o.tenantQuota, "tenant-quota", 0, "bound on queued+active jobs per named tenant (0 = default 4)")
+	fs.StringVar(&o.netFaults, "net-faults", "", "wire fault spec injected into supervised workers (faults.ParseNetSpec syntax, e.g. drop=0.05,dup=0.05,err=0.05,delay=20ms)")
+	fs.Int64Var(&o.netSeed, "net-seed", 1, "root seed for the wire fault injector (per-worker seeds derive from it)")
+
+	fs.StringVar(&o.experiment, "experiment", "", "one-shot job: grid, fig3 or fig4 (empty = service mode, wait for /v1/submit)")
+	fs.StringVar(&o.name, "name", "", "one-shot job name (labels artifacts; default: the experiment)")
+	fs.StringVar(&o.platform, "platform", "all", "one-shot job platform filter")
+	fs.IntVar(&o.scale, "scale", 1, "one-shot job scale divisor")
+	fs.Int64Var(&o.seed, "seed", 0, "one-shot job root seed")
+	fs.StringVar(&o.scheduler, "scheduler", "", "one-shot job scheduler override")
+	fs.StringVar(&o.faults, "faults", "", "one-shot job fault-injection spec")
+	fs.StringVar(&o.poison, "poison", "", "chaos: crash any worker that leases a cell whose key contains this substring")
+
+	fs.DurationVar(&o.leaseTTL, "lease-ttl", 0, "lease time-to-live (0 = default)")
+	fs.DurationVar(&o.heartbeat, "heartbeat", 0, "heartbeat interval advertised to workers (0 = TTL/3)")
+	fs.DurationVar(&o.workerTimeout, "worker-timeout", 0, "declare a silent worker lost after this long (0 = 2×TTL)")
+	fs.DurationVar(&o.stealAfter, "steal-after", 0, "work-stealing floor: steal a straggler lease no earlier than this (0 = default)")
+	fs.IntVar(&o.maxFailures, "max-failures", 0, "quarantine a cell after this many contained failures (0 = default 3)")
+	fs.IntVar(&o.killBudget, "kill-budget", 0, "quarantine a cell after it loses this many workers (0 = default 3)")
+	fs.DurationVar(&o.cellTimeout, "cell-timeout", 0, "per-cell watchdog passed to supervised workers (0 = off)")
+	fs.DurationVar(&o.drainGrace, "drain-grace", 30*time.Second, "how long a drain waits for in-flight leases before sealing the job")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	if fs.NArg() > 0 {
+		return nil, fmt.Errorf("unexpected argument %q", fs.Arg(0))
+	}
+	for _, c := range []struct {
+		flag string
+		v    int
+	}{
+		{"workers", o.workers}, {"max-queue", o.maxQueue}, {"tenant-quota", o.tenantQuota},
+		{"max-failures", o.maxFailures}, {"kill-budget", o.killBudget},
+	} {
+		if c.v < 0 {
+			return nil, fmt.Errorf("-%s %d is negative (0 means the default)", c.flag, c.v)
+		}
+	}
+	if o.cellTimeout < 0 {
+		return nil, fmt.Errorf("-cell-timeout %v is negative (0 turns the watchdog off)", o.cellTimeout)
+	}
+	for _, c := range []struct {
+		flag string
+		v    time.Duration
+	}{
+		{"lease-ttl", o.leaseTTL}, {"heartbeat", o.heartbeat}, {"worker-timeout", o.workerTimeout},
+		{"steal-after", o.stealAfter}, {"drain-grace", o.drainGrace},
+	} {
+		if c.v < 0 {
+			return nil, fmt.Errorf("-%s %v is negative", c.flag, c.v)
+		}
+	}
+	if o.serial && o.workers > 0 {
+		return nil, errors.New("-serial and -workers are mutually exclusive")
+	}
+	if _, err := faults.ParseNetSpec(o.netFaults); err != nil {
+		return nil, fmt.Errorf("-net-faults: %w", err)
+	}
+	return o, nil
+}
+
 func main() {
 	fs := flag.NewFlagSet("capserved", flag.ExitOnError)
-	listen := fs.String("listen", "127.0.0.1:0", "dispatch + telemetry address (host:port; :0 picks a free port)")
-	checkpoint := fs.String("checkpoint", "", "base directory for per-job checkpoint journals (shared with workers; empty = no crash safety)")
-	aggDir := fs.String("agg-dir", "", "base directory for per-job artifacts (surface.json, digests.json, jobreport.json, events.jsonl)")
-	workers := fs.Int("workers", 0, "supervise this many local capworker processes (0 = external workers only)")
-	workerBin := fs.String("worker-bin", "", "capworker binary for the supervised fleet (default: next to this binary, then $PATH)")
-	serial := fs.Bool("serial", false, "run one in-process worker instead of spawning processes (baseline/debug mode)")
-
-	maxQueue := fs.Int("max-queue", 0, "bound on queued jobs; a full queue answers 429 + Retry-After (0 = default 8)")
-	tenantQuota := fs.Int("tenant-quota", 0, "bound on queued+active jobs per named tenant (0 = default 4)")
-	netFaults := fs.String("net-faults", "", "wire fault spec injected into supervised workers (faults.ParseNetSpec syntax, e.g. drop=0.05,dup=0.05,err=0.05,delay=20ms)")
-	netSeed := fs.Int64("net-seed", 1, "root seed for the wire fault injector (per-worker seeds derive from it)")
-
-	experiment := fs.String("experiment", "", "one-shot job: grid, fig3 or fig4 (empty = service mode, wait for /v1/submit)")
-	name := fs.String("name", "", "one-shot job name (labels artifacts; default: the experiment)")
-	platformName := fs.String("platform", "all", "one-shot job platform filter")
-	scale := fs.Int("scale", 1, "one-shot job scale divisor")
-	seed := fs.Int64("seed", 0, "one-shot job root seed")
-	scheduler := fs.String("scheduler", "", "one-shot job scheduler override")
-	faultsSpec := fs.String("faults", "", "one-shot job fault-injection spec")
-	poison := fs.String("poison", "", "chaos: crash any worker that leases a cell whose key contains this substring")
-
-	leaseTTL := fs.Duration("lease-ttl", 0, "lease time-to-live (0 = default)")
-	heartbeat := fs.Duration("heartbeat", 0, "heartbeat interval advertised to workers (0 = TTL/3)")
-	workerTimeout := fs.Duration("worker-timeout", 0, "declare a silent worker lost after this long (0 = 2×TTL)")
-	stealAfter := fs.Duration("steal-after", 0, "work-stealing floor: steal a straggler lease no earlier than this (0 = default)")
-	maxFailures := fs.Int("max-failures", 0, "quarantine a cell after this many contained failures (0 = default 3)")
-	killBudget := fs.Int("kill-budget", 0, "quarantine a cell after it loses this many workers (0 = default 3)")
-	cellTimeout := fs.Duration("cell-timeout", 0, "per-cell watchdog passed to supervised workers (0 = off)")
-	drainGrace := fs.Duration("drain-grace", 30*time.Second, "how long a drain waits for in-flight leases before sealing the job")
-	fs.Parse(os.Args[1:])
-
-	usageErr := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "capserved: "+format+"\n", args...)
+	o, err := parseArgs(fs, os.Args[1:])
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "capserved: %v\n", err)
 		fs.Usage()
 		os.Exit(2)
-	}
-	switch {
-	case fs.NArg() > 0:
-		usageErr("unexpected argument %q", fs.Arg(0))
-	case *cellTimeout < 0:
-		usageErr("-cell-timeout %v is negative (0 turns the watchdog off)", *cellTimeout)
-	case *serial && *workers > 0:
-		usageErr("-serial and -workers are mutually exclusive")
 	}
 
 	// First SIGINT/SIGTERM drains: leases resolve, the job seals, a
@@ -91,25 +147,21 @@ func main() {
 	logf := func(format string, args ...any) {
 		fmt.Fprintf(os.Stderr, format+"\n", args...)
 	}
-	if _, err := faults.ParseNetSpec(*netFaults); err != nil {
-		fmt.Fprintf(os.Stderr, "capserved: -net-faults: %v\n", err)
-		os.Exit(2)
-	}
 	col := telemetry.NewCollector()
 	coord, err := sweepd.New(sweepd.Config{
-		CheckpointDir: *checkpoint,
-		AggDir:        *aggDir,
+		CheckpointDir: o.checkpoint,
+		AggDir:        o.aggDir,
 		Lease: sweepd.LeaseConfig{
-			TTL:         *leaseTTL,
-			MaxFailures: *maxFailures,
-			KillBudget:  *killBudget,
-			StealAfter:  *stealAfter,
+			TTL:         o.leaseTTL,
+			MaxFailures: o.maxFailures,
+			KillBudget:  o.killBudget,
+			StealAfter:  o.stealAfter,
 		},
-		MaxQueue:       *maxQueue,
-		TenantQuota:    *tenantQuota,
-		HeartbeatEvery: *heartbeat,
-		WorkerTimeout:  *workerTimeout,
-		Workers:        *workers,
+		MaxQueue:       o.maxQueue,
+		TenantQuota:    o.tenantQuota,
+		HeartbeatEvery: o.heartbeat,
+		WorkerTimeout:  o.workerTimeout,
+		Workers:        o.workers,
 		Collector:      col,
 		Logf:           logf,
 	})
@@ -134,7 +186,7 @@ func main() {
 	defer srvCancel()
 	coord.Start(srvCtx)
 
-	ln, err := net.Listen("tcp", *listen)
+	ln, err := net.Listen("tcp", o.listen)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "capserved: listen: %v\n", err)
 		os.Exit(1)
@@ -145,12 +197,12 @@ func main() {
 	fmt.Fprintf(os.Stderr, "capserved: serving dispatch, /v1/submit, /healthz, /metrics, /progress and /events on %s\n", url)
 
 	var eventLog *obs.FileSink
-	if *aggDir != "" {
-		if err := os.MkdirAll(*aggDir, 0o755); err != nil {
+	if o.aggDir != "" {
+		if err := os.MkdirAll(o.aggDir, 0o755); err != nil {
 			fmt.Fprintf(os.Stderr, "capserved: -agg-dir: %v\n", err)
 			os.Exit(1)
 		}
-		eventLog, err = obs.NewFileSink(filepath.Join(*aggDir, "events.jsonl"), coord.Bus())
+		eventLog, err = obs.NewFileSink(filepath.Join(o.aggDir, "events.jsonl"), coord.Bus())
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "capserved: events log: %v\n", err)
 			os.Exit(1)
@@ -163,11 +215,11 @@ func main() {
 	fleetCtx, fleetCancel := context.WithCancel(context.Background())
 	defer fleetCancel()
 	switch {
-	case *serial:
+	case o.serial:
 		w, werr := sweepd.NewWorker(sweepd.WorkerConfig{
 			ID: "w0", Coordinator: url,
-			CellTimeout: *cellTimeout, Logf: logf,
-			Client: workerClient("w0", *netFaults, *netSeed),
+			CellTimeout: o.cellTimeout, Logf: logf,
+			Client: workerClient("w0", o.netFaults, o.netSeed),
 		})
 		if werr != nil {
 			fmt.Fprintf(os.Stderr, "capserved: %v\n", werr)
@@ -179,21 +231,21 @@ func main() {
 				fmt.Fprintf(os.Stderr, "capserved: serial worker: %v\n", rerr)
 			}
 		}()
-	case *workers > 0:
-		bin, berr := findWorkerBin(*workerBin)
+	case o.workers > 0:
+		bin, berr := findWorkerBin(o.workerBin)
 		if berr != nil {
 			fmt.Fprintf(os.Stderr, "capserved: %v\n", berr)
 			os.Exit(1)
 		}
 		sup, serr := sweepd.NewSupervisor(sweepd.SupervisorConfig{
-			Workers: *workers,
+			Workers: o.workers,
 			Spawn: func(slot int, id string) *exec.Cmd {
 				args := []string{
 					"-id", id, "-coordinator", url,
-					"-cell-timeout", cellTimeout.String(),
+					"-cell-timeout", o.cellTimeout.String(),
 				}
-				if *netFaults != "" {
-					args = append(args, "-net-faults", *netFaults, "-net-seed", fmt.Sprint(*netSeed))
+				if o.netFaults != "" {
+					args = append(args, "-net-faults", o.netFaults, "-net-seed", fmt.Sprint(o.netSeed))
 				}
 				cmd := exec.Command(bin, args...)
 				cmd.Stdout = os.Stdout
@@ -213,13 +265,13 @@ func main() {
 	}
 
 	exit := 0
-	if *experiment != "" {
+	if o.experiment != "" {
 		// One-shot: submit the declared job and wait for it to finish (or
 		// for a drain signal).
 		spec := sweepd.JobSpec{
-			Name: *name, Experiment: *experiment, Platform: *platformName,
-			Scale: *scale, Seed: *seed, Scheduler: *scheduler,
-			Faults: *faultsSpec, Poison: *poison,
+			Name: o.name, Experiment: o.experiment, Platform: o.platform,
+			Scale: o.scale, Seed: o.seed, Scheduler: o.scheduler,
+			Faults: o.faults, Poison: o.poison,
 		}
 		job, jerr := coord.Submit(spec)
 		if jerr != nil {
@@ -229,7 +281,7 @@ func main() {
 		select {
 		case <-job.Done():
 		case <-ctx.Done():
-			drain(coord, *drainGrace)
+			drain(coord, o.drainGrace)
 			exit = 130
 		}
 		if rep := job.Report(); rep != nil {
@@ -248,7 +300,7 @@ func main() {
 	} else {
 		// Service mode: take jobs on /v1/submit until told to stop.
 		<-ctx.Done()
-		drain(coord, *drainGrace)
+		drain(coord, o.drainGrace)
 		exit = 130
 	}
 

@@ -181,9 +181,8 @@ func TestNoAllocsSteadyState(t *testing.T) {
 		t.Errorf("queue push/pop cycle allocates %.2f times per op, want 0", allocs)
 	}
 
-	// The same cycle with a full locality window: the in-place frontier
-	// walk and removeAt over a queue holding a long run of equal
-	// priorities.
+	// The same cycle with a full locality window: the window walk and
+	// unlink over a queue holding a long run of equal priorities.
 	q = taskQueue{sorted: true}
 	for _, tk := range rt.Tasks() {
 		if tk.Priority == 0 {

@@ -19,11 +19,47 @@ func NewTestMachine(power bool) Machine {
 	return newTestMachine()
 }
 
-// ExpEnd reports worker i's expected-availability horizon.
-func ExpEnd(rt *Runtime, i int) units.Seconds { return rt.workers[i].expEnd }
+// NewInterleavedTestMachine returns a test machine whose scoring
+// groups interleave in worker order: GPU workers 1 and 3 share a power
+// domain (and a class string), GPU worker 2 has a domain of its own,
+// all three on one memory node.  A group-major scan meets worker 3
+// before worker 2, so a tie between them exercises the cross-group
+// tie-break.
+func NewInterleavedTestMachine() Machine {
+	m := newTestMachine()
+	m.rates = []float64{1e9, 20e9, 20e9, 20e9}
+	m.infos = []WorkerInfo{
+		{Name: "cpu0", Kind: CPUWorker, Node: 0},
+		{Name: "cudaA", Kind: CUDAWorker, Node: 1},
+		{Name: "cudaB", Kind: CUDAWorker, Node: 1},
+		{Name: "cudaA", Kind: CUDAWorker, Node: 1},
+	}
+	return &domainMachine{testMachine: m, domains: []int{2, 0, 1, 0}}
+}
 
-// SetExpEnd overwrites worker i's expected-availability horizon.
-func SetExpEnd(rt *Runtime, i int, v units.Seconds) { rt.workers[i].expEnd = v }
+// domainMachine is a test machine with a DomainModel.
+type domainMachine struct {
+	*testMachine
+	domains []int
+}
+
+func (m *domainMachine) Domain(i int) int { return m.domains[i] }
+
+// ExpEnd reports worker i's expected-availability horizon under a
+// dm-family policy.
+func ExpEnd(rt *Runtime, i int) units.Seconds { return dm(rt).expEnd[i] }
+
+// SetExpEnd overwrites worker i's expected-availability horizon under
+// a dm-family policy.
+func SetExpEnd(rt *Runtime, i int, v units.Seconds) { dm(rt).expEnd[i] = v }
+
+// dm returns a dm-family runtime's scheduler, reference Push or not.
+func dm(rt *Runtime) *dmSched {
+	if r, ok := rt.sched.(referenceSched); ok {
+		return r.dmSched
+	}
+	return rt.sched.(*dmSched)
+}
 
 // SetValid overwrites the set of nodes holding a valid copy of h.
 func SetValid(h *Handle, nodes uint64) { h.valid = nodeSet(nodes) }
@@ -94,7 +130,7 @@ func (s referenceSched) Push(t *Task) {
 			continue
 		}
 		w := rt.workers[i]
-		avail := w.expEnd
+		avail := s.expEnd[i]
 		if now > avail {
 			avail = now
 		}
@@ -124,7 +160,7 @@ func (s referenceSched) Push(t *Task) {
 	if s.power != nil {
 		reason = "min-energy-completion-time"
 	}
-	rt.workers[best].expEnd = bestECT
+	s.expEnd[best] = bestECT
 	s.queues[best].push(t)
 	rt.observeDecision(Decision{Task: t, Scheduler: s.name, Chosen: best, Reason: reason, Candidates: cands})
 	rt.WakeWorker(best)

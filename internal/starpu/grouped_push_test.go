@@ -39,11 +39,15 @@ func (e *pushEnv) SchedDecision(d starpu.Decision) {
 }
 
 // newMachine builds a fresh machine: "test" is the package's test
-// machine (with its PowerModel when power is set), any other name a
-// platform.
+// machine (with its PowerModel when power is set), "interleaved" the
+// test machine with interleaved scoring groups (no PowerModel), any
+// other name a platform.
 func newMachine(t testing.TB, name string, power bool) (starpu.Machine, *platform.Platform) {
-	if name == "test" {
+	switch name {
+	case "test":
 		return starpu.NewTestMachine(power), nil
+	case "interleaved":
+		return starpu.NewInterleavedTestMachine(), nil
 	}
 	spec, err := platform.SpecByName(name)
 	if err != nil {
@@ -326,6 +330,25 @@ func TestGroupedPushMatchesReference(t *testing.T) {
 			if decisions < 500 || ties == 0 {
 				t.Errorf("%s/%s: %d decisions, %d with tied metrics; the sequences exercise too little", machine, sched, decisions, ties)
 			}
+		}
+	}
+}
+
+// TestGroupedPushInterleavedGroups: where scoring groups interleave in
+// worker order, the group-major scan must still hand a tied metric to
+// the lowest worker index, as the per-worker reference does.
+func TestGroupedPushInterleavedGroups(t *testing.T) {
+	for _, sched := range pushScheds {
+		var decisions, ties int
+		for seed := int64(0); seed < 12; seed++ {
+			ops := make([]byte, 1000)
+			rand.New(rand.NewSource(seed)).Read(ops)
+			d, n := comparePush(t, "interleaved", sched, ops)
+			decisions += d
+			ties += n
+		}
+		if decisions < 500 || ties == 0 {
+			t.Errorf("interleaved/%s: %d decisions, %d with tied metrics; the sequences exercise too little", sched, decisions, ties)
 		}
 	}
 }

@@ -2,9 +2,11 @@ package starpu
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"repro/internal/units"
 )
@@ -108,130 +110,178 @@ func TestPopBestLocalPrefersResidentData(t *testing.T) {
 	}
 }
 
-// popBestLocalRef is the pop-8/push-7 formulation popBestLocal replaced:
-// pop the top-priority window off the heap, keep the strict locality
-// maximum (first of equals wins) and push the losers back with their
-// original sequence numbers.
-func popBestLocalRef(q *taskQueue, rt *Runtime, workerID int) *Task {
-	if len(q.heap) == 0 {
-		return nil
-	}
-	const window = 8
-	top := q.heap.popMin()
-	bestItem, bestLocal := top, rt.localBytes(top.t, workerID)
-	var rest []heapItem
-	for len(q.heap) > 0 && len(rest) < window-1 && q.heap[0].prio == top.prio {
-		it := q.heap.popMin()
-		if lb := rt.localBytes(it.t, workerID); lb > bestLocal {
-			rest = append(rest, bestItem)
-			bestItem, bestLocal = it, lb
-		} else {
-			rest = append(rest, it)
-		}
-	}
-	for _, it := range rest {
-		q.heap.push(it)
-	}
-	return bestItem.t
+// refQueue is the ready-queue oracle: the queued tasks in push order
+// in a plain slice.  A pop takes the first task of the maximum
+// priority (every task counts as priority 0 when unsorted).
+type refQueue struct {
+	sorted bool
+	tasks  []*Task
 }
 
-// TestPopBestLocalMatchesReference drives the in-place pop and the
-// reference through identical seeded push/pop sequences — few
-// priorities (long tie runs, often longer than the window), random
-// handle residency that changes between steps — and requires the same
-// task at every pop and the same order from the final drain.
+func (q *refQueue) prio(t *Task) int {
+	if q.sorted {
+		return t.Priority
+	}
+	return 0
+}
+
+// window reports the positions of the first up-to-8 tasks of the
+// maximum priority, in push order.
+func (q *refQueue) window() []int {
+	var out []int
+	for i, t := range q.tasks {
+		switch {
+		case len(out) == 0 || q.prio(t) > q.prio(q.tasks[out[0]]):
+			out = append(out[:0], i)
+		case q.prio(t) == q.prio(q.tasks[out[0]]) && len(out) < 8:
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+func (q *refQueue) take(i int) *Task {
+	t := q.tasks[i]
+	q.tasks = slices.Delete(q.tasks, i, i+1)
+	return t
+}
+
+func (q *refQueue) pop() *Task {
+	w := q.window()
+	if len(w) == 0 {
+		return nil
+	}
+	return q.take(w[0])
+}
+
+// popBestLocalRef is dmdas's locality pop over the oracle: the window's
+// strict maximum of bytes resident on the worker's node, first of
+// equals winning.
+func (q *refQueue) popBestLocalRef(rt *Runtime, workerID int) *Task {
+	w := q.window()
+	if len(w) == 0 {
+		return nil
+	}
+	best, bestLocal := w[0], rt.localBytes(q.tasks[w[0]], workerID)
+	for _, i := range w[1:] {
+		if lb := rt.localBytes(q.tasks[i], workerID); lb > bestLocal {
+			best, bestLocal = i, lb
+		}
+	}
+	return q.take(best)
+}
+
+// compareReadyQueue runs an operation schedule through a taskQueue and
+// the oracle in lock step — pushes over few priorities (long runs,
+// often longer than the window), plain and locality pops, handle
+// residency shuffles and full drains — failing at the first pop that
+// differs.  The first two bytes pick sortedness and the priority
+// count; an exhausted schedule reads as zeros.  It reports how many
+// locality pops took a task other than the plain pop order's head.
+func compareReadyQueue(t *testing.T, rt *Runtime, ops []byte) (localityWins int) {
+	next := func(n int) int {
+		if len(ops) == 0 {
+			return 0
+		}
+		v := int(ops[0]) % n
+		ops = ops[1:]
+		return v
+	}
+	sorted := next(4) != 0
+	prios := 1 + next(3)
+	handles := make([]*Handle, 10)
+	for i := range handles {
+		handles[i] = &Handle{id: int32(i), bytes: units.Bytes((1 + next(4)) * tileBytes)}
+	}
+	shuffle := func() {
+		for _, h := range handles {
+			h.valid = nodeSet(next(8))
+		}
+	}
+	shuffle()
+	got, ref := taskQueue{sorted: sorted}, refQueue{sorted: sorted}
+	same := func(step int, what string, a, b []*Task) {
+		t.Helper()
+		if !slices.Equal(a, b) {
+			t.Fatalf("step %d: %s returned %v, oracle %v", step, what, a, b)
+		}
+	}
+	id := 0
+	for step := 0; len(ops) > 0; step++ {
+		switch r := next(20); {
+		case r < 10:
+			tk := &Task{ID: id, Priority: next(prios)}
+			id++
+			for k := next(3); k >= 0; k-- {
+				tk.Handles = append(tk.Handles, handles[next(len(handles))])
+			}
+			got.push(tk)
+			ref.tasks = append(ref.tasks, tk)
+		case r < 16:
+			var head *Task
+			if w := ref.window(); len(w) > 0 {
+				head = ref.tasks[w[0]]
+			}
+			w := next(4)
+			a, b := got.popBestLocal(rt, w), ref.popBestLocalRef(rt, w)
+			same(step, "popBestLocal", []*Task{a}, []*Task{b})
+			if a != head {
+				localityWins++
+			}
+		case r < 18:
+			same(step, "pop", []*Task{got.pop()}, []*Task{ref.pop()})
+		case r < 19:
+			shuffle()
+		default:
+			var b []*Task
+			for tk := ref.pop(); tk != nil; tk = ref.pop() {
+				b = append(b, tk)
+			}
+			same(step, "drainAll", got.drainAll(), b)
+		}
+		if got.len() != len(ref.tasks) {
+			t.Fatalf("step %d: len %d, oracle %d", step, got.len(), len(ref.tasks))
+		}
+	}
+	return localityWins
+}
+
+// TestPopBestLocalMatchesReference drives the run-linked queue and the
+// oracle through seeded operation schedules and requires the same task
+// at every pop; the schedules must exercise the locality tie-break.
 func TestPopBestLocalMatchesReference(t *testing.T) {
 	rt, _ := newRT(t, "dmdas")
 	var localityWins int
 	for seed := int64(0); seed < 60; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		handles := make([]*Handle, 10)
-		for i := range handles {
-			handles[i] = &Handle{id: int32(i), bytes: units.Bytes((1 + rng.Intn(4)) * tileBytes)}
-		}
-		shuffle := func() {
-			for _, h := range handles {
-				h.valid = nodeSet(rng.Intn(8))
-			}
-		}
-		shuffle()
-		prios := 1 + rng.Intn(3)
-		got, ref := taskQueue{sorted: true}, taskQueue{sorted: true}
-		id := 0
-		for step := 0; step < 400; step++ {
-			switch r := rng.Intn(10); {
-			case r < 5:
-				tk := &Task{ID: id, Priority: rng.Intn(prios)}
-				id++
-				for k := rng.Intn(3); k >= 0; k-- {
-					tk.Handles = append(tk.Handles, handles[rng.Intn(len(handles))])
-				}
-				got.push(tk)
-				ref.push(tk)
-			case r < 9:
-				var head *Task
-				if ref.len() > 0 {
-					head = ref.heap[0].t
-				}
-				w := rng.Intn(4)
-				a, b := got.popBestLocal(rt, w), popBestLocalRef(&ref, rt, w)
-				if a != b {
-					t.Fatalf("seed %d step %d: in-place pop returned %v, reference %v", seed, step, a, b)
-				}
-				if a != head {
-					localityWins++
-				}
-			default:
-				shuffle()
-			}
-			if got.len() != ref.len() {
-				t.Fatalf("seed %d step %d: len %d, reference %d", seed, step, got.len(), ref.len())
-			}
-		}
-		a, b := got.drainAll(), ref.drainAll()
-		if len(a) != len(b) {
-			t.Fatalf("seed %d: drained %d tasks, reference %d", seed, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("seed %d: drain position %d is task %d, reference %d", seed, i, a[i].ID, b[i].ID)
-			}
-		}
+		ops := make([]byte, 1200)
+		rand.New(rand.NewSource(seed)).Read(ops)
+		localityWins += compareReadyQueue(t, rt, ops)
 	}
 	if localityWins == 0 {
 		t.Fatal("degenerate run: locality never overrode the plain pop order")
 	}
 }
 
-// TestTaskHeapRemoveAt removes entries from random positions of random
-// heaps and checks the heap order and the held set after every removal:
-// the entry moved into the hole may need to sift either way.
-func TestTaskHeapRemoveAt(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for round := 0; round < 200; round++ {
-		var h taskHeap
-		held := map[int]bool{}
-		for seq := 0; seq < 1+rng.Intn(40); seq++ {
-			h.push(heapItem{t: &Task{}, seq: seq, prio: rng.Intn(4)})
-			held[seq] = true
+// FuzzReadyQueue runs fuzzed operation schedules through the queue and
+// the oracle.
+func FuzzReadyQueue(f *testing.F) {
+	f.Add([]byte{1, 2, 0, 0, 0, 0, 3, 1, 0, 0, 5, 0, 1, 0, 12, 1, 19})
+	f.Add([]byte{0, 0, 1, 2, 3, 4, 0, 0, 0, 0, 0, 0, 0, 0, 0, 16, 17, 19})
+	f.Add([]byte{3, 1, 7, 7, 7, 7, 2, 1, 1, 2, 1, 1, 3, 0, 2, 12, 2, 18, 12, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) > 4096 {
+			return
 		}
-		for len(h) > 0 {
-			i := rng.Intn(len(h))
-			delete(held, h[i].seq)
-			h.removeAt(i)
-			for j := 1; j < len(h); j++ {
-				if h.less(j, (j-1)/2) {
-					t.Fatalf("round %d: entry %d sorts before its parent after removeAt(%d)", round, j, i)
-				}
-			}
-			if len(h) != len(held) {
-				t.Fatalf("round %d: %d entries left, want %d", round, len(h), len(held))
-			}
-			for _, it := range h {
-				if !held[it.seq] {
-					t.Fatalf("round %d: removed entry %d still held", round, it.seq)
-				}
-			}
-		}
+		rt, _ := newRT(t, "dmdas")
+		compareReadyQueue(t, rt, ops)
+	})
+}
+
+// TestTaskFitsSizeClass: a cell's whole DAG is live at once, so Task
+// is packed into the 256-byte size class; a field added without
+// repacking must not silently push every task into the next class.
+func TestTaskFitsSizeClass(t *testing.T) {
+	if sz := unsafe.Sizeof(Task{}); sz > 256 {
+		t.Errorf("Task is %d bytes, want at most 256", sz)
 	}
 }

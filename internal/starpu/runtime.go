@@ -27,9 +27,6 @@ type Worker struct {
 	blocked *Task
 	// computeFree is when the device's compute engine is next free.
 	computeFree units.Seconds
-	// expEnd is the scheduler's expected-availability horizon, the
-	// "exp_end" of StarPU's dequeue-model schedulers.
-	expEnd units.Seconds
 	// running lists the in-flight attempts (for eviction); dead marks an
 	// evicted worker, which never receives work again.
 	running []*Task
@@ -130,6 +127,7 @@ type Runtime struct {
 	// that string bumps (classGen, indexed by string id).
 	estSlots  map[estKey]int32
 	estRows   [][]estVal
+	estStore  chunks[estVal]
 	lastClass []cachedClass
 	classes   []classInfo
 	classIDs  map[classKey]int32
@@ -529,7 +527,7 @@ func (rt *Runtime) startTask(w *Worker, t *Task) {
 	// them allocates nothing.
 	engine.Schedule(start, attemptEvents{rt}, attemptArg(t, attemptStart))
 	if rt.cfg.Faults != nil {
-		if fail, frac := rt.cfg.Faults.TaskAttempt(t, w.ID, t.attempt); fail {
+		if fail, frac := rt.cfg.Faults.TaskAttempt(t, w.ID, int(t.attempt)); fail {
 			engine.Schedule(abortTime(start, dur, frac), attemptEvents{rt}, attemptArg(t, attemptFail))
 			return
 		}
@@ -680,9 +678,9 @@ type estKey struct {
 // The zero value is an empty entry.
 type estVal struct {
 	model      *perfmodel.Entry
-	filled     bool
 	gen        uint64
 	dur        units.Seconds
+	filled     bool
 	calibrated bool
 }
 
@@ -756,25 +754,42 @@ func (rt *Runtime) flushEstimates() {
 	}
 }
 
-// modelEntry returns t's performance-model handle under class id.  The
-// string key is resolved once per estimate table cell.  A row too short
-// for id means no estimate was ever asked for the cell (the calibrate
-// and eager policies ask none); growing it here would allocate once per
-// slot for a handle used once, so the key is resolved uncached.
-func (rt *Runtime) modelEntry(t *Task, id int32) *perfmodel.Entry {
-	row := rt.estRows[t.estSlot]
-	if int(id) < len(row) && row[id].model != nil {
-		return row[id].model
-	}
-	e := rt.model.Handle(perfmodel.Key{
-		Codelet:     t.Codelet.Name,
-		Footprint:   t.Footprint(),
-		WorkerClass: rt.classes[id].name,
-	})
+// estRow returns slot's estimate row, grown to cover class id.  Rows
+// are carved from estStore, whose chunks are sized for every slot at
+// the current width, so filling the table costs a few allocations per
+// runtime rather than one per slot.  A row is at least one column per
+// scoring group wide: workers of a group share a class string, so
+// until a power state changes, classes are interned lazily (one per
+// newly seen worker) without regrowing the rows.
+func (rt *Runtime) estRow(slot, id int32) []estVal {
+	row := rt.estRows[slot]
 	if int(id) < len(row) {
-		row[id].model = e
+		return row
 	}
-	return e
+	n := max(len(rt.classes), rt.groups)
+	if rt.estStore.left < n {
+		rt.estStore.left = n * len(rt.estRows)
+	}
+	grown := rt.estStore.take(n)
+	copy(grown, row)
+	rt.estRows[slot] = grown
+	return grown
+}
+
+// modelEntry returns t's performance-model handle under class id.  The
+// string key is resolved once per estimate table cell, including under
+// policies that ask for no estimate (calibrate, eager): completions
+// still record through the handle.
+func (rt *Runtime) modelEntry(t *Task, id int32) *perfmodel.Entry {
+	v := &rt.estRow(t.estSlot, id)[id]
+	if v.model == nil {
+		v.model = rt.model.Handle(perfmodel.Key{
+			Codelet:     t.Codelet.Name,
+			Footprint:   t.Footprint(),
+			WorkerClass: rt.classes[id].name,
+		})
+	}
+	return v.model
 }
 
 // estimate reports the model's prediction for t on worker i, falling
@@ -783,14 +798,8 @@ func (rt *Runtime) modelEntry(t *Task, id int32) *perfmodel.Entry {
 // class string's generation is unchanged.
 func (rt *Runtime) estimate(t *Task, i int) (units.Seconds, bool) {
 	id := rt.workerClass(i)
-	c := &rt.classes[id]
-	gen := rt.classGen[c.str]
-	row := rt.estRows[t.estSlot]
-	if int(id) >= len(row) {
-		row = append(row, make([]estVal, len(rt.classes)-len(row))...)
-		rt.estRows[t.estSlot] = row
-	}
-	v := &row[id]
+	gen := rt.classGen[rt.classes[id].str]
+	v := &rt.estRow(t.estSlot, id)[id]
 	if v.filled && v.gen == gen {
 		return v.dur, v.calibrated
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"repro/internal/units"
 )
@@ -237,17 +238,20 @@ type dmSched struct {
 	gamma float64
 	pref  float64 // reference power (W) converting J to s
 
-	// scores holds each worker group's terms for the current push; an
-	// entry is current when its seq equals pushSeq.
+	// expEnd is each worker's expected-availability horizon, the
+	// "exp_end" of StarPU's dequeue-model schedulers.
+	expEnd []units.Seconds
+	// members lists each scoring group's live workers in index order
+	// (DrainWorker drops evicted ones), and scores holds each group's
+	// terms for the current push.
+	members [][]int32
 	scores  []groupScore
-	pushSeq uint64
 }
 
 // groupScore is one worker group's share of a Push: every worker in
 // the group has the same eligibility, estimate, transfer and energy
 // terms (the DomainModel contract), so they are computed once.
 type groupScore struct {
-	seq        uint64
 	eligible   bool
 	calibrated bool
 	est        units.Seconds
@@ -258,9 +262,27 @@ type groupScore struct {
 func (s *dmSched) Name() string { return s.name }
 func (s *dmSched) Init(rt *Runtime) {
 	s.rt = rt
-	s.queues = make([]taskQueue, rt.machine.NumWorkers())
+	n := rt.machine.NumWorkers()
+	s.queues = make([]taskQueue, n)
 	for i := range s.queues {
 		s.queues[i].sorted = s.sorted
+	}
+	s.expEnd = make([]units.Seconds, n)
+	// Carve every group's member list out of one backing array; each
+	// list is clipped to its own group's span.
+	counts := make([]int, rt.groups)
+	for _, g := range rt.workerGroup {
+		counts[g]++
+	}
+	backing := make([]int32, n)
+	s.members = make([][]int32, rt.groups)
+	off := 0
+	for g, c := range counts {
+		s.members[g] = backing[off : off : off+c]
+		off += c
+	}
+	for i, g := range rt.workerGroup {
+		s.members[g] = append(s.members[g], int32(i))
 	}
 	s.scores = make([]groupScore, rt.groups)
 	if s.gamma > 0 {
@@ -272,67 +294,78 @@ func (s *dmSched) Init(rt *Runtime) {
 //
 //	metric = max(exp_end, now) + estimate [+ transfer] [+ energy]
 //
-// scanning workers in index order, first of equals winning.  The
-// estimate, transfer and energy terms are computed once per worker
-// group, from the group's first live member; only availability is per
-// worker.
+// the lowest worker index winning among equals.  The scan is group-
+// major: the estimate, transfer and energy terms are computed once per
+// worker group, from the group's first live member, then the group's
+// live members are priced from their exp_end alone.
 func (s *dmSched) Push(t *Task) {
 	rt := s.rt
 	now := rt.machine.Engine().Now()
-	s.pushSeq++
-	observing := rt.observing()
-	cands := rt.cands[:0]
 	best := -1
 	bestMetric := units.Seconds(math.Inf(1))
 	var bestECT units.Seconds
-	for i, w := range rt.workers {
-		if w.dead {
+	for g, members := range s.members {
+		if len(members) == 0 {
 			continue
 		}
-		g := &s.scores[rt.workerGroup[i]]
-		if g.seq != s.pushSeq {
-			s.scoreGroup(g, t, i)
-		}
-		if !g.eligible {
+		sc := &s.scores[g]
+		s.scoreGroup(sc, t, int(members[0]))
+		if !sc.eligible {
 			continue
 		}
-		avail := w.expEnd
-		if now > avail {
-			avail = now
-		}
-		// ect is when the worker's compute engine would finish this
-		// task; the (weighted) transfer term only biases the choice —
-		// staging overlaps compute, so it must not inflate exp_end.
-		// Terms a policy does not use are zero.
-		ect := avail + g.est
-		metric := ect + g.xfer + g.energy
-		if observing {
-			cands = append(cands, Candidate{Worker: i, Estimate: g.est, Transfer: g.xfer, Metric: metric, Calibrated: g.calibrated})
-		}
-		if metric < bestMetric {
-			best, bestMetric, bestECT = i, metric, ect
+		for _, i := range members {
+			ect, metric := sc.price(s.expEnd[i], now)
+			if metric < bestMetric || metric == bestMetric && int(i) < best {
+				best, bestMetric, bestECT = int(i), metric, ect
+			}
 		}
 	}
 	if best < 0 {
 		panic(fmt.Sprintf("starpu: %s push found no eligible worker (Submit should have rejected)", s.name))
 	}
-	rt.workers[best].expEnd = bestECT
+	observing := rt.observing()
+	if observing {
+		// The same scores and metrics, listed in worker-index order.
+		rt.cands = rt.cands[:0]
+		for i, w := range rt.workers {
+			sc := &s.scores[rt.workerGroup[i]]
+			if w.dead || !sc.eligible {
+				continue
+			}
+			_, metric := sc.price(s.expEnd[i], now)
+			rt.cands = append(rt.cands, Candidate{Worker: i, Estimate: sc.est, Transfer: sc.xfer, Metric: metric, Calibrated: sc.calibrated})
+		}
+	}
+	s.expEnd[best] = bestECT
 	s.queues[best].push(t)
 	if observing {
-		rt.cands = cands
 		reason := "min-completion-time"
 		if s.power != nil {
 			reason = "min-energy-completion-time"
 		}
-		rt.observeDecision(Decision{Task: t, Scheduler: s.name, Chosen: best, Reason: reason, Candidates: cands})
+		rt.observeDecision(Decision{Task: t, Scheduler: s.name, Chosen: best, Reason: reason, Candidates: rt.cands})
 	}
 	rt.WakeWorker(best)
+}
+
+// price reports a worker's completion time and metric for the group's
+// push, given the worker's exp_end.  ect is when the worker's compute
+// engine would finish the task; the (weighted) transfer term only
+// biases the choice — staging overlaps compute, so it must not inflate
+// exp_end.  Terms a policy does not use are zero.
+func (g *groupScore) price(expEnd, now units.Seconds) (ect, metric units.Seconds) {
+	avail := expEnd
+	if now > avail {
+		avail = now
+	}
+	ect = avail + g.est
+	return ect, ect + g.xfer + g.energy
 }
 
 // scoreGroup fills g's terms for t from worker i, a live member.
 func (s *dmSched) scoreGroup(g *groupScore, t *Task, i int) {
 	rt := s.rt
-	*g = groupScore{seq: s.pushSeq, eligible: rt.machine.CanRun(i, t.Codelet)}
+	*g = groupScore{eligible: rt.machine.CanRun(i, t.Codelet)}
 	if !g.eligible {
 		return
 	}
@@ -348,9 +381,6 @@ func (s *dmSched) scoreGroup(g *groupScore, t *Task, i int) {
 
 func (s *dmSched) Pop(w *Worker) *Task {
 	q := &s.queues[w.ID]
-	if q.len() == 0 {
-		return nil
-	}
 	if s.sorted {
 		return q.popBestLocal(s.rt, w.ID)
 	}
@@ -360,8 +390,15 @@ func (s *dmSched) Pop(w *Worker) *Task {
 // QueueLen reports worker i's ready-queue depth.
 func (s *dmSched) QueueLen(worker int) int { return s.queues[worker].len() }
 
-// DrainWorker reclaims a dead worker's queue for requeueing.
-func (s *dmSched) DrainWorker(worker int) []*Task { return s.queues[worker].drainAll() }
+// DrainWorker reclaims a dead worker's queue for requeueing and drops
+// the worker from its scoring group.
+func (s *dmSched) DrainWorker(worker int) []*Task {
+	g := s.rt.workerGroup[worker]
+	if k := slices.Index(s.members[g], int32(worker)); k >= 0 {
+		s.members[g] = slices.Delete(s.members[g], k, k+1)
+	}
+	return s.queues[worker].drainAll()
+}
 
 // ------------------------------------------------------------ calibrate
 
@@ -440,29 +477,45 @@ func (s *calibrateSched) DrainWorker(worker int) []*Task {
 
 // ------------------------------------------------------------ taskQueue
 
-// taskQueue is FIFO by default; when sorted, it is a priority queue
-// ordered by task priority (descending) then readiness order.
+// taskQueue is a worker's ready queue: FIFO by default; when sorted, it
+// pops by task priority (descending), then push order.  Queued tasks
+// are linked through Task.qnext into one FIFO run per live priority (a
+// single run when unsorted), and runs is ordered by priority ascending,
+// so the top run is the last.  Only the top run is ever popped from,
+// so only it can empty.  A task sits in at most one ready queue at a
+// time: qnext is its only link.
 type taskQueue struct {
 	sorted bool
-	fifo   []*Task
-	heap   taskHeap
-	seq    int
+	runs   []taskRun
+	n      int
 }
 
-func (q *taskQueue) len() int {
-	if q.sorted {
-		return len(q.heap)
-	}
-	return len(q.fifo)
+// taskRun is the queued tasks of one priority, in push order.
+type taskRun struct {
+	prio       int
+	head, tail *Task
 }
+
+func (q *taskQueue) len() int { return q.n }
 
 func (q *taskQueue) push(t *Task) {
+	prio := 0
 	if q.sorted {
-		q.seq++
-		q.heap.push(heapItem{t: t, seq: q.seq, prio: t.Priority})
+		prio = t.Priority
+	}
+	t.qnext = nil
+	q.n++
+	k := len(q.runs)
+	for k > 0 && q.runs[k-1].prio > prio {
+		k--
+	}
+	if k > 0 && q.runs[k-1].prio == prio {
+		r := &q.runs[k-1]
+		r.tail.qnext = t
+		r.tail = t
 		return
 	}
-	q.fifo = append(q.fifo, t)
+	q.runs = slices.Insert(q.runs, k, taskRun{prio: prio, head: t, tail: t})
 }
 
 // drainAll empties the queue, returning tasks in pop order.
@@ -477,144 +530,58 @@ func (q *taskQueue) drainAll() []*Task {
 	}
 }
 
+// pop removes the head of the top run.
 func (q *taskQueue) pop() *Task {
-	if q.sorted {
-		if len(q.heap) == 0 {
-			return nil
-		}
-		return q.heap.popMin().t
-	}
-	if len(q.fifo) == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	t := q.fifo[0]
-	q.fifo = q.fifo[1:]
+	r := &q.runs[len(q.runs)-1]
+	t := r.head
+	q.unlink(r, nil, t)
 	return t
 }
 
 // popBestLocal pops the highest-priority task, preferring — among the
 // front tasks of equal priority — the one with the most bytes already
 // resident on worker node (dmdas's data-locality tie-break).  The
-// window is the up-to-8 earliest-pushed tasks of the top priority, and
-// the winner is the strict locality maximum (first of equals wins).
-// The window is found in place: a frontier walk over the heap array
-// visits entries in (priority desc, sequence asc) order, descending
-// only into children of the top priority (a lower-priority child roots
-// a lower-priority subtree), so the frontier never exceeds window+1
-// indices.  Only the winner leaves the heap (removeAt); the remaining
-// set — and hence every later pop — is what it would be had the window
-// been popped and the losers pushed back.
+// window is the first up-to-8 links of the top run, and the winner is
+// the strict locality maximum (first of equals wins).  Only the winner
+// leaves the run, so every later pop is what it would be had the
+// window been popped and the losers pushed back.
 func (q *taskQueue) popBestLocal(rt *Runtime, workerID int) *Task {
-	h := q.heap
-	if len(h) == 0 {
+	if q.n == 0 {
 		return nil
 	}
 	const window = 8
-	prio := h[0].prio
-	var frontier [window + 1]int // heap indices; frontier[0] is the root
-	nf := 1
-	best, bestLocal := -1, units.Bytes(0)
-	for k := 0; k < window && nf > 0; k++ {
-		// Visit the earliest-pushed frontier entry (all share prio).
-		m := 0
-		for j := 1; j < nf; j++ {
-			if h[frontier[j]].seq < h[frontier[m]].seq {
-				m = j
-			}
+	r := &q.runs[len(q.runs)-1]
+	best, bestPrev := r.head, (*Task)(nil)
+	bestLocal := rt.localBytes(best, workerID)
+	prev := best
+	for k, t := 1, best.qnext; k < window && t != nil; k, t = k+1, t.qnext {
+		if lb := rt.localBytes(t, workerID); lb > bestLocal {
+			best, bestPrev, bestLocal = t, prev, lb
 		}
-		i := frontier[m]
-		nf--
-		frontier[m] = frontier[nf]
-		if lb := rt.localBytes(h[i].t, workerID); best < 0 || lb > bestLocal {
-			best, bestLocal = i, lb
-		}
-		for c := 2*i + 1; c <= 2*i+2 && c < len(h); c++ {
-			if h[c].prio == prio {
-				frontier[nf] = c
-				nf++
-			}
-		}
+		prev = t
 	}
-	t := h[best].t
-	q.heap.removeAt(best)
-	return t
+	q.unlink(r, bestPrev, best)
+	return best
 }
 
-// heapItem is one queued task.  prio is copied from Task.Priority at
-// push (priorities are fixed once a task is submitted), so heap
-// comparisons do not dereference the task.
-type heapItem struct {
-	t    *Task
-	seq  int
-	prio int
-}
-
-// taskHeap is a slice-backed binary min-heap over (priority descending,
-// push sequence ascending).  Sequence numbers are unique within a
-// queue, so the key is a strict total order: the pop sequence is a pure
-// function of the held set, never of the array layout, which is what
-// lets popBestLocal remove from the middle without changing scheduling
-// order.
-type taskHeap []heapItem
-
-func (h taskHeap) less(i, j int) bool {
-	if h[i].prio != h[j].prio {
-		return h[i].prio > h[j].prio
+// unlink removes t, which follows prev (nil for the head), from run r,
+// dropping the run once it empties (r is then the top run).
+func (q *taskQueue) unlink(r *taskRun, prev, t *Task) {
+	if prev == nil {
+		r.head = t.qnext
+	} else {
+		prev.qnext = t.qnext
 	}
-	return h[i].seq < h[j].seq
-}
-
-func (h taskHeap) siftUp(i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !h.less(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
+	if r.tail == t {
+		r.tail = prev
 	}
-}
-
-func (h taskHeap) siftDown(i int) {
-	n := len(h)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		m := l
-		if r := l + 1; r < n && h.less(r, l) {
-			m = r
-		}
-		if !h.less(m, i) {
-			break
-		}
-		h[i], h[m] = h[m], h[i]
-		i = m
-	}
-}
-
-func (h *taskHeap) push(it heapItem) {
-	*h = append(*h, it)
-	h.siftUp(len(*h) - 1)
-}
-
-func (h *taskHeap) popMin() heapItem {
-	it := (*h)[0]
-	h.removeAt(0)
-	return it
-}
-
-// removeAt deletes entry i: the last entry takes its place and sifts
-// down, then up (it may belong on either side of i's old key).
-func (h *taskHeap) removeAt(i int) {
-	old := *h
-	n := len(old) - 1
-	old[i] = old[n]
-	old[n] = heapItem{} // drop the *Task reference for GC
-	*h = old[:n]
-	if i < n {
-		(*h).siftDown(i)
-		(*h).siftUp(i)
+	q.n--
+	if r.head == nil {
+		last := len(q.runs) - 1
+		q.runs[last] = taskRun{} // drop the task references for GC
+		q.runs = q.runs[:last]
 	}
 }

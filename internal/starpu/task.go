@@ -100,7 +100,7 @@ type Task struct {
 	TransferBytes units.Bytes
 
 	// Runtime-owned state, packed so a Task fits the 256-byte size
-	// class: a cell's whole DAG is live at once.
+	// class (TestTaskFitsSizeClass): a cell's whole DAG is live at once.
 	//
 	// edges holds the dependencies (the first npreds entries, ascending
 	// ID) followed by the successors still waiting on t; ndeps counts
@@ -111,18 +111,25 @@ type Task struct {
 	// estSlot indexes the runtime's estimate table (Runtime.estRows),
 	// interned from (codelet, footprint, work) at Submit.
 	estSlot int32
+	// attempt is the execution-attempt generation: every abort or
+	// eviction bumps it, and events scheduled for an earlier attempt
+	// no-op.
+	attempt int32
 	// footprint memoizes Footprint(): handle geometry is immutable after
 	// registration, and Submit, estimate misses and every completion ask
 	// for it.
+	footprint uint64
+	// qnext links t to the next task of its priority run while t sits in
+	// a dm-family ready queue (taskQueue).  A task is in at most one
+	// ready queue at a time: it is pushed when it becomes ready or is
+	// requeued, and EvictWorker drains a dead worker's queue before it
+	// pushes the drained tasks again.
+	qnext *Task
+	// footprintSet marks footprint as computed.  powerOn tracks whether
+	// the machine's meters are currently raised for this task.
 	footprintSet bool
-	footprint    uint64
-	// Fault/recovery state.  attempt is the execution-attempt
-	// generation: every abort or eviction bumps it, and events scheduled
-	// for an earlier attempt no-op.  powerOn tracks whether the
-	// machine's meters are currently raised for this task.
-	attempt int
-	powerOn bool
-	done    bool
+	powerOn      bool
+	done         bool
 }
 
 // Duration reports the task's compute time in the simulated run.

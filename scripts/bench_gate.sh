@@ -8,9 +8,11 @@
 #   2. a measured run of 5 samples, parsed from
 #      their BENCH_HOTPATH lines, which benchgate folds into per-field
 #      medians;
-#   3. benchgate compares: cells_per_sec with a noise-tolerant floor
-#      (BENCH_GATE_TOLERANCE, default 0.25 — wall clock on shared
-#      runners jitters), allocs_per_cell with a strict 10% ceiling
+#   3. benchgate compares: cpu_cells_per_sec (cells per second of
+#      process CPU time; wall-clock cells_per_sec, with a note, when the
+#      committed entry predates the field) with a noise-tolerant floor
+#      (BENCH_GATE_TOLERANCE, default 0.25), allocs_per_cell with a
+#      strict 10% ceiling
 #      (allocation counts are deterministic, so 10% means a real
 #      regression, per the hot-path contract in DESIGN §14);
 #   4. on failure, re-run once more with pprof enabled and leave the

@@ -22,8 +22,9 @@
 //	benchgate -mode gate -baseline BENCH_hotpath.json -measured line.json \
 //	    [-tolerance 0.25] [-alloc-tolerance 0.10]
 //	    Compares a fresh measurement against the newest committed entry:
-//	    cells_per_sec may not drop more than the (noise-tolerant) time
-//	    tolerance, and allocs_per_cell — which is deterministic, not
+//	    cpu_cells_per_sec (wall-clock cells_per_sec when the entry
+//	    predates the CPU-time field) may not drop more than the
+//	    (noise-tolerant) time tolerance, and allocs_per_cell — which is deterministic, not
 //	    hardware-dependent — may not grow more than the strict allocation
 //	    tolerance.  Exits 1 on regression.
 package main
@@ -32,6 +33,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strings"
@@ -46,7 +48,7 @@ func main() {
 		sha      = flag.String("sha", "", "git SHA to record (append mode)")
 		date     = flag.String("date", "", "date to record (append mode)")
 		pass     = flag.String("pass", "", "optional pass label to record (append mode)")
-		tol      = flag.Float64("tolerance", 0.25, "allowed fractional drop in cells_per_sec (timing is hardware noise)")
+		tol      = flag.Float64("tolerance", 0.25, "allowed fractional drop in cpu_cells_per_sec (timing is hardware noise)")
 		allocTol = flag.Float64("alloc-tolerance", 0.10, "allowed fractional growth in allocs_per_cell (deterministic)")
 	)
 	flag.Parse()
@@ -56,7 +58,7 @@ func main() {
 	case "append":
 		err = appendEntry(*file, *measured, *sha, *date, *pass)
 	case "gate":
-		err = gate(*baseline, *measured, *tol, *allocTol)
+		err = gate(os.Stdout, *baseline, *measured, *tol, *allocTol)
 	default:
 		err = fmt.Errorf("unknown -mode %q (want append or gate)", *mode)
 	}
@@ -183,7 +185,20 @@ func num(obj map[string]any, key string) (float64, bool) {
 	return v, ok
 }
 
-func gate(baseline, measured string, tol, allocTol float64) error {
+// throughputField names the field the throughput gate compares:
+// cpu_cells_per_sec (cells per second of process CPU time, which leaves
+// out the time a shared host gives to other tenants) when the baseline
+// entry has it, else wall-clock cells_per_sec, else none.
+func throughputField(base map[string]any) string {
+	for _, f := range []string{"cpu_cells_per_sec", "cells_per_sec"} {
+		if _, ok := num(base, f); ok {
+			return f
+		}
+	}
+	return ""
+}
+
+func gate(out io.Writer, baseline, measured string, tol, allocTol float64) error {
 	if baseline == "" || measured == "" {
 		return fmt.Errorf("gate mode needs -baseline and -measured")
 	}
@@ -204,10 +219,14 @@ func gate(baseline, measured string, tol, allocTol float64) error {
 	}
 
 	failed := false
-	if baseCPS, ok := num(base, "cells_per_sec"); ok {
-		measCPS, ok := num(meas, "cells_per_sec")
+	if field := throughputField(base); field != "" {
+		baseCPS, _ := num(base, field)
+		measCPS, ok := num(meas, field)
 		if !ok {
-			return fmt.Errorf("measurement lacks cells_per_sec")
+			return fmt.Errorf("measurement lacks %s", field)
+		}
+		if field == "cells_per_sec" {
+			fmt.Fprintln(out, "benchgate: baseline entry has no cpu_cells_per_sec; gating on wall-clock cells_per_sec")
 		}
 		floor := baseCPS * (1 - tol)
 		verdict := "ok"
@@ -215,8 +234,8 @@ func gate(baseline, measured string, tol, allocTol float64) error {
 			verdict = "REGRESSION"
 			failed = true
 		}
-		fmt.Printf("benchgate: cells_per_sec %.2f vs baseline %.2f (floor %.2f, tolerance %.0f%%): %s\n",
-			measCPS, baseCPS, floor, tol*100, verdict)
+		fmt.Fprintf(out, "benchgate: %s %.2f vs baseline %.2f (floor %.2f, tolerance %.0f%%): %s\n",
+			field, measCPS, baseCPS, floor, tol*100, verdict)
 	}
 	if baseAllocs, ok := num(base, "allocs_per_cell"); ok {
 		measAllocs, ok := num(meas, "allocs_per_cell")
@@ -229,7 +248,7 @@ func gate(baseline, measured string, tol, allocTol float64) error {
 			verdict = "REGRESSION"
 			failed = true
 		}
-		fmt.Printf("benchgate: allocs_per_cell %.0f vs baseline %.0f (ceiling %.0f, tolerance %.0f%%): %s\n",
+		fmt.Fprintf(out, "benchgate: allocs_per_cell %.0f vs baseline %.0f (ceiling %.0f, tolerance %.0f%%): %s\n",
 			measAllocs, baseAllocs, ceil, allocTol*100, verdict)
 	}
 	if failed {

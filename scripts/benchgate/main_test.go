@@ -1,8 +1,10 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -50,5 +52,46 @@ func TestReadMeasuredFoldsSamples(t *testing.T) {
 	}
 	if _, err := readMeasured(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing measurement file accepted")
+	}
+}
+
+// TestGateThroughputField: the throughput gate compares CPU-time
+// cells/sec when the baseline entry records it, whatever wall clock
+// did, and falls back to wall-clock cells/sec — saying so — for an
+// entry that predates the field.  Allocations stay strictly gated.
+func TestGateThroughputField(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, data string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	const note = "gating on wall-clock cells_per_sec"
+	cpuBase := write("cpu_base.json", `{"sha":"old","cells_per_sec":10}
+{"sha":"new","cells_per_sec":100,"cpu_cells_per_sec":100,"allocs_per_cell":700}`)
+	wallBase := write("wall_base.json", `{"sha":"old","cells_per_sec":100,"allocs_per_cell":700}`)
+	for _, c := range []struct {
+		name, base, meas string
+		pass, fallback   bool
+	}{
+		{"cpu steady, wall halved", cpuBase, `{"cells_per_sec":50,"cpu_cells_per_sec":90,"allocs_per_cell":700}`, true, false},
+		{"cpu drop", cpuBase, `{"cells_per_sec":100,"cpu_cells_per_sec":70,"allocs_per_cell":700}`, false, false},
+		{"cpu steady, allocs up", cpuBase, `{"cells_per_sec":100,"cpu_cells_per_sec":100,"allocs_per_cell":800}`, false, false},
+		{"wall steady, cpu low", wallBase, `{"cells_per_sec":90,"cpu_cells_per_sec":10,"allocs_per_cell":700}`, true, true},
+		{"wall drop", wallBase, `{"cells_per_sec":70,"cpu_cells_per_sec":100,"allocs_per_cell":700}`, false, true},
+	} {
+		var out strings.Builder
+		err := gate(&out, c.base, write("measured.json", c.meas), 0.25, 0.10)
+		if (err == nil) != c.pass {
+			t.Errorf("%s: gate error %v, want pass=%v\n%s", c.name, err, c.pass, out.String())
+		}
+		if strings.Contains(out.String(), note) != c.fallback {
+			t.Errorf("%s: fallback note printed = %v, want %v\n%s", c.name, !c.fallback, c.fallback, out.String())
+		}
+	}
+	if err := gate(io.Discard, cpuBase, write("measured.json", `{"cells_per_sec":100,"allocs_per_cell":700}`), 0.25, 0.10); err == nil {
+		t.Error("measurement without cpu_cells_per_sec passed a CPU-time baseline")
 	}
 }
