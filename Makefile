@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check bench bench-json bench-gate fuzz-short chaos-short resume-short agg-short obs-short shard-short coordkill-short trace-demo clean
+.PHONY: all build vet test check bench bench-json bench-gate fuzz-short chaos-short resume-short agg-short obs-short shard-short coordkill-short results-check trace-demo clean
 
 # How long each fuzz target runs under fuzz-short (CI uses the default).
 FUZZTIME ?= 10s
@@ -74,12 +74,15 @@ bench-gate:
 # dmdas ready queue (pop order identity with a plain-slice oracle), the
 # sweep service's result-batch intake (adversarial wire bodies), the
 # result codec's decoder (never panics; every accepted payload
-# re-encodes to itself) and the platform's operating-point memo (bit
+# re-encodes to itself), the platform's operating-point memo (bit
 # identity with the device models under fuzzed cap, throttle and
-# death sequences).  Go runs one fuzz target per invocation.  The
-# intake's inputs are JSON with base64 payloads and the codec's seeds
-# are traced results of several KB, both slow to minimise, so their
-# minimisation is capped to leave the time for fuzzing.
+# death sequences) and the checkpoint journal loader (torn tails,
+# corrupt digests and two writers' files against a reference replay
+# and done-wins merge).  Go runs one fuzz target per invocation.  The
+# intake's inputs are JSON with base64 payloads, the codec's seeds
+# are traced results of several KB and every journal input is a pair
+# of files on disk, all slow to minimise, so their minimisation is
+# capped to leave the time for fuzzing.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzParsePlan$$' -fuzztime $(FUZZTIME) ./internal/powercap
 	$(GO) test -run '^$$' -fuzz '^FuzzEventOrdering$$' -fuzztime $(FUZZTIME) ./internal/eventsim
@@ -88,6 +91,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzResultBatch$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sweepd
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzOperatingPointMemo$$' -fuzztime $(FUZZTIME) ./internal/platform
+	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/ckpt
 
 # Race-enabled chaos fleet: seeded fault schedules through the full
 # core.Run path, checking completion-or-DegradedRun, attribution
@@ -129,6 +133,13 @@ shard-short:
 # leave no artifacts (DESIGN §17).
 coordkill-short:
 	GO="$(GO)" bash scripts/coordkill_smoke.sh
+
+# Results snapshot gate: results_full.txt is the checked-in output of
+# every paper experiment; any change to the simulation's output shows
+# up here as a byte difference (regenerate the file when the change is
+# intended).
+results-check:
+	$(GO) run ./cmd/capbench all | cmp - results_full.txt
 
 # Span-tracer smoke test: analyze a tiny POTRF under an unbalanced
 # plan and export a Chrome trace.  The analyze subcommand re-reads the

@@ -50,7 +50,7 @@ func runAutoPlan(o *options) error {
 
 // runAblation quantifies the design choices DESIGN.md calls out:
 // scheduler policy, stale performance models after a cap change, and
-// the transfer model.
+// data-aware placement (dm against dmda and dmdas).
 func runAblation(o *options) error {
 	row, err := core.LookupTableII(platform.FourA100Name, core.GEMM, prec.Double)
 	if err != nil {

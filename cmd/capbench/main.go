@@ -110,12 +110,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "capbench: resuming from %s: %d cell(s) already complete\n",
 				opts.checkpoint, opts.journal.Done())
 		}
-		if opts.events != nil {
-			bus := opts.events
-			opts.journal.SetOnCommit(func(r ckpt.Record) {
-				bus.Publish(obs.Event{Type: obs.CheckpointCommitted, Cell: r.Key, Status: string(r.Status)})
-			})
-		}
 	}
 
 	var srv *telemetry.Server

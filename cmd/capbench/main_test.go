@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"repro/internal/ckpt"
+	"repro/internal/obs"
 	"repro/internal/sweepd"
 )
 
@@ -21,8 +22,10 @@ func newOpts(cmd string, args ...string) (*options, error) {
 }
 
 // localCellKeys runs the experiment in-process on one pool worker with a
-// checkpoint journal attached and returns the CheckpointKeys of the
-// cells it started, in the order it started them, with the run's error.
+// checkpoint journal and an event bus attached and returns the
+// CheckpointKeys of the cells it started (their running records'
+// CheckpointCommitted events), in the order it started them, with the
+// run's error.
 func localCellKeys(t *testing.T, cmd string, args ...string) ([]string, error) {
 	t.Helper()
 	o, err := newOpts(cmd, append(args, "-parallel", "1")...)
@@ -35,12 +38,9 @@ func localCellKeys(t *testing.T, cmd string, args ...string) ([]string, error) {
 		t.Fatal(err)
 	}
 	defer o.journal.Close()
-	var keys []string
-	o.journal.SetOnCommit(func(r ckpt.Record) {
-		if r.Status == ckpt.StatusRunning {
-			keys = append(keys, r.Key)
-		}
-	})
+	o.events = obs.NewBus()
+	sub := o.events.Subscribe(1 << 14)
+	defer sub.Close()
 
 	// The experiment prints its tables to stdout; only the cells matter.
 	devnull, err := os.OpenFile(os.DevNull, os.O_WRONLY, 0)
@@ -52,6 +52,15 @@ func localCellKeys(t *testing.T, cmd string, args ...string) ([]string, error) {
 	err = experimentFunc(cmd)(o)
 	os.Stdout = stdout
 	devnull.Close()
+	if n := sub.Dropped(); n > 0 {
+		t.Fatalf("%s: subscriber dropped %d events", cmd, n)
+	}
+	var keys []string
+	for _, ev := range sub.Drain() {
+		if ev.Type == obs.CheckpointCommitted && ev.Status == string(ckpt.StatusRunning) {
+			keys = append(keys, ev.Cell)
+		}
+	}
 	return keys, err
 }
 

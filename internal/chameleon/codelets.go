@@ -59,11 +59,6 @@ func buildCodelets() {
 			CanCPU: true, CanCUDA: false, // LAPACK panel on the host
 			CPUEfficiency: cpuEffPotf,
 		}
-		codelets[pre+"getrf"] = &starpu.Codelet{
-			Name: pre + "getrf", Precision: p,
-			CanCPU: true, CanCUDA: false, // LAPACK panel on the host
-			CPUEfficiency: cpuEffPotf,
-		}
 		// Tile QR kernels: panels on the host, reflector application on
 		// either side (GPUs run LARFB-style updates below GEMM rates).
 		codelets[pre+"geqrt"] = &starpu.Codelet{

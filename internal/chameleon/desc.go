@@ -1,9 +1,9 @@
 // Package chameleon reimplements the slice of the Chameleon dense
 // linear-algebra library the paper uses: tiled matrix descriptors and
-// task-DAG builders for GEMM, Cholesky (POTRF), unpivoted LU (GETRF)
-// and tile QR (GEQRF), plus the triangular-solve drivers and a
-// mixed-precision solver, all with the expert-assigned task priorities
-// that the dmdas scheduler consumes.
+// task-DAG builders for GEMM, Cholesky (POTRF) and tile QR (GEQRF),
+// plus the Cholesky solve drivers and a mixed-precision solver, all
+// with the expert-assigned task priorities that the dmdas scheduler
+// consumes.
 //
 // Each builder submits tasks to a starpu.Runtime.  Tasks carry both a
 // cost description (flop counts, codelets with per-device efficiency

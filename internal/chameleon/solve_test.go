@@ -8,74 +8,6 @@ import (
 	"repro/internal/starpu"
 )
 
-func TestGetrfNumericMatchesReference(t *testing.T) {
-	for _, n := range []int{48, 52} {
-		rt := newRuntime(t)
-		rng := rand.New(rand.NewSource(20))
-		d, _ := NewDesc[float64](rt, n, 16, true)
-		full := linalg.NewDiagonallyDominant[float64](n, rng)
-		if err := d.Scatter(full); err != nil {
-			t.Fatal(err)
-		}
-		if err := Getrf(rt, d); err != nil {
-			t.Fatal(err)
-		}
-		if err := rt.RunNumeric(8); err != nil {
-			t.Fatal(err)
-		}
-		lu, err := d.Gather()
-		if err != nil {
-			t.Fatal(err)
-		}
-		back := linalg.LURecompose(lu)
-		if !linalg.Equalish(back, full, 1e-8) {
-			t.Errorf("n=%d: tiled LU recompose max diff %g", n, linalg.MaxAbsDiff(back, full))
-		}
-		// Against the unblocked reference factorisation.
-		ref := full.Clone()
-		if err := linalg.GetrfNoPiv(ref); err != nil {
-			t.Fatal(err)
-		}
-		if !linalg.Equalish(lu, ref, 1e-8) {
-			t.Errorf("n=%d: tiled LU differs from unblocked: %g", n, linalg.MaxAbsDiff(lu, ref))
-		}
-	}
-}
-
-func TestGetrfTaskCount(t *testing.T) {
-	rt := newRuntime(t)
-	d, _ := NewDesc[float64](rt, 64, 16, false) // nt = 4
-	if err := Getrf(rt, d); err != nil {
-		t.Fatal(err)
-	}
-	// nt getrf + 2*sum(nt-k-1) trsm + sum (nt-k-1)^2 gemm
-	want := 0
-	nt := 4
-	for k := 0; k < nt; k++ {
-		r := nt - k - 1
-		want += 1 + 2*r + r*r
-	}
-	if got := len(rt.Tasks()); got != want {
-		t.Errorf("getrf task count = %d, want %d", got, want)
-	}
-}
-
-func TestGetrfPanelOnCPU(t *testing.T) {
-	rt := newRuntime(t)
-	d, _ := NewDesc[float64](rt, 5760*3, 5760, false)
-	if err := Getrf(rt, d); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	for _, tk := range rt.Tasks() {
-		if tk.Codelet.Name == "dgetrf" && rt.Workers()[tk.WorkerID].Info.Kind != starpu.CPUWorker {
-			t.Errorf("%s ran on a GPU", tk.Tag)
-		}
-	}
-}
-
 func TestPosvSolvesSystem(t *testing.T) {
 	rt := newRuntime(t)
 	rng := rand.New(rand.NewSource(21))
@@ -138,45 +70,5 @@ func TestPosvSimulated(t *testing.T) {
 	}
 	if kinds[starpu.CPUWorker] == 0 || kinds[starpu.CUDAWorker] == 0 {
 		t.Errorf("kind distribution = %v, want both used", kinds)
-	}
-}
-
-func TestGesvSolvesSystem(t *testing.T) {
-	rt := newRuntime(t)
-	rng := rand.New(rand.NewSource(22))
-	const n, nb = 48, 16
-	a, _ := NewDesc[float64](rt, n, nb, true)
-	b, _ := NewDesc[float64](rt, n, nb, true)
-	full := linalg.NewDiagonallyDominant[float64](n, rng)
-	if err := a.Scatter(full); err != nil {
-		t.Fatal(err)
-	}
-	x := linalg.NewRandom[float64](n, n, rng)
-	rhs := linalg.NewMat[float64](n, n)
-	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, full, x, 0, rhs)
-	if err := b.Scatter(rhs); err != nil {
-		t.Fatal(err)
-	}
-	if err := Gesv(rt, a, b); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.RunNumeric(8); err != nil {
-		t.Fatal(err)
-	}
-	got, err := b.Gather()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !linalg.Equalish(got, x, 1e-7) {
-		t.Errorf("gesv solution max diff %g", linalg.MaxAbsDiff(got, x))
-	}
-}
-
-func TestGetrsDescriptorMismatch(t *testing.T) {
-	rt := newRuntime(t)
-	a, _ := NewDesc[float64](rt, 32, 16, false)
-	b, _ := NewDesc[float64](rt, 48, 16, false)
-	if err := Getrs(rt, a, b); err == nil {
-		t.Error("mismatched descriptors accepted")
 	}
 }

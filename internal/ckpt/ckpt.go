@@ -116,20 +116,8 @@ type Journal struct {
 	f        *os.File
 	records  map[string]Record
 	resumed  int
-	onCommit func(Record)
 	deferred int  // open group-commit scopes (Defer without its Sync)
 	dirty    bool // records appended since the last fsync
-}
-
-// SetOnCommit installs a hook called after every Commit, with the
-// committed record (payload included).  The hook runs outside the
-// journal lock on the committing goroutine; keep it cheap and
-// thread-safe — the sweep executor uses it to publish
-// CheckpointCommitted events.
-func (j *Journal) SetOnCommit(fn func(Record)) {
-	j.mu.Lock()
-	j.onCommit = fn
-	j.mu.Unlock()
 }
 
 // HashIdentity returns the hex SHA-256 of an identity string.
@@ -433,13 +421,7 @@ func (j *Journal) Commit(r Record) error {
 		}
 	}
 	j.records[r.Key] = r
-	fn := j.onCommit
 	j.mu.Unlock()
-	if fn != nil {
-		// Outside the lock: the hook may take other locks (bus, metrics)
-		// and must not serialise committing workers against itself.
-		fn(r)
-	}
 	return nil
 }
 

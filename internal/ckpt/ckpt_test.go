@@ -184,47 +184,6 @@ func TestHashIdentity(t *testing.T) {
 	}
 }
 
-// TestCommitHook checks the observability seam: SetOnCommit sees every
-// durable commit with the committed record (digest included), runs
-// after the write is synced, and a hook-less or cleared journal commits
-// without one.
-func TestCommitHook(t *testing.T) {
-	dir := t.TempDir()
-	j, err := Create(dir, Manifest{Identity: "hook-test"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer j.Close()
-
-	var got []Record
-	j.SetOnCommit(func(r Record) { got = append(got, r) })
-	payload := []byte("bytes")
-	if err := j.Commit(Record{Key: "a", Status: StatusRunning}); err != nil {
-		t.Fatal(err)
-	}
-	if err := j.Commit(Record{Key: "a", Status: StatusDone, Payload: payload}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("hook saw %d commits, want 2", len(got))
-	}
-	if got[0].Key != "a" || got[0].Status != StatusRunning {
-		t.Errorf("first hook record = %+v, want the running marker", got[0])
-	}
-	if got[1].Status != StatusDone || got[1].Digest == "" || string(got[1].Payload) != "bytes" {
-		t.Errorf("second hook record = %+v, want the done record with its digest filled in", got[1])
-	}
-
-	// Clearing the hook stops deliveries; committing still works.
-	j.SetOnCommit(nil)
-	if err := j.Commit(Record{Key: "b", Status: StatusRunning}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Errorf("cleared hook still saw %d commits, want 2", len(got))
-	}
-}
-
 // TestGroupCommit: inside a Defer scope commits append without an
 // fsync and are visible through Lookup at once; the scope's Sync makes
 // them durable together, overlapping scopes each end with everything

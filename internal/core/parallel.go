@@ -68,11 +68,12 @@ type ParallelOptions struct {
 	// thread-safe (*agg.Aggregator is).
 	Rollups RollupObserver
 	// Events, when set, receives the sweep's structured observability
-	// events: one SweepStarted with the cell totals, then per-cell
-	// lifecycle events (started/finished/resumed/hung/panicked) from the
-	// pool and deep-seam events (cap exhaustion, breaker trips,
-	// evictions, degraded runs) from inside each cell — the bus is
-	// injected into every cell Config whose own Events field is nil.
+	// events: one SweepStarted with the cell totals; from the pool,
+	// per-cell lifecycle events (started/finished/resumed/hung/panicked)
+	// and, with a Checkpoint, one CheckpointCommitted per durable journal
+	// record; from inside each cell, deep-seam events (cap exhaustion,
+	// breaker trips, evictions, degraded runs) — the bus is injected into
+	// every cell Config whose own Events field is nil.
 	// Publishing never blocks and events never feed back into the
 	// simulation, so results are byte-identical with or without a bus.
 	Events *obs.Bus
@@ -123,6 +124,16 @@ func CellSeed(root int64, key string) int64 {
 	// Mask the sign bit: seeds stay non-negative, which keeps them
 	// readable in logs and stable under int64 round-trips.
 	return int64(h.Sum64() &^ (1 << 63))
+}
+
+// commitCell journals r and, once it is durable, publishes it on bus
+// (when set) as a CheckpointCommitted event.
+func commitCell(j *ckpt.Journal, bus *obs.Bus, r ckpt.Record) error {
+	err := j.Commit(r)
+	if err == nil && bus != nil {
+		bus.Publish(obs.Event{Type: obs.CheckpointCommitted, Cell: r.Key, Status: string(r.Status)})
+	}
+	return err
 }
 
 // RunCells executes independent configurations across a bounded worker
@@ -225,7 +236,7 @@ func RunCells(cfgs []Config, opt ParallelOptions) ([]*Result, error) {
 					// The running record makes the in-flight set visible in a
 					// post-crash journal; a checkpoint that cannot record is
 					// worse than none, so commit failures are fatal.
-					if err := opt.Checkpoint.Commit(ckpt.Record{Key: key, Status: ckpt.StatusRunning}); err != nil {
+					if err := commitCell(opt.Checkpoint, bus, ckpt.Record{Key: key, Status: ckpt.StatusRunning}); err != nil {
 						fail(fmt.Errorf("core: cell %d: checkpoint: %w", i, err))
 						continue
 					}
@@ -271,14 +282,14 @@ func RunCells(cfgs []Config, opt ParallelOptions) ([]*Result, error) {
 					}
 					if key != "" {
 						// Best-effort: the failure itself is already reported.
-						opt.Checkpoint.Commit(ckpt.Record{Key: key, Status: status, Error: err.Error()})
+						commitCell(opt.Checkpoint, bus, ckpt.Record{Key: key, Status: status, Error: err.Error()})
 					}
 					continue
 				}
 				if key != "" {
 					payload, perr := encodeResult(res)
 					if perr == nil {
-						perr = opt.Checkpoint.Commit(ckpt.Record{Key: key, Status: ckpt.StatusDone, Payload: payload})
+						perr = commitCell(opt.Checkpoint, bus, ckpt.Record{Key: key, Status: ckpt.StatusDone, Payload: payload})
 					}
 					if perr != nil {
 						fail(fmt.Errorf("core: cell %d: checkpoint: %w", i, perr))

@@ -2,9 +2,8 @@ package linalg
 
 import "fmt"
 
-// Left-sided triangular solves and the unpivoted LU kernel, the tile
-// building blocks for the linear-system routines (POTRS, GETRF/GETRS)
-// the Chameleon layer composes.
+// Triangular solves, the tile building blocks for the Cholesky solve
+// (POTRS) the Chameleon layer composes.
 
 // TrsmLeftLowerNonUnit solves L*X = alpha*B in place over B
 // (forward substitution per column).
@@ -39,41 +38,8 @@ func TrsmLeftLowerTransNonUnit[T Float](alpha T, l, b *Mat[T]) {
 	}
 }
 
-// TrsmLeftLowerUnit solves L*X = alpha*B for a unit-diagonal L (the
-// LU forward sweep; the stored diagonal is ignored).
-func TrsmLeftLowerUnit[T Float](alpha T, l, b *Mat[T]) {
-	checkLeft(l, b)
-	n := l.Rows
-	for j := 0; j < b.Cols; j++ {
-		for i := 0; i < n; i++ {
-			s := alpha * b.At(i, j)
-			lrow := l.Row(i)
-			for k := 0; k < i; k++ {
-				s -= lrow[k] * b.At(k, j)
-			}
-			b.Set(i, j, s)
-		}
-	}
-}
-
-// TrsmLeftUpperNonUnit solves U*X = alpha*B (the LU backward sweep).
-func TrsmLeftUpperNonUnit[T Float](alpha T, u, b *Mat[T]) {
-	checkLeft(u, b)
-	n := u.Rows
-	for j := 0; j < b.Cols; j++ {
-		for i := n - 1; i >= 0; i-- {
-			s := alpha * b.At(i, j)
-			urow := u.Row(i)
-			for k := i + 1; k < n; k++ {
-				s -= urow[k] * b.At(k, j)
-			}
-			b.Set(i, j, s/urow[i])
-		}
-	}
-}
-
 // TrsmRightUpperNonUnit solves X*U = alpha*B in place over B, i.e.
-// B := alpha*B*U⁻¹ — the tile-LU panel update for the block column.
+// B := alpha*B*U⁻¹.
 func TrsmRightUpperNonUnit[T Float](alpha T, u, b *Mat[T]) {
 	if u.Rows != u.Cols || b.Cols != u.Rows {
 		panic(fmt.Sprintf("linalg: trsm shape mismatch: U=%dx%d B=%dx%d", u.Rows, u.Cols, b.Rows, b.Cols))
@@ -96,89 +62,8 @@ func TrsmRightUpperNonUnit[T Float](alpha T, u, b *Mat[T]) {
 	}
 }
 
-// GetrfNoPiv factors A = L*U in place without pivoting: L unit-lower
-// (strict lower part of A) and U upper.  It fails on a (numerically)
-// zero pivot; callers supply diagonally dominant matrices, the standard
-// restriction of tile LU without pivoting.
-func GetrfNoPiv[T Float](a *Mat[T]) error {
-	if a.Rows != a.Cols {
-		panic(fmt.Sprintf("linalg: getrf on non-square %dx%d", a.Rows, a.Cols))
-	}
-	n := a.Rows
-	for k := 0; k < n; k++ {
-		piv := a.At(k, k)
-		if abs(float64(piv)) < 1e-300 {
-			return fmt.Errorf("linalg: getrf: zero pivot at %d", k)
-		}
-		krow := a.Row(k)
-		for i := k + 1; i < n; i++ {
-			irow := a.Row(i)
-			lik := irow[k] / piv
-			irow[k] = lik
-			for j := k + 1; j < n; j++ {
-				irow[j] -= lik * krow[j]
-			}
-		}
-	}
-	return nil
-}
-
-// LURecompose multiplies the packed L and U factors of an unpivoted LU
-// back together (for residual checks).
-func LURecompose[T Float](lu *Mat[T]) *Mat[T] {
-	n := lu.Rows
-	out := NewMat[T](n, n)
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			// (L*U)_ij = sum_{k<=min(i,j)} L_ik * U_kj with L unit-lower.
-			var s float64
-			kmax := i
-			if j < kmax {
-				kmax = j
-			}
-			for k := 0; k < kmax; k++ {
-				s += float64(lu.At(i, k)) * float64(lu.At(k, j))
-			}
-			if kmax == i { // k = i term uses L_ii = 1
-				s += float64(lu.At(i, j))
-			} else { // k = j term uses U_jj
-				s += float64(lu.At(i, j)) * float64(lu.At(j, j))
-			}
-			out.Set(i, j, T(s))
-		}
-	}
-	return out
-}
-
-// NewDiagonallyDominant builds a random matrix with a boosted diagonal,
-// safe for unpivoted LU.
-func NewDiagonallyDominant[T Float](n int, rng interface{ Float64() float64 }) *Mat[T] {
-	m := NewMat[T](n, n)
-	for i := 0; i < n; i++ {
-		row := m.Row(i)
-		var sum float64
-		for j := range row {
-			v := 2*rng.Float64() - 1
-			row[j] = T(v)
-			sum += abs(v)
-		}
-		row[i] = T(sum + 1)
-	}
-	return m
-}
-
-// GetrfFlops reports the flop count of an n x n LU (2n^3/3).
-func GetrfFlops(n int) float64 { f := float64(n); return 2 * f * f * f / 3 }
-
 func checkLeft[T Float](tri, b *Mat[T]) {
 	if tri.Rows != tri.Cols || b.Rows != tri.Rows {
 		panic(fmt.Sprintf("linalg: left trsm shape mismatch: T=%dx%d B=%dx%d", tri.Rows, tri.Cols, b.Rows, b.Cols))
 	}
-}
-
-func abs(v float64) float64 {
-	if v < 0 {
-		return -v
-	}
-	return v
 }

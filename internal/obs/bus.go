@@ -25,13 +25,13 @@ import (
 // EventType names one structured event class on the bus.
 type EventType string
 
-// The typed events the observability plane carries.  Cell* events are
-// published by the sweep executor; the deeper classes come from the
-// platform's cap applicator (CapRetryExhausted), the cap-write circuit
-// breaker (BreakerTripped), the runtime's eviction path (WorkerEvicted)
-// and the checkpoint journal (CheckpointCommitted).  SweepStarted is
-// the meta event that carries totals so progress trackers can compute
-// completion fractions and ETAs.
+// The typed events the observability plane carries.  Cell* events and
+// CheckpointCommitted (one per durable journal record) are published by
+// the sweep executor; the deeper classes come from the platform's cap
+// applicator (CapRetryExhausted), the cap-write circuit breaker
+// (BreakerTripped) and the runtime's eviction path (WorkerEvicted).
+// SweepStarted is the meta event that carries totals so progress
+// trackers can compute completion fractions and ETAs.
 const (
 	SweepStarted        EventType = "SweepStarted"
 	CellStarted         EventType = "CellStarted"

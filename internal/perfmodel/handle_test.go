@@ -1,7 +1,6 @@
 package perfmodel
 
 import (
-	"bytes"
 	"math/rand"
 	"reflect"
 	"strings"
@@ -10,18 +9,8 @@ import (
 	"repro/internal/units"
 )
 
-// saved renders h's persisted JSON.
-func saved(t *testing.T, h *History) string {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := h.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	return buf.String()
-}
-
 // checkVisible asserts that k holds exactly the samples want through
-// every read path: Estimate, EstimateAt, Samples, Len, Save and Dump.
+// every read path: Estimate, EstimateAt, Samples, Len and Dump.
 func checkVisible(t *testing.T, step string, h *History, e *Entry, want ...float64) {
 	t.Helper()
 	k := e.key
@@ -31,10 +20,8 @@ func checkVisible(t *testing.T, step string, h *History, e *Entry, want ...float
 	if got := h.Len(); got != min(len(want), 1) {
 		t.Fatalf("%s: Len = %d, want %d", step, got, min(len(want), 1))
 	}
-	inSave := strings.Contains(saved(t, h), k.WorkerClass)
-	inDump := strings.Contains(h.Dump(), k.WorkerClass)
-	if inSave != (len(want) > 0) || inDump != (len(want) > 0) {
-		t.Fatalf("%s: key in Save %v, in Dump %v, want %v", step, inSave, inDump, len(want) > 0)
+	if inDump := strings.Contains(h.Dump(), k.WorkerClass); inDump != (len(want) > 0) {
+		t.Fatalf("%s: key in Dump %v, want %v", step, inDump, len(want) > 0)
 	}
 	d, ok := h.Estimate(k)
 	da, oka := h.EstimateAt(e)
@@ -56,10 +43,10 @@ func checkVisible(t *testing.T, step string, h *History, e *Entry, want ...float
 	}
 }
 
-// TestHandleSurvivesInvalidateResetLoad checks that a held handle stays
-// live across every operation that drops or replaces samples: a later
-// RecordAt is what Estimate, Samples, Save and Dump see for its key.
-func TestHandleSurvivesInvalidateResetLoad(t *testing.T) {
+// TestHandleSurvivesInvalidateReset checks that a held handle stays
+// live across every operation that drops samples: a later RecordAt is
+// what Estimate, Samples and Dump see for its key.
+func TestHandleSurvivesInvalidateReset(t *testing.T) {
 	h := NewHistory()
 	k := Key{Codelet: "dgemm", Footprint: 0xabc, WorkerClass: "cuda1@216W"}
 	e := h.Handle(k)
@@ -84,21 +71,11 @@ func TestHandleSurvivesInvalidateResetLoad(t *testing.T) {
 
 	h.Reset()
 	checkVisible(t, "reset", h, e)
+	if h.Handle(k) != e {
+		t.Fatal("Reset replaced a held entry")
+	}
 	h.RecordAt(e, 4)
 	checkVisible(t, "recorded after Reset", h, e, 4)
-
-	src := NewHistory()
-	src.Record(k, 6)
-	src.Record(k, 8)
-	if err := h.Load(strings.NewReader(saved(t, src))); err != nil {
-		t.Fatal(err)
-	}
-	if h.Handle(k) != e {
-		t.Fatal("Load replaced a held entry")
-	}
-	checkVisible(t, "loaded", h, e, 6, 8)
-	h.RecordAt(e, 10)
-	checkVisible(t, "recorded after Load", h, e, 6, 8, 10)
 }
 
 // recordEvent is one OnRecord call.
@@ -110,8 +87,8 @@ type recordEvent struct {
 
 // TestHandlePathMatchesKeyPath records one sequence — with invalidations
 // and a reset mixed in — once through Record(k) and once through handles
-// resolved before the first sample, and checks that Save, Dump and the
-// OnRecord stream are identical.
+// resolved before the first sample, and checks that Dump, every key's
+// Stddev and the OnRecord stream are identical.
 func TestHandlePathMatchesKeyPath(t *testing.T) {
 	var keys []Key
 	for _, cl := range []string{"dgemm", "dtrsm", "spotrf"} {
@@ -131,7 +108,7 @@ func TestHandlePathMatchesKeyPath(t *testing.T) {
 		seq = append(seq, op{key: rng.Intn(len(keys)), d: units.Seconds(rng.ExpFloat64() * 1e-3)})
 	}
 
-	run := func(viaHandles bool) (string, string, []recordEvent) {
+	run := func(viaHandles bool) (string, []units.Seconds, []recordEvent) {
 		h := NewHistory()
 		h.MinSamples = 3
 		var events []recordEvent
@@ -157,12 +134,16 @@ func TestHandlePathMatchesKeyPath(t *testing.T) {
 				h.Record(keys[o.key], o.d)
 			}
 		}
-		return saved(t, h), h.Dump(), events
+		stddevs := make([]units.Seconds, len(keys))
+		for i, k := range keys {
+			stddevs[i] = h.Stddev(k)
+		}
+		return h.Dump(), stddevs, events
 	}
-	saveK, dumpK, eventsK := run(false)
-	saveH, dumpH, eventsH := run(true)
-	if saveK != saveH {
-		t.Errorf("Save differs:\nkey path:\n%s\nhandle path:\n%s", saveK, saveH)
+	dumpK, stddevK, eventsK := run(false)
+	dumpH, stddevH, eventsH := run(true)
+	if !reflect.DeepEqual(stddevK, stddevH) {
+		t.Errorf("Stddev differs: key path %v, handle path %v", stddevK, stddevH)
 	}
 	if dumpK != dumpH {
 		t.Errorf("Dump differs:\nkey path:\n%s\nhandle path:\n%s", dumpK, dumpH)
@@ -176,15 +157,15 @@ func TestHandlePathMatchesKeyPath(t *testing.T) {
 }
 
 // TestEmptyHandlesStayInvisible checks that handles never recorded
-// through leave Len, Dump and Save as if they had not been asked for.
+// through leave Len and Dump as if they had not been asked for.
 func TestEmptyHandlesStayInvisible(t *testing.T) {
 	h := NewHistory()
 	h.Record(key("dgemm", "cuda0@400W"), 1)
-	want, wantDump := saved(t, h), h.Dump()
+	wantDump := h.Dump()
 	for i := 0; i < 5; i++ {
 		h.Handle(Key{Codelet: "never", Footprint: uint64(i), WorkerClass: "cuda9@1W"})
 	}
-	if h.Len() != 1 || saved(t, h) != want || h.Dump() != wantDump {
+	if h.Len() != 1 || h.Dump() != wantDump {
 		t.Errorf("unrecorded handles changed the model: Len %d\n%s", h.Len(), h.Dump())
 	}
 }

@@ -1,6 +1,6 @@
 // Package perfmodel implements StarPU-style task performance models:
 // per-codelet history tables keyed by a data footprint and a worker
-// class, plus an online linear-regression fallback.
+// class.
 //
 // The worker class string embeds the device's power state (for example
 // "cuda0@216W").  Re-calibrating after every power-cap change — the
@@ -36,11 +36,10 @@ func (k Key) String() string {
 
 // Entry is one key's accumulator of duration samples (Welford's
 // algorithm), and the handle History.Handle hands out for the key.  A
-// handle stays valid for the life of its History: Invalidate, Reset
-// and Load reset or overwrite entries in place and never drop them, so
-// a caller that holds a handle records and estimates through it without
-// hashing the key again.  An entry with no samples is absent from Len,
-// Dump and Save.
+// handle stays valid for the life of its History: Invalidate and Reset
+// reset entries in place and never drop them, so a caller that holds a
+// handle records and estimates through it without hashing the key
+// again.  An entry with no samples is absent from Len and Dump.
 type Entry struct {
 	key  Key
 	n    int
@@ -94,11 +93,6 @@ func NewHistory() *History {
 func (h *History) Handle(k Key) *Entry {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.entry(k)
-}
-
-// entry returns k's entry, creating it if needed; h.mu is held.
-func (h *History) entry(k Key) *Entry {
 	e, ok := h.entries[k]
 	if !ok {
 		e = &Entry{key: k}
@@ -243,67 +237,4 @@ func (h *History) Dump() string {
 		fmt.Fprintf(&b, "%-40s n=%-4d mean=%v\n", k.String(), h.Samples(k), d)
 	}
 	return b.String()
-}
-
-// Regression is an online least-squares fit of duration = a + b*work per
-// (codelet, worker class), StarPU's regression-based model.  It covers
-// footprints never observed directly (irregular kernels).
-type Regression struct {
-	mu   sync.Mutex
-	fits map[string]*fit // key: codelet + "\x00" + workerClass
-}
-
-type fit struct {
-	n                        int
-	sumX, sumY, sumXX, sumXY float64
-}
-
-// NewRegression returns an empty regression model.
-func NewRegression() *Regression {
-	return &Regression{fits: make(map[string]*fit)}
-}
-
-func regKey(codelet, workerClass string) string { return codelet + "\x00" + workerClass }
-
-// Record adds an observation of a task with the given work.
-func (r *Regression) Record(codelet, workerClass string, work units.Flops, d units.Seconds) {
-	if d < 0 || work < 0 {
-		return
-	}
-	r.mu.Lock()
-	f, ok := r.fits[regKey(codelet, workerClass)]
-	if !ok {
-		f = &fit{}
-		r.fits[regKey(codelet, workerClass)] = f
-	}
-	x, y := float64(work), float64(d)
-	f.n++
-	f.sumX += x
-	f.sumY += y
-	f.sumXX += x * x
-	f.sumXY += x * y
-	r.mu.Unlock()
-}
-
-// Estimate predicts the duration of a task with the given work.  ok is
-// false until two distinct work sizes have been observed.
-func (r *Regression) Estimate(codelet, workerClass string, work units.Flops) (units.Seconds, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f, ok := r.fits[regKey(codelet, workerClass)]
-	if !ok || f.n < 2 {
-		return 0, false
-	}
-	den := float64(f.n)*f.sumXX - f.sumX*f.sumX
-	if math.Abs(den) < 1e-30 {
-		// All samples share one size: fall back to the mean.
-		return units.Seconds(f.sumY / float64(f.n)), true
-	}
-	b := (float64(f.n)*f.sumXY - f.sumX*f.sumY) / den
-	a := (f.sumY - b*f.sumX) / float64(f.n)
-	est := a + b*float64(work)
-	if est < 0 {
-		est = 0
-	}
-	return units.Seconds(est), true
 }

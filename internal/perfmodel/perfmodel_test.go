@@ -1,7 +1,6 @@
 package perfmodel
 
 import (
-	"bytes"
 	"math"
 	"strings"
 	"testing"
@@ -122,125 +121,10 @@ func TestHistoryDump(t *testing.T) {
 	}
 }
 
-func TestRegressionRecoversLine(t *testing.T) {
-	r := NewRegression()
-	// duration = 2e-6 + 1e-12 * work
-	for _, w := range []float64{1e9, 2e9, 4e9, 8e9} {
-		r.Record("dgemm", "cuda0", units.Flops(w), units.Seconds(2e-6+1e-12*w))
-	}
-	got, ok := r.Estimate("dgemm", "cuda0", 3e9)
-	want := 2e-6 + 1e-12*3e9
-	if !ok || math.Abs(float64(got)-want) > 1e-9 {
-		t.Errorf("Estimate = %v, %v; want %v", got, ok, want)
-	}
-}
-
-func TestRegressionSingleSizeFallsBackToMean(t *testing.T) {
-	r := NewRegression()
-	r.Record("k", "w", 1e9, 1.0)
-	r.Record("k", "w", 1e9, 3.0)
-	got, ok := r.Estimate("k", "w", 5e9)
-	if !ok || math.Abs(float64(got)-2.0) > 1e-12 {
-		t.Errorf("single-size estimate = %v, %v; want mean 2.0", got, ok)
-	}
-}
-
-func TestRegressionUncalibrated(t *testing.T) {
-	r := NewRegression()
-	if _, ok := r.Estimate("k", "w", 1); ok {
-		t.Error("empty regression claimed calibration")
-	}
-	r.Record("k", "w", 1e9, 1.0)
-	if _, ok := r.Estimate("k", "w", 1e9); ok {
-		t.Error("one-sample regression claimed calibration")
-	}
-}
-
-func TestRegressionNonNegative(t *testing.T) {
-	r := NewRegression()
-	// Strongly decreasing data would extrapolate negative; clamp at 0.
-	r.Record("k", "w", 1e9, 10)
-	r.Record("k", "w", 2e9, 1)
-	got, ok := r.Estimate("k", "w", 100e9)
-	if !ok || got < 0 {
-		t.Errorf("Estimate = %v, %v; want clamped >= 0", got, ok)
-	}
-}
-
 func TestKeyString(t *testing.T) {
 	k := Key{Codelet: "dgemm", Footprint: 0xff, WorkerClass: "cuda0@216W"}
 	s := k.String()
 	if !strings.Contains(s, "dgemm") || !strings.Contains(s, "ff") || !strings.Contains(s, "cuda0@216W") {
 		t.Errorf("Key.String() = %q", s)
-	}
-}
-
-func TestSaveLoadRoundTrip(t *testing.T) {
-	h := NewHistory()
-	h.MinSamples = 2
-	k1 := Key{Codelet: "dgemm", Footprint: 0x1, WorkerClass: "cuda0@216W"}
-	k2 := Key{Codelet: "dpotrf", Footprint: 0x2, WorkerClass: "cpu0@125W"}
-	for _, d := range []float64{1, 2, 3} {
-		h.Record(k1, units.Seconds(d))
-	}
-	h.Record(k2, 0.5)
-	h.Record(k2, 1.5)
-
-	var buf bytes.Buffer
-	if err := h.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	h2 := NewHistory()
-	if err := h2.Load(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if h2.MinSamples != 2 {
-		t.Errorf("MinSamples = %d", h2.MinSamples)
-	}
-	for _, k := range []Key{k1, k2} {
-		a, aok := h.Estimate(k)
-		b, bok := h2.Estimate(k)
-		if aok != bok || math.Abs(float64(a-b)) > 1e-12 {
-			t.Errorf("%v: estimate %v/%v vs %v/%v", k, a, aok, b, bok)
-		}
-		if h.Samples(k) != h2.Samples(k) {
-			t.Errorf("%v: sample counts differ", k)
-		}
-		if math.Abs(float64(h.Stddev(k)-h2.Stddev(k))) > 1e-12 {
-			t.Errorf("%v: stddev differs", k)
-		}
-	}
-}
-
-func TestSaveLoadFile(t *testing.T) {
-	h := NewHistory()
-	h.Record(Key{Codelet: "k", WorkerClass: "w"}, 1.25)
-	path := t.TempDir() + "/model.json"
-	if err := h.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	h2 := NewHistory()
-	if err := h2.LoadFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, ok := h2.Estimate(Key{Codelet: "k", WorkerClass: "w"})
-	if !ok || got != 1.25 {
-		t.Errorf("loaded estimate = %v, %v", got, ok)
-	}
-	if err := h2.LoadFile(path + ".missing"); err == nil {
-		t.Error("loading missing file succeeded")
-	}
-}
-
-func TestLoadRejectsGarbage(t *testing.T) {
-	h := NewHistory()
-	if err := h.Load(strings.NewReader("not json")); err == nil {
-		t.Error("garbage accepted")
-	}
-	if err := h.Load(strings.NewReader(`{"version": 99, "entries": []}`)); err == nil {
-		t.Error("future version accepted")
-	}
-	if err := h.Load(strings.NewReader(`{"version": 1, "entries": [{"codelet":"x","n":-1}]}`)); err == nil {
-		t.Error("invalid entry accepted")
 	}
 }

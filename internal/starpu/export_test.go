@@ -91,9 +91,6 @@ func RefPickSource(rt *Runtime, h *Handle, dst int) int {
 // RefTransferEstimate is transferEstimate priced straight from the
 // machine.
 func RefTransferEstimate(rt *Runtime, t *Task, node int) units.Seconds {
-	if rt.cfg.DisableTransferModel {
-		return 0
-	}
 	var sum units.Seconds
 	for _, h := range t.Handles {
 		if h.valid.has(node) {
@@ -102,7 +99,7 @@ func RefTransferEstimate(rt *Runtime, t *Task, node int) units.Seconds {
 		src := RefPickSource(rt, h, node)
 		sum += rt.machine.TransferTime(src, node, h.bytes)
 	}
-	return units.Seconds(float64(sum) * rt.cfg.TransferPenalty)
+	return units.Seconds(float64(sum) * transferPenalty)
 }
 
 // UseReferencePush swaps a dm-family runtime's Push for referenceSched,

@@ -374,35 +374,32 @@ func FuzzGroupedPush(f *testing.F) {
 // TestTransferTableMatchesMachine: pickSource and transferEstimate read
 // the cached transfer table; over random valid sets and every tile
 // size they must equal the choice and sum priced straight from
-// Machine.TransferTime, and stay zero with the transfer model off.
+// Machine.TransferTime.
 func TestTransferTableMatchesMachine(t *testing.T) {
 	for _, machine := range pushMachines() {
-		for _, disable := range []bool{false, true} {
-			m, _ := newMachine(t, machine, false)
-			rt, err := starpu.New(m, starpu.Config{DisableTransferModel: disable})
-			if err != nil {
-				t.Fatal(err)
+		m, _ := newMachine(t, machine, false)
+		rt, err := starpu.New(m, starpu.Config{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		handles := tileHandles(rt)
+		nodes := m.NumNodes()
+		rng := rand.New(rand.NewSource(int64(nodes)))
+		for k := 0; k < 300; k++ {
+			task := &starpu.Task{Codelet: pushAny}
+			for n := 1 + rng.Intn(3); n > 0; n-- {
+				h := handles[rng.Intn(len(handles))]
+				starpu.SetValid(h, 1+uint64(rng.Intn(1<<nodes-1)))
+				task.Handles = append(task.Handles, h)
 			}
-			handles := tileHandles(rt)
-			nodes := m.NumNodes()
-			rng := rand.New(rand.NewSource(int64(nodes)))
-			for k := 0; k < 300; k++ {
-				task := &starpu.Task{Codelet: pushAny}
-				for n := 1 + rng.Intn(3); n > 0; n-- {
-					h := handles[rng.Intn(len(handles))]
-					starpu.SetValid(h, 1+uint64(rng.Intn(1<<nodes-1)))
-					task.Handles = append(task.Handles, h)
+			for dst := 0; dst < nodes; dst++ {
+				for _, h := range task.Handles {
+					if g, w := starpu.PickSource(rt, h, dst), starpu.RefPickSource(rt, h, dst); g != w {
+						t.Fatalf("%s: pickSource(%v -> node %d) = %d, direct %d", machine, h.Bytes(), dst, g, w)
+					}
 				}
-				for dst := 0; dst < nodes; dst++ {
-					for _, h := range task.Handles {
-						if g, w := starpu.PickSource(rt, h, dst), starpu.RefPickSource(rt, h, dst); g != w {
-							t.Fatalf("%s: pickSource(%v -> node %d) = %d, direct %d", machine, h.Bytes(), dst, g, w)
-						}
-					}
-					g, w := starpu.TransferEstimate(rt, task, dst), starpu.RefTransferEstimate(rt, task, dst)
-					if g != w || (disable && g != 0) {
-						t.Fatalf("%s disable=%v: transferEstimate(node %d) = %v, direct %v", machine, disable, dst, g, w)
-					}
+				if g, w := starpu.TransferEstimate(rt, task, dst), starpu.RefTransferEstimate(rt, task, dst); g != w {
+					t.Fatalf("%s: transferEstimate(node %d) = %v, direct %v", machine, dst, g, w)
 				}
 			}
 		}

@@ -254,12 +254,7 @@ func (rt *Runtime) ensureResident(h *Handle, node int, from units.Seconds) units
 		// If this node holds the last valid copy, write it back to the
 		// host before dropping it.
 		if v.valid.has(node) && v.valid.count() == 1 {
-			var end units.Seconds
-			if rt.cfg.DisableTransferModel {
-				end = from
-			} else {
-				_, end = rt.machine.ReserveLink(node, 0, from, v.bytes)
-			}
+			_, end := rt.machine.ReserveLink(node, 0, from, v.bytes)
 			if end > ready {
 				ready = end
 			}

@@ -71,9 +71,6 @@ type Config struct {
 	// Model is shared across runs so calibration survives; nil creates
 	// a fresh history model.
 	Model *perfmodel.History
-	// Regression, when set, records work/duration pairs alongside the
-	// history model.
-	Regression *perfmodel.Regression
 	// Observer, when set, receives task lifecycle and scheduler decision
 	// events (telemetry).  Nil disables instrumentation.
 	Observer Observer
@@ -81,15 +78,13 @@ type Config struct {
 	// be aborted mid-compute and retried within the injector's budget.
 	// Nil disables injection at zero cost (no draws, no extra events).
 	Faults FaultInjector
-	// TransferPenalty weights the data-transfer term in the dmda/dmdas
-	// completion-time estimates (StarPU's --sched-beta).  Values above 1
-	// make placement stickier, avoiding tile ping-pong between devices
-	// when queue lengths fluctuate by less than a transfer.  Zero means
-	// the default of 2.5.
-	TransferPenalty float64
-	// DisableTransferModel zeroes all transfer costs (ablation).
-	DisableTransferModel bool
 }
+
+// transferPenalty weights the data-transfer term in the dmda/dmdas
+// completion-time estimates (StarPU's --sched-beta).  A value above 1
+// makes placement stickier, avoiding tile ping-pong between devices
+// when queue lengths fluctuate by less than a transfer.
+const transferPenalty = 2.5
 
 // Runtime executes submitted task DAGs on a Machine in virtual time.
 // It is not safe for concurrent use; submissions and Run happen from one
@@ -170,9 +165,6 @@ func New(machine Machine, cfg Config) (*Runtime, error) {
 	}
 	if cfg.Scheduler == "" {
 		cfg.Scheduler = "dmdas"
-	}
-	if cfg.TransferPenalty == 0 {
-		cfg.TransferPenalty = 2.5
 	}
 	if n := machine.NumNodes(); n > maxNodes {
 		return nil, fmt.Errorf("starpu: machine has %d memory nodes; the coherence bitset supports %d", n, maxNodes)
@@ -482,12 +474,7 @@ func (rt *Runtime) startTask(w *Worker, t *Task) {
 			continue
 		}
 		src := rt.pickSource(h, node)
-		var end units.Seconds
-		if rt.cfg.DisableTransferModel {
-			end = stageAt
-		} else {
-			_, end = rt.machine.ReserveLink(src, node, stageAt, h.bytes)
-		}
+		_, end := rt.machine.ReserveLink(src, node, stageAt, h.bytes)
 		if end > ready {
 			ready = end
 		}
@@ -617,11 +604,7 @@ func (rt *Runtime) complete(w *Worker, t *Task) {
 	id := rt.workerClass(w.ID)
 	class := &rt.classes[id]
 	rt.model.RecordAt(rt.modelEntry(t, id), t.Duration())
-	if rt.cfg.Regression != nil {
-		rt.cfg.Regression.Record(t.Codelet.Name, class.name, t.Work, t.Duration())
-	}
-	// The new sample moved the model's mean (and regression fit) for this
-	// class string; cached estimates rendered under the old generation
+	// The new sample moved the model's mean for this class string; cached estimates rendered under the old generation
 	// are stale, whichever worker kind rendered them.
 	rt.classGen[class.str]++
 
@@ -664,8 +647,8 @@ func (rt *Runtime) Run() (units.Seconds, error) {
 
 // estKey identifies one estimate slot.  The codelet is keyed by
 // pointer identity (codelets are per-kernel singletons); work is part of
-// the key because the regression model and the uncalibrated fallback
-// scale with flops, not footprint.
+// the key because the uncalibrated fallback scales with flops, not
+// footprint.
 type estKey struct {
 	codelet   *Codelet
 	footprint uint64
@@ -812,16 +795,10 @@ func (rt *Runtime) estimateUncached(t *Task, id int32) (units.Seconds, bool) {
 	if d, ok := rt.model.EstimateAt(rt.modelEntry(t, id)); ok {
 		return d, true
 	}
-	c := &rt.classes[id]
-	if rt.cfg.Regression != nil {
-		if d, ok := rt.cfg.Regression.Estimate(t.Codelet.Name, c.name, t.Work); ok {
-			return d, true
-		}
-	}
 	// Uncalibrated fallback: a crude flat rate that at least prefers
 	// GPUs, as StarPU's eager warm-up would discover quickly.
 	rate := 5e9
-	if c.kind == CUDAWorker {
+	if rt.classes[id].kind == CUDAWorker {
 		rate = 1e12
 	}
 	return units.Seconds(float64(t.Work) / rate), false
@@ -830,9 +807,6 @@ func (rt *Runtime) estimateUncached(t *Task, id int32) (units.Seconds, bool) {
 // transferEstimate reports dmda's data-arrival cost for t on memory
 // node: the uncontended transfer time of every handle missing from it.
 func (rt *Runtime) transferEstimate(t *Task, node int) units.Seconds {
-	if rt.cfg.DisableTransferModel {
-		return 0
-	}
 	var sum units.Seconds
 	for _, h := range t.Handles {
 		if h.valid.has(node) {
@@ -840,7 +814,7 @@ func (rt *Runtime) transferEstimate(t *Task, node int) units.Seconds {
 		}
 		sum += rt.transferTime(h, rt.pickSource(h, node), node)
 	}
-	return units.Seconds(float64(sum) * rt.cfg.TransferPenalty)
+	return units.Seconds(float64(sum) * transferPenalty)
 }
 
 // localBytes reports how many of t's input bytes already sit on worker

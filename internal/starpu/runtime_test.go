@@ -418,31 +418,6 @@ func TestTransferAccounting(t *testing.T) {
 	}
 }
 
-func TestDisableTransferModel(t *testing.T) {
-	mkRun := func(disable bool) units.Seconds {
-		m := newTestMachine()
-		rt, err := New(m, Config{Scheduler: "eager", DisableTransferModel: disable})
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := rt.Register(nil, 8, 4096, 4096) // 128 MiB: transfers dominate
-		tk := &Task{Codelet: gpuOnly, Handles: []*Handle{h}, Modes: []AccessMode{R}, Work: 1e6}
-		if err := rt.Submit(tk); err != nil {
-			t.Fatal(err)
-		}
-		ms, err := rt.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return ms
-	}
-	with := mkRun(false)
-	without := mkRun(true)
-	if without >= with {
-		t.Errorf("disabling transfers did not shorten the run: %v vs %v", without, with)
-	}
-}
-
 // TestPowerHooksBalanced: every start gets an end.
 func TestPowerHooksBalanced(t *testing.T) {
 	rt, m := newRT(t, "ws")

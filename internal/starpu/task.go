@@ -74,7 +74,7 @@ type Task struct {
 	// Chameleon sets these per algorithm step.
 	Priority int
 	// Work is the task's flop count, used by the machine model and the
-	// regression performance model.
+	// uncalibrated estimate.
 	Work units.Flops
 	// Func is the optional numeric body run by RunNumeric.
 	Func func() error

@@ -262,7 +262,6 @@ func New(cfg Config) (*Coordinator, error) {
 	c.mux.HandleFunc(PathHeartbeat, c.handleHeartbeat)
 	c.mux.HandleFunc(PathResult, c.handleResult)
 	c.mux.HandleFunc(PathSubmit, c.handleSubmit)
-	c.mux.HandleFunc(PathJob, c.handleJob)
 	c.mux.HandleFunc(PathJobPrefix, c.handleJobByID)
 	c.mux.HandleFunc(PathJobs, c.handleJobs)
 	c.mux.HandleFunc(PathHealthz, c.handleHealthz)
@@ -785,7 +784,7 @@ func (c *Coordinator) Recover() (int, error) {
 			c.cfg.Logf("sweepd: job %s (%s) recovered into queue", job.id, job.spec.Name)
 			continue
 		}
-		// Terminal: done (kept for dedup and /v1/job queries) or cancelled
+		// Terminal: done (kept for dedup and /v1/job/{id} queries) or cancelled
 		// (tombstone; never becomes work again).
 		switch rj.status {
 		case stateDone:

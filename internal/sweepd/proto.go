@@ -18,7 +18,6 @@ const (
 	PathHeartbeat = "/v1/heartbeat"
 	PathResult    = "/v1/result"
 	PathSubmit    = "/v1/submit"
-	PathJob       = "/v1/job"
 	PathJobPrefix = "/v1/job/"
 	PathJobs      = "/v1/jobs"
 	PathHealthz   = "/healthz"
@@ -131,7 +130,7 @@ type SubmitReply struct {
 	Duplicate bool   `json:"duplicate,omitempty"`
 }
 
-// JobStatus is the /v1/job and /v1/job/{id} document: lifecycle state,
+// JobStatus is the GET /v1/job/{id} document: lifecycle state,
 // queue position, the table census and the final report once terminal.
 type JobStatus struct {
 	JobID    string      `json:"job_id"`

@@ -346,26 +346,6 @@ func (c *Coordinator) jobStatus(job *activeJob) JobStatus {
 	return st
 }
 
-// handleJob is the legacy singular endpoint: the active job, else the
-// most recently submitted one.
-func (c *Coordinator) handleJob(w http.ResponseWriter, r *http.Request) {
-	c.mu.Lock()
-	job := c.active
-	if job == nil {
-		for _, j := range c.jobs {
-			if job == nil || j.seq > job.seq {
-				job = j
-			}
-		}
-	}
-	c.mu.Unlock()
-	if job == nil {
-		http.Error(w, "no job", http.StatusNotFound)
-		return
-	}
-	writeJSON(w, http.StatusOK, c.jobStatus(job))
-}
-
 // handleJobByID serves GET /v1/job/{id} (status) and DELETE
 // /v1/job/{id} (cancel).
 func (c *Coordinator) handleJobByID(w http.ResponseWriter, r *http.Request) {

@@ -357,7 +357,7 @@ func TestServiceResumeAfterRestart(t *testing.T) {
 }
 
 // TestServiceHTTPSurface: submit over the wire, then check /healthz,
-// /v1/job and /v1/state answer with coherent documents.
+// /v1/job/{id} and /v1/state answer with coherent documents.
 func TestServiceHTTPSurface(t *testing.T) {
 	s := startService(t, Config{AggDir: t.TempDir()})
 
@@ -397,7 +397,7 @@ func TestServiceHTTPSurface(t *testing.T) {
 	waitDone(t, job, 90*time.Second)
 
 	var st JobStatus
-	getJSON(t, s.srv.URL+PathJob, &st)
+	getJSON(t, s.srv.URL+PathJobPrefix+sub.JobID, &st)
 	if !st.Finished || st.Report == nil || st.Counts.Done != sub.Cells {
 		t.Fatalf("job status = %+v", st)
 	}
