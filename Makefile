@@ -61,9 +61,9 @@ bench-json:
 
 # Hot-path regression gate (the CI bench-gate job): warmup + measured
 # run of the reduced Fig. 4 benchmark, compared against the newest
-# committed BENCH_hotpath.json entry.  Noise-tolerant on wall clock
-# (BENCH_GATE_TOLERANCE), strict on allocations; drops pprof profiles
-# in bench-artifacts/ when it fails.
+# committed BENCH_hotpath.json entry.  Noise-tolerant on CPU time
+# (BENCH_GATE_TOLERANCE), strict on allocation counts, 25 % on bytes
+# per cell; drops pprof profiles in bench-artifacts/ when it fails.
 bench-gate:
 	GO="$(GO)" bash scripts/bench_gate.sh
 

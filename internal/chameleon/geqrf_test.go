@@ -1,6 +1,7 @@
 package chameleon
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -8,6 +9,46 @@ import (
 	"repro/internal/linalg"
 	"repro/internal/starpu"
 )
+
+// trsmRightUpper solves X*U = B in place over B, i.e. B := B*U⁻¹, for
+// an upper-triangular U with a non-zero diagonal: the Q = A R⁻¹ oracle
+// of the QR tests.
+func trsmRightUpper(u, b *linalg.Mat[float64]) {
+	if u.Rows != u.Cols || b.Cols != u.Rows {
+		panic(fmt.Sprintf("trsm shape mismatch: U=%dx%d B=%dx%d", u.Rows, u.Cols, b.Rows, b.Cols))
+	}
+	n := u.Rows
+	for i := 0; i < b.Rows; i++ {
+		row := b.Row(i)
+		for j := 0; j < n; j++ {
+			s := row[j]
+			for k := 0; k < j; k++ {
+				s -= row[k] * u.At(k, j)
+			}
+			row[j] = s / u.At(j, j)
+		}
+	}
+}
+
+func TestTrsmRightUpper(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	n, m := 5, 6
+	// A random upper-triangular U with a boosted diagonal.
+	u := linalg.NewMat[float64](n, n)
+	for i := 0; i < n; i++ {
+		for j := i; j < n; j++ {
+			u.Set(i, j, 2*rng.Float64()-1)
+		}
+		u.Set(i, i, float64(n)+rng.Float64())
+	}
+	x := linalg.NewRandom[float64](m, n, rng)
+	b := linalg.NewMat[float64](m, n)
+	linalg.Gemm(linalg.NoTrans, linalg.NoTrans, 1, x, u, 0, b)
+	trsmRightUpper(u, b)
+	if !linalg.Equalish(b, x, 1e-9) {
+		t.Errorf("trsmRightUpper: max diff %g", linalg.MaxAbsDiff(b, x))
+	}
+}
 
 // extractR pulls the upper triangle (R) out of a factored QR matrix.
 func extractR(m *linalg.Mat[float64]) *linalg.Mat[float64] {
@@ -44,7 +85,7 @@ func TestGeqrfNumeric(t *testing.T) {
 		}
 		r := extractR(factored)
 		q := orig.Clone()
-		linalg.TrsmRightUpperNonUnit(1, r, q) // Q = A R^-1
+		trsmRightUpper(r, q) // Q = A R^-1
 		worst := 0.0
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {

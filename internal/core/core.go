@@ -8,9 +8,11 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/chameleon"
 	"repro/internal/dyncap"
+	"repro/internal/eventsim"
 	"repro/internal/faults"
 	"repro/internal/linalg"
 	"repro/internal/obs"
@@ -192,12 +194,68 @@ type FaultReport struct {
 // Run executes one configuration: build platform, apply caps,
 // calibration pass, then the measured pass bracketed by RAPL and NVML
 // energy counter reads.
+//
+// Run recycles the DAG storage of its runtimes across calls (see
+// getArena): a Result holds no runtime pointer, so once the run
+// succeeded nothing reads its tasks again.  Runs whose runtime outlives
+// them keep their storage: a Telemetry run (the collector's sampler
+// holds the runtime), Inspect, RunDynamic (the controller holds it) and
+// every failed run (a *starpu.PermanentFaultError holds tasks; a
+// panicking run never gets as far as recycling).
 func Run(cfg Config) (*Result, error) {
-	in, err := run(cfg, nil, false)
+	recycle := cfg.Telemetry == nil && eventsim.PoolingEnabled()
+	var a *starpu.Arena
+	if recycle {
+		a = getArena()
+	} else {
+		a = new(starpu.Arena)
+	}
+	in, err := run(cfg, nil, false, a)
 	if err != nil {
 		return nil, err
 	}
+	if recycle {
+		putArena(a)
+	}
 	return in.Result, nil
+}
+
+// arenas holds the DAG storage (starpu.Arena) of finished Run calls for
+// the next ones, so a sweep's cells reuse it instead of allocating a
+// DAG each.  A sync.Pool alone misses whenever a sweep's worker
+// goroutine starts on another P than the one whose private slot holds
+// the last arena, which happened in three of five warm sweeps of
+// BenchmarkHotpathCells: each miss grows a new arena (~2.4 MB on the
+// reduced Fig. 4 grid).  The last slot in front of the pool serves a
+// serial sweep from any P; it keeps one reset arena, which references
+// no graph, reachable while the process idles.
+var arenas struct {
+	last atomic.Pointer[starpu.Arena]
+	pool sync.Pool // holds *starpu.Arena
+}
+
+// getArena takes a reset arena, or a new one when none is held.
+func getArena() *starpu.Arena {
+	if a := arenas.last.Swap(nil); a != nil {
+		return a
+	}
+	if a, ok := arenas.pool.Get().(*starpu.Arena); ok {
+		return a
+	}
+	return new(starpu.Arena)
+}
+
+// putArena resets a and holds it for the next getArena, unless it
+// outgrew the cache bound graphCacheTasks: one oversized cell should not
+// pin its storage for the rest of the process.
+func putArena(a *starpu.Arena) {
+	if a.Tasks() > graphCacheTasks {
+		return
+	}
+	a.Reset()
+	if !arenas.last.CompareAndSwap(nil, a) {
+		arenas.pool.Put(a)
+	}
 }
 
 // Inspection is one run together with what it ran on, kept inspectable
@@ -217,13 +275,14 @@ type Inspection struct {
 // power traces over the measured pass, and also returns the platform,
 // runtime and model it used.
 func Inspect(cfg Config) (*Inspection, error) {
-	return run(cfg, nil, true)
+	return run(cfg, nil, true, new(starpu.Arena))
 }
 
 // run is the one measurement protocol behind Run, Inspect and
 // RunDynamic.  dyn, when set, installs the online cap controller on the
 // measured pass; powerTraces records per-device power steps over it.
-func run(cfg Config, dyn *dyncap.Config, powerTraces bool) (*Inspection, error) {
+// Both runtimes carve their DAGs from a.
+func run(cfg Config, dyn *dyncap.Config, powerTraces bool, a *starpu.Arena) (*Inspection, error) {
 	p, err := platform.New(cfg.Spec)
 	if err != nil {
 		return nil, err
@@ -297,7 +356,7 @@ func run(cfg Config, dyn *dyncap.Config, powerTraces bool) (*Inspection, error) 
 	// the same footprints) populates the model for every worker class
 	// under the caps just applied.
 	if !cfg.SkipCalibration && cfg.Model == nil {
-		calRT, err := starpu.New(p, starpu.Config{Scheduler: "calibrate", Model: model, Seed: cfg.Seed})
+		calRT, err := a.New(p, starpu.Config{Scheduler: "calibrate", Model: model, Seed: cfg.Seed})
 		if err != nil {
 			return nil, err
 		}
@@ -363,7 +422,7 @@ func run(cfg Config, dyn *dyncap.Config, powerTraces bool) (*Inspection, error) 
 		rtCfg.Faults = inj
 	}
 	rtCfg.Observer = starpu.CombineObservers(observers...)
-	rt, err := starpu.New(p, rtCfg)
+	rt, err := a.New(p, rtCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -379,6 +438,9 @@ func run(cfg Config, dyn *dyncap.Config, powerTraces bool) (*Inspection, error) 
 	}
 	if err := Submit(rt, cfg.Workload); err != nil {
 		return nil, err
+	}
+	if measuredHook != nil {
+		measuredHook(rt)
 	}
 	if scope != nil {
 		if _, err := scope.Attach(p, rt, telemetry.SamplerConfig{}); err != nil {
@@ -488,6 +550,11 @@ func run(cfg Config, dyn *dyncap.Config, powerTraces bool) (*Inspection, error) 
 	}
 	return &Inspection{Result: res, Platform: p, Runtime: rt, Model: model, ctl: ctl}, nil
 }
+
+// measuredHook, when set, sees every measured runtime once it holds its
+// DAG: the seam the storage-ownership tests watch runtimes through.  It
+// is nil for every real caller.
+var measuredHook func(*starpu.Runtime)
 
 // readGPUEnergies snapshots every GPU's cumulative energy counter (mJ).
 func readGPUEnergies(p *platform.Platform) ([]uint64, error) {

@@ -20,7 +20,7 @@ func RunDynamic(cfg Config, dyn dyncap.Config) (*Result, *dyncap.Controller, err
 	if cfg.Plan != nil {
 		return nil, nil, fmt.Errorf("core: RunDynamic owns the caps; do not pass a static plan")
 	}
-	in, err := run(cfg, &dyn, false)
+	in, err := run(cfg, &dyn, false, new(starpu.Arena))
 	if err != nil {
 		return nil, nil, err
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -255,8 +256,11 @@ func TestGraphCacheBound(t *testing.T) {
 
 // TestNoAllocsWarmCell bounds a whole warm POTRF cell through Run: with
 // the DAG cached, a cell allocates a few hundred times (platform,
-// runtimes, chunks, result), not once or more per task.  The bound is
-// twice the count measured when the cache landed (462).
+// runtimes, result), not once or more per task.  The count bound is
+// twice the count measured when the cache landed (462).  The byte bound
+// holds Run to recycling its DAG storage: a warm cell that recycles
+// allocates ~215 B per task of its two passes, one that allocates its
+// DAG afresh ~690 B, and the bound, 384 B, sits between the two.
 func TestNoAllocsWarmCell(t *testing.T) {
 	row, err := LookupTableII(platform.TwoV100Name, POTRF, prec.Single)
 	if err != nil {
@@ -277,6 +281,26 @@ func TestNoAllocsWarmCell(t *testing.T) {
 	const bound = 2 * 462
 	if allocs := testing.AllocsPerRun(5, run); allocs > bound {
 		t.Errorf("a warm %v cell allocates %.0f times, bound %d", cfg.Workload, allocs, bound)
+	}
+
+	tasks := 0
+	for _, w := range []Workload{cfg.Workload, CalibrationWorkload(cfg.Workload)} {
+		g, err := graphFor(w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tasks += g.NumTasks()
+	}
+	const runs = 5
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	for range runs {
+		run()
+	}
+	runtime.ReadMemStats(&m1)
+	if perTask := (m1.TotalAlloc - m0.TotalAlloc) / runs / uint64(tasks); perTask > 384 {
+		t.Errorf("a warm %v cell allocates %d B per task, bound 384 B: is Run still recycling its DAG storage?",
+			cfg.Workload, perTask)
 	}
 }
 

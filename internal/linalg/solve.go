@@ -38,30 +38,6 @@ func TrsmLeftLowerTransNonUnit[T Float](alpha T, l, b *Mat[T]) {
 	}
 }
 
-// TrsmRightUpperNonUnit solves X*U = alpha*B in place over B, i.e.
-// B := alpha*B*U⁻¹.
-func TrsmRightUpperNonUnit[T Float](alpha T, u, b *Mat[T]) {
-	if u.Rows != u.Cols || b.Cols != u.Rows {
-		panic(fmt.Sprintf("linalg: trsm shape mismatch: U=%dx%d B=%dx%d", u.Rows, u.Cols, b.Rows, b.Cols))
-	}
-	n := u.Rows
-	for i := 0; i < b.Rows; i++ {
-		row := b.Row(i)
-		if alpha != 1 {
-			for j := range row {
-				row[j] *= alpha
-			}
-		}
-		for j := 0; j < n; j++ {
-			s := row[j]
-			for k := 0; k < j; k++ {
-				s -= row[k] * u.At(k, j)
-			}
-			row[j] = s / u.At(j, j)
-		}
-	}
-}
-
 func checkLeft[T Float](tri, b *Mat[T]) {
 	if tri.Rows != tri.Cols || b.Rows != tri.Rows {
 		panic(fmt.Sprintf("linalg: left trsm shape mismatch: T=%dx%d B=%dx%d", tri.Rows, tri.Cols, b.Rows, b.Cols))

@@ -47,23 +47,3 @@ func TestTrsmLeftLowerVariants(t *testing.T) {
 		t.Errorf("TrsmLeftLowerTransNonUnit: max diff %g", MaxAbsDiff(b2, x))
 	}
 }
-
-func TestTrsmRightUpper(t *testing.T) {
-	rng := rand.New(rand.NewSource(12))
-	n, m := 5, 6
-	// A random upper-triangular U with a boosted diagonal.
-	u := NewMat[float64](n, n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			u.Set(i, j, 2*rng.Float64()-1)
-		}
-		u.Set(i, i, float64(n)+rng.Float64())
-	}
-	x := NewRandom[float64](m, n, rng)
-	b := NewMat[float64](m, n)
-	Gemm(NoTrans, NoTrans, 1, x, u, 0, b)
-	TrsmRightUpperNonUnit(1, u, b)
-	if !Equalish(b, x, 1e-9) {
-		t.Errorf("TrsmRightUpperNonUnit: max diff %g", MaxAbsDiff(b, x))
-	}
-}

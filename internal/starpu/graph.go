@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"unsafe"
 
 	"repro/internal/eventsim"
 	"repro/internal/units"
@@ -177,7 +176,9 @@ func freeze(rt *Runtime) (*Graph, error) {
 // Register and Submit produces — same IDs, handles, edges (successors
 // in ID order), estimate slots, observer events and scheduler pushes,
 // and the same access history for later Submits — without allocating
-// per task: tasks, handles and pointer lists are carved from chunks.
+// per task: tasks, handles, pointer lists and the runtime's indexes are
+// carved from the runtime's arena (a private one unless it was built
+// with Arena.New).
 func (rt *Runtime) SubmitGraph(g *Graph) error {
 	if len(rt.tasks) > 0 || len(rt.handles) > 0 {
 		return fmt.Errorf("starpu: SubmitGraph needs an empty runtime, have %d tasks and %d handles",
@@ -193,13 +194,18 @@ func (rt *Runtime) SubmitGraph(g *Graph) error {
 		slots[i] = rt.internEstimate(estKey{codelet: g.codelets[k.codelet], footprint: k.footprint, work: k.work})
 	}
 
-	nh := len(g.bytes)
-	handles := chunks[Handle]{left: nh}
-	rt.handles = slices.Grow(rt.handles, nh)
+	a := rt.arena
+	n, nh := g.NumTasks(), len(g.bytes)
+	a.tasks.expect(n)
+	a.handles.expect(nh)
+	a.taskPtrs.expect(n + 2*len(g.predIdx) + len(g.readerIdx))
+	a.handlePtrs.expect(nh + len(g.handleIdx))
+	rt.tasks = a.taskPtrs.take(n)[:0]
+	rt.handles = a.handlePtrs.take(nh)[:0]
 	for i := 0; i < nh; i++ {
-		h := &handles.take(1)[0]
-		a, b := g.dimOff[i], g.dimOff[i+1]
-		*h = Handle{id: int32(i), bytes: g.bytes[i], dims: g.dims[a:b:b], valid: 1}
+		h := &a.handles.take(1)[0]
+		lo, hi := g.dimOff[i], g.dimOff[i+1]
+		*h = Handle{id: int32(i), bytes: g.bytes[i], dims: g.dims[lo:hi:hi], valid: 1}
 		h.sizeID = rt.internSize(h.bytes)
 		rt.handles = append(rt.handles, h)
 	}
@@ -208,31 +214,26 @@ func (rt *Runtime) SubmitGraph(g *Graph) error {
 	// successors, which Submit's order appends as each successor is
 	// admitted.  Successor counts are the transpose of the predecessor
 	// lists.
-	n := g.NumTasks()
 	succ := make([]int32, n)
 	for _, p := range g.predIdx {
 		succ[p]++
 	}
-	tasks := chunks[Task]{left: n}
-	taskPtrs := chunks[*Task]{left: 2*len(g.predIdx) + len(g.readerIdx)}
-	handlePtrs := chunks[*Handle]{left: len(g.handleIdx)}
-	rt.tasks = slices.Grow(rt.tasks, n)
 	now := rt.machine.Engine().Now()
 	next := 0 // next unread entry of g.handleIdx
 	for i := 0; i < n; i++ {
 		modes := g.modes[g.mode[i]]
-		hs := handlePtrs.take(len(modes))
+		hs := a.handlePtrs.take(len(modes))
 		for j := range hs {
 			hs[j] = rt.handles[g.handleIdx[next+j]]
 		}
 		next += len(modes)
 		preds := g.predIdx[g.predOff[i]:g.predOff[i+1]]
-		edges := taskPtrs.take(len(preds) + int(succ[i]))
+		edges := a.taskPtrs.take(len(preds) + int(succ[i]))
 		for j, p := range preds {
 			edges[j] = rt.tasks[p]
 		}
 		k := g.keys[g.key[i]]
-		t := &tasks.take(1)[0]
+		t := &a.tasks.take(1)[0]
 		*t = Task{
 			ID:           i,
 			Codelet:      g.codelets[k.codelet],
@@ -263,41 +264,13 @@ func (rt *Runtime) SubmitGraph(g *Graph) error {
 			h.lastWriter = rt.tasks[w]
 		}
 		if rs := g.readerIdx[g.readerOff[i]:g.readerOff[i+1]]; len(rs) > 0 {
-			h.readers = taskPtrs.take(len(rs))
+			h.readers = a.taskPtrs.take(len(rs))
 			for j, r := range rs {
 				h.readers[j] = rt.tasks[r]
 			}
 		}
 	}
 	return nil
-}
-
-// chunkBytes bounds one storage chunk of SubmitGraph: the largest
-// allocation Go still serves from size-classed spans.  One slab per
-// runtime instead puts each cell's whole DAG in a single large object,
-// which measured ~2 MB more peak RSS per process (DESIGN §14).
-const chunkBytes = 32 << 10
-
-// chunks carves slices of T out of chunks of at most chunkBytes (a
-// request larger than a chunk gets its own).  left counts the elements
-// still to be carved, so the last chunk is no larger than needed.
-// Carved slices are clipped to their length: appending to one
-// reallocates instead of writing into its neighbour.
-type chunks[T any] struct {
-	free []T
-	left int
-}
-
-func (c *chunks[T]) take(n int) []T {
-	if len(c.free) < n {
-		var zero T
-		per := max(1, chunkBytes/int(unsafe.Sizeof(zero)))
-		c.free = make([]T, max(n, min(c.left, per)))
-	}
-	s := c.free[:n:n]
-	c.free = c.free[n:]
-	c.left -= n
-	return s
 }
 
 // recordMachine is the stub machine Record builds on: one CPU and one

@@ -166,28 +166,7 @@ func TestSubmitGraphMatchesSubmitTiles(t *testing.T) {
 	}
 	compare := func(stage string) {
 		t.Helper()
-		if len(direct.tasks) != len(inst.tasks) || len(direct.handles) != len(inst.handles) {
-			t.Fatalf("%s: %d tasks / %d handles directly, %d / %d instantiated", stage,
-				len(direct.tasks), len(direct.handles), len(inst.tasks), len(inst.handles))
-		}
-		for i := range direct.tasks {
-			if a, b := taskDigest(direct.tasks[i]), taskDigest(inst.tasks[i]); a != b {
-				t.Fatalf("%s: task %d differs:\n direct %s\n graph  %s", stage, i, a, b)
-			}
-		}
-		for i := range direct.handles {
-			if a, b := handleDigest(direct.handles[i]), handleDigest(inst.handles[i]); a != b {
-				t.Fatalf("%s: handle %d differs:\n direct %s\n graph  %s", stage, i, a, b)
-			}
-		}
-		if !slices.Equal(dlog.lines, ilog.lines) {
-			for i := range min(len(dlog.lines), len(ilog.lines)) {
-				if dlog.lines[i] != ilog.lines[i] {
-					t.Fatalf("%s: event %d differs:\n direct %s\n graph  %s", stage, i, dlog.lines[i], ilog.lines[i])
-				}
-			}
-			t.Fatalf("%s: %d events directly, %d instantiated", stage, len(dlog.lines), len(ilog.lines))
-		}
+		compareRuntimes(t, stage, direct, inst, dlog, ilog)
 	}
 	compare("submitted")
 	for _, rt := range []*Runtime{direct, inst} {
@@ -203,6 +182,34 @@ func TestSubmitGraphMatchesSubmitTiles(t *testing.T) {
 		}
 	}
 	compare("run")
+}
+
+// compareRuntimes requires got to hold the same tasks (edges in order),
+// handles (readers in order) and observer events as want.
+func compareRuntimes(t *testing.T, stage string, want, got *Runtime, wantLog, gotLog *eventLog) {
+	t.Helper()
+	if len(want.tasks) != len(got.tasks) || len(want.handles) != len(got.handles) {
+		t.Fatalf("%s: want %d tasks / %d handles, have %d / %d", stage,
+			len(want.tasks), len(want.handles), len(got.tasks), len(got.handles))
+	}
+	for i := range want.tasks {
+		if a, b := taskDigest(want.tasks[i]), taskDigest(got.tasks[i]); a != b {
+			t.Fatalf("%s: task %d differs:\n want %s\n have %s", stage, i, a, b)
+		}
+	}
+	for i := range want.handles {
+		if a, b := handleDigest(want.handles[i]), handleDigest(got.handles[i]); a != b {
+			t.Fatalf("%s: handle %d differs:\n want %s\n have %s", stage, i, a, b)
+		}
+	}
+	if !slices.Equal(wantLog.lines, gotLog.lines) {
+		for i := range min(len(wantLog.lines), len(gotLog.lines)) {
+			if wantLog.lines[i] != gotLog.lines[i] {
+				t.Fatalf("%s: event %d differs:\n want %s\n have %s", stage, i, wantLog.lines[i], gotLog.lines[i])
+			}
+		}
+		t.Fatalf("%s: want %d events, have %d", stage, len(wantLog.lines), len(gotLog.lines))
+	}
 }
 
 // TestGraphImmutable runs an instance of a graph through injected task

@@ -2,7 +2,6 @@ package starpu
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/units"
 )
@@ -208,13 +207,23 @@ func (rt *Runtime) initMemory() {
 }
 
 // sizeResidency grows each bounded node's residency table to cover
-// every registered handle at once, instead of one handle id at a time
-// as the run first touches them.  Handles registered later still grow
-// the table on demand (nodeMemory.state).
+// every registered handle at once, carved from the runtime's arena,
+// instead of one handle id at a time as the run first touches them.
+// Handles registered later still grow the table on demand
+// (nodeMemory.state).
 func (rt *Runtime) sizeResidency() {
+	n, short := len(rt.handles), 0
 	for _, m := range rt.memory {
-		if m != nil && len(m.res) < len(rt.handles) {
-			m.res = slices.Grow(m.res, len(rt.handles)-len(m.res))[:len(rt.handles)]
+		if m != nil && len(m.res) < n {
+			short++
+		}
+	}
+	rt.arena.residency.expect(n * short)
+	for _, m := range rt.memory {
+		if m != nil && len(m.res) < n {
+			res := rt.arena.residency.take(n)
+			copy(res, m.res)
+			m.res = res
 		}
 	}
 }

@@ -100,6 +100,10 @@ type Runtime struct {
 	handles  []*Handle
 	nPending int
 
+	// arena is where SubmitGraph and the estimate table carve: a
+	// private one unless the runtime was built with Arena.New.
+	arena *Arena
+
 	// memory tracks bounded memory nodes (LRU eviction), indexed by
 	// node; nil entries (or a nil slice, when the machine has no
 	// CapacityModel) mark unbounded nodes.
@@ -122,7 +126,6 @@ type Runtime struct {
 	// that string bumps (classGen, indexed by string id).
 	estSlots  map[estKey]int32
 	estRows   [][]estVal
-	estStore  chunks[estVal]
 	lastClass []cachedClass
 	classes   []classInfo
 	classIDs  map[classKey]int32
@@ -160,6 +163,10 @@ type Runtime struct {
 
 // New builds a runtime over machine with the given configuration.
 func New(machine Machine, cfg Config) (*Runtime, error) {
+	return newRuntime(machine, cfg, new(Arena))
+}
+
+func newRuntime(machine Machine, cfg Config, a *Arena) (*Runtime, error) {
 	if cfg.Model == nil {
 		cfg.Model = perfmodel.NewHistory()
 	}
@@ -173,6 +180,7 @@ func New(machine Machine, cfg Config) (*Runtime, error) {
 		machine:    machine,
 		cfg:        cfg,
 		model:      cfg.Model,
+		arena:      a,
 		lastWorker: -1,
 		estSlots:   make(map[estKey]int32),
 		classIDs:   make(map[classKey]int32),
@@ -738,7 +746,7 @@ func (rt *Runtime) flushEstimates() {
 }
 
 // estRow returns slot's estimate row, grown to cover class id.  Rows
-// are carved from estStore, whose chunks are sized for every slot at
+// are carved from the arena, whose chunks are sized for every slot at
 // the current width, so filling the table costs a few allocations per
 // runtime rather than one per slot.  A row is at least one column per
 // scoring group wide: workers of a group share a class string, so
@@ -750,10 +758,11 @@ func (rt *Runtime) estRow(slot, id int32) []estVal {
 		return row
 	}
 	n := max(len(rt.classes), rt.groups)
-	if rt.estStore.left < n {
-		rt.estStore.left = n * len(rt.estRows)
+	est := &rt.arena.estimates
+	if est.left < n {
+		est.expect(n * len(rt.estRows))
 	}
-	grown := rt.estStore.take(n)
+	grown := est.take(n)
 	copy(grown, row)
 	rt.estRows[slot] = grown
 	return grown

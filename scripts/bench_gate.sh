@@ -14,7 +14,9 @@
 #      (BENCH_GATE_TOLERANCE, default 0.25), allocs_per_cell with a
 #      strict 10% ceiling
 #      (allocation counts are deterministic, so 10% means a real
-#      regression, per the hot-path contract in DESIGN §14);
+#      regression, per the hot-path contract in DESIGN §14), and
+#      bytes_per_cell, when the committed entry records it, with a 25%
+#      ceiling;
 #   4. on failure, re-run once more with pprof enabled and leave the
 #      CPU/alloc profiles in bench-artifacts/ for CI to upload.
 set -euo pipefail

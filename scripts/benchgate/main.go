@@ -24,9 +24,10 @@
 //	    Compares a fresh measurement against the newest committed entry:
 //	    cpu_cells_per_sec (wall-clock cells_per_sec when the entry
 //	    predates the CPU-time field) may not drop more than the
-//	    (noise-tolerant) time tolerance, and allocs_per_cell — which is deterministic, not
-//	    hardware-dependent — may not grow more than the strict allocation
-//	    tolerance.  Exits 1 on regression.
+//	    (noise-tolerant) time tolerance, allocs_per_cell — which is
+//	    deterministic, not hardware-dependent — may not grow more than
+//	    the strict allocation tolerance, and bytes_per_cell, when the
+//	    entry has it, not more than 25 %.  Exits 1 on regression.
 package main
 
 import (
@@ -198,6 +199,12 @@ func throughputField(base map[string]any) string {
 	return ""
 }
 
+// bytesTolerance is the allowed fractional growth in bytes_per_cell.
+// Allocated bytes, like allocation counts, do not depend on the
+// hardware; the margin is wider because a cell's bytes follow the sizes
+// of its few largest allocations, where a count moves by one per site.
+const bytesTolerance = 0.25
+
 func gate(out io.Writer, baseline, measured string, tol, allocTol float64) error {
 	if baseline == "" || measured == "" {
 		return fmt.Errorf("gate mode needs -baseline and -measured")
@@ -237,19 +244,26 @@ func gate(out io.Writer, baseline, measured string, tol, allocTol float64) error
 		fmt.Fprintf(out, "benchgate: %s %.2f vs baseline %.2f (floor %.2f, tolerance %.0f%%): %s\n",
 			field, measCPS, baseCPS, floor, tol*100, verdict)
 	}
-	if baseAllocs, ok := num(base, "allocs_per_cell"); ok {
-		measAllocs, ok := num(meas, "allocs_per_cell")
+	for _, c := range []struct {
+		field string
+		tol   float64
+	}{{"allocs_per_cell", allocTol}, {"bytes_per_cell", bytesTolerance}} {
+		baseV, ok := num(base, c.field)
 		if !ok {
-			return fmt.Errorf("measurement lacks allocs_per_cell")
+			continue
 		}
-		ceil := baseAllocs * (1 + allocTol)
+		measV, ok := num(meas, c.field)
+		if !ok {
+			return fmt.Errorf("measurement lacks %s", c.field)
+		}
+		ceil := baseV * (1 + c.tol)
 		verdict := "ok"
-		if measAllocs > ceil {
+		if measV > ceil {
 			verdict = "REGRESSION"
 			failed = true
 		}
-		fmt.Fprintf(out, "benchgate: allocs_per_cell %.0f vs baseline %.0f (ceiling %.0f, tolerance %.0f%%): %s\n",
-			measAllocs, baseAllocs, ceil, allocTol*100, verdict)
+		fmt.Fprintf(out, "benchgate: %s %.0f vs baseline %.0f (ceiling %.0f, tolerance %.0f%%): %s\n",
+			c.field, measV, baseV, ceil, c.tol*100, verdict)
 	}
 	if failed {
 		return fmt.Errorf("benchmark regression against %s", baseline)

@@ -95,3 +95,35 @@ func TestGateThroughputField(t *testing.T) {
 		t.Error("measurement without cpu_cells_per_sec passed a CPU-time baseline")
 	}
 }
+
+// TestGateBytesPerCell: bytes_per_cell may grow by at most 25 % over a
+// baseline entry that records it, must be measured when the baseline
+// has it, and is not gated against an entry that predates it.
+func TestGateBytesPerCell(t *testing.T) {
+	dir := t.TempDir()
+	write := func(name, data string) string {
+		path := filepath.Join(dir, name)
+		if err := os.WriteFile(path, []byte(data+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return path
+	}
+	withBytes := write("bytes_base.json", `{"cpu_cells_per_sec":100,"allocs_per_cell":700,"bytes_per_cell":100000}`)
+	without := write("plain_base.json", `{"cpu_cells_per_sec":100,"allocs_per_cell":700}`)
+	for _, c := range []struct {
+		name, base, meas string
+		pass             bool
+	}{
+		{"bytes down", withBytes, `{"cpu_cells_per_sec":100,"allocs_per_cell":700,"bytes_per_cell":20000}`, true},
+		{"bytes at the ceiling", withBytes, `{"cpu_cells_per_sec":100,"allocs_per_cell":700,"bytes_per_cell":125000}`, true},
+		{"bytes over the ceiling", withBytes, `{"cpu_cells_per_sec":100,"allocs_per_cell":700,"bytes_per_cell":126000}`, false},
+		{"bytes not measured", withBytes, `{"cpu_cells_per_sec":100,"allocs_per_cell":700}`, false},
+		{"baseline without bytes", without, `{"cpu_cells_per_sec":100,"allocs_per_cell":700,"bytes_per_cell":9e9}`, true},
+	} {
+		var out strings.Builder
+		err := gate(&out, c.base, write("measured.json", c.meas), 0.25, 0.10)
+		if (err == nil) != c.pass {
+			t.Errorf("%s: gate error %v, want pass=%v\n%s", c.name, err, c.pass, out.String())
+		}
+	}
+}
