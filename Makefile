@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check bench bench-json bench-gate fuzz-short chaos-short resume-short agg-short obs-short shard-short coordkill-short results-check trace-demo clean
+.PHONY: all build vet test check bench bench-json bench-gate fuzz-short chaos-short resume-short agg-short obs-short shard-short coordkill-short results-check trace-demo examples-smoke clean
 
 # How long each fuzz target runs under fuzz-short (CI uses the default).
 FUZZTIME ?= 10s
@@ -156,6 +156,16 @@ trace-demo:
 		-gantt /tmp/capsim-trace-demo/gantt.csv \
 		-power /tmp/capsim-trace-demo/power.csv \
 		-decisions /tmp/capsim-trace-demo/decisions.json
+
+# Examples smoke: run every program under examples/ and fail on the
+# first non-zero exit.  cholesky, solver and mixedprecision exit
+# non-zero when a numeric check fails, and dynamiccap drives the
+# dynamic cap controller end to end; CI otherwise only builds them.
+examples-smoke:
+	@for d in examples/*/; do \
+		echo "examples-smoke: $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -299,21 +299,16 @@ func run(cfg Config, dyn *dyncap.Config, powerTraces bool, a *starpu.Arena) (*In
 	}
 	p.ClassIgnoresCap = cfg.StaleModels
 	p.SetCapBreaker(cfg.CapBreaker)
-	// The event seams must be armed before the first cap write so retry
-	// exhaustion and breaker trips during SetGPUCaps are visible too.
-	var cellID string
-	if cfg.Events != nil {
-		cellID = cfg.CheckpointKey()
-		bus, cell, plan := cfg.Events, cellID, planLabel
-		p.OnCapExhausted = func(g int, t units.Seconds, err error) {
-			bus.Publish(obs.Event{Type: obs.CapRetryExhausted, Cell: cell, Plan: plan,
-				GPU: g, SimTime: float64(t), Detail: err.Error()})
-		}
-		p.OnBreakerTrip = func(g int, t units.Seconds) {
-			bus.Publish(obs.Event{Type: obs.BreakerTripped, Cell: cell, Plan: plan,
-				GPU: g, SimTime: float64(t)})
-		}
-	}
+	// The platform, the runtime and the controller record what happened
+	// to the cell; publishRecords publishes them on every return path
+	// from here on, error returns included.
+	var (
+		rt    *starpu.Runtime
+		scope *telemetry.RunScope
+		ctl   *dyncap.Controller
+		res   *Result
+	)
+	defer func() { publishRecords(cfg, planLabel, p, rt, scope, ctl, res) }()
 	// The fault injector must be installed before the first cap write so
 	// the verified applicator sees its failures/clamps from the start.
 	var inj *faults.Injector
@@ -394,7 +389,6 @@ func run(cfg Config, dyn *dyncap.Config, powerTraces bool, a *starpu.Arena) (*In
 	// resolution and the time-series sampler bind to this run's runtime
 	// so concurrent cells of a parallel sweep never interleave series.
 	// The span tracer tees in beside it; both are per-run objects.
-	var scope *telemetry.RunScope
 	var tracer *spantrace.Tracer
 	rtCfg := starpu.Config{Scheduler: sched, Model: model, Seed: cfg.Seed}
 	if cfg.Telemetry != nil {
@@ -422,16 +416,8 @@ func run(cfg Config, dyn *dyncap.Config, powerTraces bool, a *starpu.Arena) (*In
 		rtCfg.Faults = inj
 	}
 	rtCfg.Observer = starpu.CombineObservers(observers...)
-	rt, err := a.New(p, rtCfg)
-	if err != nil {
+	if rt, err = a.New(p, rtCfg); err != nil {
 		return nil, err
-	}
-	if cfg.Events != nil {
-		bus, cell, plan := cfg.Events, cellID, planLabel
-		rt.SetEvictionHook(func(ev starpu.Eviction) {
-			bus.Publish(obs.Event{Type: obs.WorkerEvicted, Cell: cell, Plan: plan,
-				Worker: ev.Worker, SimTime: float64(ev.T), Detail: ev.Reason})
-		})
 	}
 	if inj != nil {
 		inj.Bind(rt, p)
@@ -452,9 +438,8 @@ func run(cfg Config, dyn *dyncap.Config, powerTraces bool, a *starpu.Arena) (*In
 		// so the tracer's window coincides with the energy bracket.
 		tracer.Begin(rt)
 	}
-	var ctl *dyncap.Controller
 	if dyn != nil {
-		if ctl, err = startController(p, rt, scope, *dyn); err != nil {
+		if ctl, err = startController(p, rt, *dyn); err != nil {
 			return nil, err
 		}
 	}
@@ -476,7 +461,7 @@ func run(cfg Config, dyn *dyncap.Config, powerTraces bool, a *starpu.Arena) (*In
 	if ctl != nil {
 		makespan = stats.Makespan // excludes the trailing controller tick
 	}
-	res := &Result{
+	res = &Result{
 		Plan:     planLabel,
 		Workload: cfg.Workload,
 		Makespan: makespan,
@@ -506,36 +491,15 @@ func run(cfg Config, dyn *dyncap.Config, powerTraces bool, a *starpu.Arena) (*In
 			rep.TaskRetries += t.Retries
 		}
 		res.Faults = rep
-		if evs := rt.Evictions(); len(evs) > 0 {
-			res.Degraded = &DegradedRun{
-				Plan:      p.PlanString(),
-				Evictions: append([]starpu.Eviction(nil), evs...),
-			}
-		}
-		if cfg.Telemetry != nil {
-			cfg.Telemetry.ObserveFaults(rep.Injected, rep.CapRetries, len(rt.Evictions()))
-		}
 	}
-	if trips := p.BreakerTrips(); len(trips) > 0 {
-		// A tripped cap-write breaker killed the board before or during
-		// the measured pass; the run finished on the survivors, which is
-		// the same degraded continuation a bus dropout produces.
-		if res.Degraded == nil {
-			res.Degraded = &DegradedRun{
-				Plan:      p.PlanString(),
-				Evictions: append([]starpu.Eviction(nil), rt.Evictions()...),
-			}
+	// Evictions (a bus dropout, a breaker trip mid-run) and a breaker
+	// that tripped during setup both leave the run finished on the
+	// survivors: the same degraded continuation.
+	if evs := rt.Evictions(); len(evs) > 0 || len(p.BreakerTrips()) > 0 {
+		res.Degraded = &DegradedRun{
+			Plan:      p.PlanString(),
+			Evictions: append([]starpu.Eviction(nil), evs...),
 		}
-		if cfg.Telemetry != nil {
-			for _, g := range trips {
-				cfg.Telemetry.ObserveBreakerTrip(g)
-			}
-		}
-	}
-	if cfg.Events != nil && res.Degraded != nil {
-		cfg.Events.Publish(obs.Event{Type: obs.DegradedRun, Cell: cellID,
-			Plan: planLabel, Workload: cfg.Workload.String(),
-			SimTime: float64(res.Makespan), Detail: res.Degraded.Plan})
 	}
 	if tracer != nil {
 		// Finalize against the same counter deltas the result reports, so
@@ -549,6 +513,61 @@ func run(cfg Config, dyn *dyncap.Config, powerTraces bool, a *starpu.Arena) (*In
 		}
 	}
 	return &Inspection{Result: res, Platform: p, Runtime: rt, Model: model, ctl: ctl}, nil
+}
+
+// publishRecords turns what the cell's layers recorded into bus events
+// and telemetry; run defers it, so it sees every return path (rt,
+// scope, ctl and res are nil when run returned before making them).
+// The platform's cap faults and the runtime's evictions are merged in
+// virtual-time order.  On a tie the lower-numbered board goes first,
+// and on one board the cap fault precedes the eviction: the dynamic
+// controller's tick trips a breaker and evicts that board's worker
+// board by board.  Only a finished run reports DegradedRun and the
+// fault and breaker counters.
+func publishRecords(cfg Config, plan string, p *platform.Platform, rt *starpu.Runtime,
+	scope *telemetry.RunScope, ctl *dyncap.Controller, res *Result) {
+	if scope != nil && ctl != nil {
+		scope.ObserveCapMoves(ctl.History())
+	}
+	if bus := cfg.Events; bus != nil {
+		cell := cfg.CheckpointKey()
+		faults := p.CapFaults()
+		var evs []starpu.Eviction
+		if rt != nil {
+			evs = rt.Evictions()
+		}
+		for len(faults) > 0 || len(evs) > 0 {
+			if len(faults) > 0 && (len(evs) == 0 || faults[0].T < evs[0].T ||
+				faults[0].T == evs[0].T && faults[0].GPU <= p.WorkerGPU(evs[0].Worker)) {
+				f := faults[0]
+				faults = faults[1:]
+				ev := obs.Event{Type: obs.CapRetryExhausted, Cell: cell, Plan: plan,
+					GPU: f.GPU, SimTime: float64(f.T), Detail: f.Err}
+				if f.Trip {
+					ev.Type = obs.BreakerTripped
+				}
+				bus.Publish(ev)
+				continue
+			}
+			e := evs[0]
+			evs = evs[1:]
+			bus.Publish(obs.Event{Type: obs.WorkerEvicted, Cell: cell, Plan: plan,
+				Worker: e.Worker, SimTime: float64(e.T), Detail: e.Reason})
+		}
+		if res != nil && res.Degraded != nil {
+			bus.Publish(obs.Event{Type: obs.DegradedRun, Cell: cell, Plan: plan,
+				Workload: cfg.Workload.String(), SimTime: float64(res.Makespan), Detail: res.Degraded.Plan})
+		}
+	}
+	if res == nil || cfg.Telemetry == nil {
+		return
+	}
+	if res.Faults != nil {
+		cfg.Telemetry.ObserveFaults(res.Faults.Injected, res.Faults.CapRetries, len(rt.Evictions()))
+	}
+	for _, g := range p.BreakerTrips() {
+		cfg.Telemetry.ObserveBreakerTrip(g)
+	}
 }
 
 // measuredHook, when set, sees every measured runtime once it holds its

@@ -6,7 +6,6 @@ import (
 	"repro/internal/dyncap"
 	"repro/internal/platform"
 	"repro/internal/starpu"
-	"repro/internal/telemetry"
 )
 
 // RunDynamic executes a workload with the online cap controller instead
@@ -30,7 +29,7 @@ func RunDynamic(cfg Config, dyn dyncap.Config) (*Result, *dyncap.Controller, err
 // startController installs and starts the online cap controller on the
 // measured runtime, after Submit and the telemetry Attach, right before
 // the measured pass.
-func startController(p *platform.Platform, rt *starpu.Runtime, scope *telemetry.RunScope, dyn dyncap.Config) (*dyncap.Controller, error) {
+func startController(p *platform.Platform, rt *starpu.Runtime, dyn dyncap.Config) (*dyncap.Controller, error) {
 	ctl, err := dyncap.New(p, dyn)
 	if err != nil {
 		return nil, err
@@ -46,11 +45,6 @@ func startController(p *platform.Platform, rt *starpu.Runtime, scope *telemetry.
 				rt.EvictWorker(w, "cap-breaker")
 			}
 		}
-	}
-	if scope != nil {
-		// The sampler is already attached, so the controller's cap moves
-		// land in its event series from the very first tick.
-		scope.InstallDyncapHooks(ctl)
 	}
 	return ctl, ctl.Start()
 }

@@ -61,9 +61,9 @@ func dagDigest(rt *starpu.Runtime) []string {
 			hs = append(hs, n)
 		}
 		out = append(out, fmt.Sprintf(
-			"task %d %p %v %v prio=%d work=%v tag=%s fp=%x func=%t cb=%t explicit=%d retries=%d w=%d t=%v/%v/%v/%v xfer=%v deps=%v succ=%v",
+			"task %d %p %v %v prio=%d work=%v tag=%s fp=%x func=%t retries=%d w=%d t=%v/%v/%v/%v xfer=%v deps=%v succ=%v",
 			t.ID, t.Codelet, hs, t.Modes, t.Priority, t.Work, t.Tag, t.Footprint(), t.Func != nil,
-			t.OnComplete != nil, len(t.DependsOn), t.Retries, t.WorkerID,
+			t.Retries, t.WorkerID,
 			t.SubmitT, t.ReadyT, t.StartT, t.EndT, t.TransferBytes, ids(t.Dependencies()), ids(t.Successors())))
 	}
 	for h, n := range handles {

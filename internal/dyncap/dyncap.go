@@ -68,8 +68,6 @@ type Controller struct {
 	// Done tells the controller to stop rescheduling itself; the
 	// experiment driver wires it to the runtime's pending-task count.
 	Done func() bool
-	// OnCapChange, when set, fires once per applied cap move (telemetry).
-	OnCapChange func(CapChange)
 	// Evict, when set, fires when the platform's cap-write circuit
 	// breaker trips on a GPU the controller was driving (the board is
 	// already marked dead by then).  It is called from tick — an engine
@@ -207,12 +205,8 @@ func (c *Controller) tick() {
 				next = units.Watts(float64(got) / 1000)
 			}
 			if next != g.cap {
-				change := CapChange{T: c.plat.Engine().Now(), GPU: i, Old: g.cap, New: next}
+				c.history = append(c.history, CapChange{T: c.plat.Engine().Now(), GPU: i, Old: g.cap, New: next})
 				g.cap = next
-				c.history = append(c.history, change)
-				if c.OnCapChange != nil {
-					c.OnCapChange(change)
-				}
 			}
 		}
 		g.dir, g.step, g.lastEff = dir, step, eff

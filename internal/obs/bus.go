@@ -27,9 +27,10 @@ type EventType string
 
 // The typed events the observability plane carries.  Cell* events and
 // CheckpointCommitted (one per durable journal record) are published by
-// the sweep executor; the deeper classes come from the platform's cap
-// applicator (CapRetryExhausted), the cap-write circuit breaker
-// (BreakerTripped) and the runtime's eviction path (WorkerEvicted).
+// the sweep executor; the deeper classes are published by core.Run when
+// a cell's run returns, from what the platform's cap applicator
+// (CapRetryExhausted), the cap-write circuit breaker (BreakerTripped)
+// and the runtime's eviction path (WorkerEvicted) recorded.
 // SweepStarted is the meta event that carries totals so progress
 // trackers can compute completion fractions and ETAs.
 const (

@@ -1,6 +1,7 @@
 package platform
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/nvml"
@@ -93,6 +94,16 @@ func TestBreakerDegradesCapWrite(t *testing.T) {
 	}
 	if got := p.BreakerTrips(); len(got) != 1 || got[0] != 3 {
 		t.Errorf("BreakerTrips() = %v, want [3]", got)
+	}
+	// The record holds the exhausted write, then the trip it caused, at
+	// the virtual time the retries ran out.
+	now := p.Engine().Now()
+	want := []CapFault{
+		{GPU: 3, T: now, Err: "gave up after 5 attempts: nvml: ERROR_UNKNOWN"},
+		{GPU: 3, T: now, Trip: true},
+	}
+	if got := p.CapFaults(); !reflect.DeepEqual(got, want) {
+		t.Errorf("CapFaults() = %+v, want %+v", got, want)
 	}
 	// The open breaker short-circuits later writes: no error, no retry
 	// storm against a board already declared dead.

@@ -119,20 +119,14 @@ type Platform struct {
 	addedPower []units.Watts
 
 	// capStats accumulates the verified cap applicator's retry/clamp
-	// counts (see resilience.go).
-	capStats CapApplyStats
+	// counts, capFaults its exhausted writes and breaker trips in the
+	// order they happened (see resilience.go).
+	capStats  CapApplyStats
+	capFaults []CapFault
 
 	// breakerThreshold sets when a board's cap-write circuit breaker
 	// trips (see resilience.go).
 	breakerThreshold int
-
-	// OnCapExhausted and OnBreakerTrip, when set, are notified from the
-	// resilience layer: a cap write that exhausted its retry budget, and
-	// a breaker trip declaring the board dead.  Both fire at a virtual
-	// time the caller can read off the engine; they are observations
-	// only — nothing they do may feed back into the simulation.
-	OnCapExhausted func(gpu int, t units.Seconds, err error)
-	OnBreakerTrip  func(gpu int, t units.Seconds)
 }
 
 // New builds a node from a spec: one CUDA worker per GPU (each with a

@@ -36,6 +36,21 @@ type CapApplyStats struct {
 // CapStats reports the cumulative applicator statistics.
 func (p *Platform) CapStats() CapApplyStats { return p.capStats }
 
+// CapFault is one entry of the resilience layer's record: at virtual
+// time T, a cap write on GPU exhausted its retry budget (Err holds the
+// error text) or, with Trip set, the board's breaker tripped.
+type CapFault struct {
+	GPU  int
+	T    units.Seconds
+	Trip bool
+	Err  string
+}
+
+// CapFaults lists the exhausted cap writes and breaker trips over the
+// platform's lifetime, in the order they happened.  The slice is the
+// platform's own; callers must not modify it.
+func (p *Platform) CapFaults() []CapFault { return p.capFaults }
+
 // verifiedApply is the shared verify-after-set applicator core: one
 // set/read-back cycle under the retry policy above.  set reports
 // whether its failure is transient (worth retrying); verify reports
@@ -98,9 +113,7 @@ func (p *Platform) applyGPUCap(g int, cap units.Watts) error {
 		},
 	)
 	if err != nil {
-		if p.OnCapExhausted != nil {
-			p.OnCapExhausted(g, p.engine.Now(), err)
-		}
+		p.capFaults = append(p.capFaults, CapFault{GPU: g, T: p.engine.Now(), Err: err.Error()})
 		if p.NoteCapWriteFailure(g) {
 			return nil // breaker tripped: run degrades instead of failing
 		}
@@ -167,9 +180,7 @@ func (p *Platform) NoteCapWriteFailure(g int) bool {
 	}
 	b.breakerOpen = true
 	p.gpus[g].MarkDead()
-	if p.OnBreakerTrip != nil {
-		p.OnBreakerTrip(g, p.engine.Now())
-	}
+	p.capFaults = append(p.capFaults, CapFault{GPU: g, T: p.engine.Now(), Trip: true})
 	return true
 }
 

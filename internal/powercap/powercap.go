@@ -8,7 +8,6 @@ package powercap
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
 
 	"repro/internal/gpu"
@@ -139,33 +138,6 @@ func ladder(n, h int, rest Level) Plan {
 		}
 	}
 	return p
-}
-
-// Permutations lists the distinct orderings of p (used by the
-// negligible-variation check of §IV-C).
-func Permutations(p Plan) []Plan {
-	sorted := append(Plan(nil), p...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	var out []Plan
-	permute(sorted, 0, &out)
-	return out
-}
-
-func permute(p Plan, k int, out *[]Plan) {
-	if k == len(p) {
-		*out = append(*out, append(Plan(nil), p...))
-		return
-	}
-	seen := map[Level]bool{}
-	for i := k; i < len(p); i++ {
-		if seen[p[i]] {
-			continue
-		}
-		seen[p[i]] = true
-		p[k], p[i] = p[i], p[k]
-		permute(p, k+1, out)
-		p[k], p[i] = p[i], p[k]
-	}
 }
 
 // FindBestCap sweeps caps in 2 %-of-TDP steps (the paper's protocol,

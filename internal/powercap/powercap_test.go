@@ -99,23 +99,6 @@ func TestEnumerate(t *testing.T) {
 	}
 }
 
-func TestPermutations(t *testing.T) {
-	perms := Permutations(MustParsePlan("HHHB"))
-	if len(perms) != 4 {
-		t.Fatalf("HHHB has %d permutations, want 4 (HHHB, HHBH, HBHH, BHHH)", len(perms))
-	}
-	seen := map[string]bool{}
-	for _, p := range perms {
-		if seen[p.String()] {
-			t.Errorf("duplicate permutation %s", p)
-		}
-		seen[p.String()] = true
-		if p.Count(Best) != 1 || p.Count(High) != 3 {
-			t.Errorf("permutation %s changed multiset", p)
-		}
-	}
-}
-
 func TestFindBestCapMatchesTableI(t *testing.T) {
 	// Large-kernel sweep must land on Table I's optimum.
 	arch := gpu.A100SXM4()

@@ -155,18 +155,9 @@ func (rt *Runtime) EvictWorker(i int, reason string) Eviction {
 		ev.Requeued++
 	}
 	rt.evictions = append(rt.evictions, ev)
-	if rt.onEviction != nil {
-		rt.onEviction(ev)
-	}
 	rt.WakeAll()
 	return ev
 }
-
-// SetEvictionHook installs an observer for completed evictions.  The
-// hook runs inside the simulation loop at the eviction's virtual time;
-// it is an observation seam (events, metrics) and must not touch the
-// runtime.
-func (rt *Runtime) SetEvictionHook(fn func(Eviction)) { rt.onEviction = fn }
 
 // abortAttempt cancels t's current execution attempt on w: meter unwind
 // if compute had begun, pin release, busy-time and availability

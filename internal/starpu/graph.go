@@ -64,9 +64,8 @@ func (g *Graph) NumTasks() int { return len(g.key) }
 // The runtime sits on a stub machine (one CPU and one CUDA worker on one
 // memory node, its own engine, the eager scheduler), so recording never
 // touches a live platform.  Only cost-only DAGs can be recorded: a task
-// with a numeric body, a completion callback or explicit dependencies,
-// or a handle carrying a payload, is refused — such DAGs call Submit
-// directly.
+// with a numeric body, or a handle carrying a payload, is refused —
+// such DAGs call Submit directly.
 func Record(build func(*Runtime) error) (*Graph, error) {
 	rt, err := New(recordMachine{eventsim.NewEngine()}, Config{Scheduler: "eager"})
 	if err != nil {
@@ -83,8 +82,8 @@ func freeze(rt *Runtime) (*Graph, error) {
 	n := len(rt.tasks)
 	var nHandles, nPreds, nTag int
 	for _, t := range rt.tasks {
-		if t.Func != nil || t.OnComplete != nil || len(t.DependsOn) > 0 {
-			return nil, fmt.Errorf("starpu: cannot record task %q: numeric bodies, completion callbacks and explicit dependencies need Submit", t.Tag)
+		if t.Func != nil {
+			return nil, fmt.Errorf("starpu: cannot record task %q: numeric bodies need Submit", t.Tag)
 		}
 		if int(int32(t.Priority)) != t.Priority {
 			return nil, fmt.Errorf("starpu: cannot record task %q: priority %d overflows int32", t.Tag, t.Priority)

@@ -251,22 +251,12 @@ func TestGraphImmutable(t *testing.T) {
 	}
 }
 
-// TestRecordRefusals: numeric bodies, completion callbacks, explicit
-// dependencies and handle payloads stay on Submit.
+// TestRecordRefusals: numeric bodies and handle payloads stay on
+// Submit.
 func TestRecordRefusals(t *testing.T) {
 	for name, build := range map[string]func(*Runtime) error{
 		"func": func(rt *Runtime) error {
 			return rt.Submit(&Task{Codelet: anyCodelet, Func: func() error { return nil }})
-		},
-		"on-complete": func(rt *Runtime) error {
-			return rt.Submit(&Task{Codelet: anyCodelet, OnComplete: func(*Task) {}})
-		},
-		"depends-on": func(rt *Runtime) error {
-			a := &Task{Codelet: anyCodelet}
-			if err := rt.Submit(a); err != nil {
-				return err
-			}
-			return rt.Submit(&Task{Codelet: anyCodelet, DependsOn: []*Task{a}})
 		},
 		"payload": func(rt *Runtime) error {
 			rt.Register([]float64{1}, 8, 1)

@@ -154,11 +154,6 @@ type Runtime struct {
 	evictions []Eviction
 	permanent []*Task
 	stranded  []*Task
-
-	// onEviction, when set via SetEvictionHook, observes each completed
-	// eviction (after requeue accounting) from inside the simulation
-	// loop; it must not mutate runtime state.
-	onEviction func(Eviction)
 }
 
 // New builds a runtime over machine with the given configuration.
@@ -323,12 +318,6 @@ func (rt *Runtime) Submit(t *Task) error {
 				deps = addDep(deps, t, r)
 			}
 		}
-	}
-	for _, d := range t.DependsOn {
-		if d == nil {
-			return fmt.Errorf("starpu: task %q declares a nil dependency", t.Tag)
-		}
-		deps = addDep(deps, t, d)
 	}
 	// Update access history after scanning all handles, so a task that
 	// both reads and writes the same handle does not depend on itself.
@@ -621,9 +610,6 @@ func (rt *Runtime) complete(w *Worker, t *Task) {
 	}
 
 	rt.lastWorker = w.ID
-	if t.OnComplete != nil {
-		t.OnComplete(t)
-	}
 	for _, s := range t.Successors() {
 		s.ndeps--
 		if s.ndeps == 0 {

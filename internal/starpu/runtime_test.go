@@ -538,83 +538,6 @@ func TestAllSchedulersCompleteDAG(t *testing.T) {
 	}
 }
 
-func TestExplicitDependencies(t *testing.T) {
-	rt, _ := newRT(t, "eager")
-	// Two tasks on unrelated handles, ordered only by DependsOn.
-	h1 := rt.Register(nil, 8, 64, 64)
-	h2 := rt.Register(nil, 8, 64, 64)
-	first := &Task{Codelet: anyCodelet, Handles: []*Handle{h1}, Modes: []AccessMode{RW}, Work: 1e9, Tag: "first"}
-	second := &Task{Codelet: anyCodelet, Handles: []*Handle{h2}, Modes: []AccessMode{RW}, Work: 1e8,
-		DependsOn: []*Task{first}, Tag: "second"}
-	if err := rt.Submit(first); err != nil {
-		t.Fatal(err)
-	}
-	if err := rt.Submit(second); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if second.StartT < first.EndT-1e-12 {
-		t.Errorf("explicit dependency violated: second started %v before first ended %v",
-			second.StartT, first.EndT)
-	}
-	// A nil dependency is a submission error.
-	bad := &Task{Codelet: anyCodelet, DependsOn: []*Task{nil}}
-	if err := rt.Submit(bad); err == nil {
-		t.Error("nil dependency accepted")
-	}
-}
-
-func TestOnCompleteCallback(t *testing.T) {
-	rt, _ := newRT(t, "eager")
-	h := rt.Register(nil, 8, 64, 64)
-	var order []string
-	mk := func(name string) *Task {
-		return &Task{Codelet: anyCodelet, Handles: []*Handle{h}, Modes: []AccessMode{RW}, Work: 1e8,
-			Tag: name, OnComplete: func(tk *Task) { order = append(order, tk.Tag) }}
-	}
-	for _, name := range []string{"a", "b", "c"} {
-		if err := rt.Submit(mk(name)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
-		t.Errorf("callback order = %v", order)
-	}
-}
-
-func TestOnCompleteChainedSubmission(t *testing.T) {
-	// Callbacks may submit follow-up work (StarPU's continuation style).
-	rt, _ := newRT(t, "eager")
-	h := rt.Register(nil, 8, 64, 64)
-	ran := 0
-	var chain func(depth int) *Task
-	chain = func(depth int) *Task {
-		return &Task{Codelet: anyCodelet, Handles: []*Handle{h}, Modes: []AccessMode{RW}, Work: 1e8,
-			OnComplete: func(*Task) {
-				ran++
-				if depth > 0 {
-					if err := rt.Submit(chain(depth - 1)); err != nil {
-						t.Error(err)
-					}
-				}
-			}}
-	}
-	if err := rt.Submit(chain(4)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := rt.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if ran != 5 {
-		t.Errorf("chained submissions ran %d tasks, want 5", ran)
-	}
-}
-
 func TestWriteOnlyAccessSkipsTransfer(t *testing.T) {
 	rt, _ := newRT(t, "eager")
 	h := rt.Register(nil, 8, 1024, 1024) // 8 MiB on the host

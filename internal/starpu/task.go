@@ -80,12 +80,6 @@ type Task struct {
 	Func func() error
 	// Tag is a free-form label for traces ("gemm(2,3,1)").
 	Tag string
-	// DependsOn adds explicit predecessors on top of the implicit
-	// data-driven ones (StarPU's starpu_task_declare_deps).
-	DependsOn []*Task
-	// OnComplete, when set, fires inside the simulation loop right
-	// after the task finishes (progress reporting, chained submission).
-	OnComplete func(*Task)
 
 	// Retries counts failed execution attempts (fault injection or
 	// worker eviction mid-compute); 0 on a clean run.
@@ -99,8 +93,9 @@ type Task struct {
 	EndT          units.Seconds
 	TransferBytes units.Bytes
 
-	// Runtime-owned state, packed so a Task fits the 256-byte size
-	// class (TestTaskFitsSizeClass): a cell's whole DAG is live at once.
+	// Runtime-owned state, packed so a Task stays within 224 bytes
+	// (TestTaskFitsSizeClass): a cell's whole DAG is live at once, its
+	// tasks back to back in the arena's chunks.
 	//
 	// edges holds the dependencies (the first npreds entries, ascending
 	// ID) followed by the successors still waiting on t; ndeps counts

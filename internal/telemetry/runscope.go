@@ -1,7 +1,7 @@
 package telemetry
 
 import (
-	"fmt"
+	"strconv"
 	"sync"
 
 	"repro/internal/dyncap"
@@ -66,12 +66,14 @@ func (s *RunScope) runtime() *starpu.Runtime {
 	return s.rt
 }
 
-// InstallDyncapHooks instruments the dynamic cap controller: every cap
-// move is counted and lands in this run's sampler's event series.
-func (s *RunScope) InstallDyncapHooks(ctl *dyncap.Controller) {
-	ctl.OnCapChange = func(ch dyncap.CapChange) {
-		s.c.dyncapMoves.With(fmt.Sprintf("%d", ch.GPU)).Inc()
-		if smp := s.Sampler(); smp != nil {
+// ObserveCapMoves reports the dynamic cap controller's moves, read off
+// its history once the measured pass ends: each is counted and lands in
+// this run's sampler's event series.
+func (s *RunScope) ObserveCapMoves(moves []dyncap.CapChange) {
+	smp := s.Sampler()
+	for _, ch := range moves {
+		s.c.dyncapMoves.With(strconv.Itoa(ch.GPU)).Inc()
+		if smp != nil {
 			smp.ObserveCapChange(ch.T, ch.GPU, ch.Old, ch.New)
 		}
 	}

@@ -3,6 +3,8 @@ package telemetry
 import (
 	"sync"
 	"testing"
+
+	"repro/internal/dyncap"
 )
 
 // TestRunScopeIsolatesSamplers runs two scoped runs concurrently against
@@ -79,8 +81,8 @@ func TestRunScopeIsolatesSamplers(t *testing.T) {
 	}
 }
 
-// TestRunScopeCapEventsStayScoped: dyncap cap-change hooks installed via
-// a scope land in that scope's sampler series only.
+// TestRunScopeCapEventsStayScoped: dyncap cap moves reported through a
+// scope land in that scope's sampler series only.
 func TestRunScopeCapEventsStayScoped(t *testing.T) {
 	c := NewCollector()
 	sA := c.NewRunScope()
@@ -102,9 +104,9 @@ func TestRunScopeCapEventsStayScoped(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Record a cap event through scope A's sampler only (the dyncap hook
-	// path routes through Scope.Sampler()).
-	smpA.ObserveCapChange(platA.Engine().Now(), 0, 300, 250)
+	// Report a cap move through scope A only (ObserveCapMoves routes
+	// through Scope.Sampler()).
+	sA.ObserveCapMoves([]dyncap.CapChange{{T: platA.Engine().Now(), GPU: 0, Old: 300, New: 250}})
 	if got := len(smpA.CapEvents()); got != 1 {
 		t.Errorf("scope A cap events = %d, want 1", got)
 	}

@@ -188,8 +188,9 @@ func AttachSampler(reg *Registry, plat *platform.Platform, rt *starpu.Runtime, c
 	return s, nil
 }
 
-// ObserveCapChange records an exact cap-change event (wired to
-// dyncap.Controller.OnCapChange) next to the sampled series.
+// ObserveCapChange records an exact cap-change event (a dyncap
+// controller move, see RunScope.ObserveCapMoves) next to the sampled
+// series.
 func (s *Sampler) ObserveCapChange(t units.Seconds, gpu int, old, new units.Watts) {
 	if gpu >= 0 && gpu < len(s.capBound) {
 		s.capBound[gpu].Inc()
