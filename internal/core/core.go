@@ -529,13 +529,15 @@ func publishRecords(cfg Config, plan string, p *platform.Platform, rt *starpu.Ru
 	if scope != nil && ctl != nil {
 		scope.ObserveCapMoves(ctl.History())
 	}
-	if bus := cfg.Events; bus != nil {
+	faults := p.CapFaults()
+	var evs []starpu.Eviction
+	if rt != nil {
+		evs = rt.Evictions()
+	}
+	degraded := res != nil && res.Degraded != nil
+	// The cell key is built only when there is an event to carry it.
+	if bus := cfg.Events; bus != nil && (len(faults) > 0 || len(evs) > 0 || degraded) {
 		cell := cfg.CheckpointKey()
-		faults := p.CapFaults()
-		var evs []starpu.Eviction
-		if rt != nil {
-			evs = rt.Evictions()
-		}
 		for len(faults) > 0 || len(evs) > 0 {
 			if len(faults) > 0 && (len(evs) == 0 || faults[0].T < evs[0].T ||
 				faults[0].T == evs[0].T && faults[0].GPU <= p.WorkerGPU(evs[0].Worker)) {
@@ -554,7 +556,7 @@ func publishRecords(cfg Config, plan string, p *platform.Platform, rt *starpu.Ru
 			bus.Publish(obs.Event{Type: obs.WorkerEvicted, Cell: cell, Plan: plan,
 				Worker: e.Worker, SimTime: float64(e.T), Detail: e.Reason})
 		}
-		if res != nil && res.Degraded != nil {
+		if degraded {
 			bus.Publish(obs.Event{Type: obs.DegradedRun, Cell: cell, Plan: plan,
 				Workload: cfg.Workload.String(), SimTime: float64(res.Makespan), Detail: res.Degraded.Plan})
 		}

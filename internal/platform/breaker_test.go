@@ -1,11 +1,14 @@
 package platform
 
 import (
+	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/nvml"
 	"repro/internal/powercap"
+	"repro/internal/units"
 )
 
 // TestBreakerTripsAfterConsecutiveFailures exercises the counter state
@@ -113,5 +116,26 @@ func TestBreakerDegradesCapWrite(t *testing.T) {
 	}
 	if after := p.CapStats().Retries; after != before {
 		t.Errorf("open breaker still retried the dead board: %d extra retries", after-before)
+	}
+}
+
+// TestDefaultCapErrorNamesTDP: cap 0 requests the default limit (an H
+// level), so when that write exhausts its retries the error names the
+// TDP it stands for, not a 0 W cap.
+func TestDefaultCapErrorNamesTDP(t *testing.T) {
+	spec := FourA100Spec()
+	p, err := New(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p.SetCapBreaker(-1)
+	p.InstallCapFaults(deadBoardPolicy{index: 3})
+	err = p.SetGPUCaps(make([]units.Watts, spec.GPUCount))
+	if err == nil {
+		t.Fatal("exhausted default-limit write on GPU 3 succeeded")
+	}
+	want := fmt.Sprintf("platform: GPU 3: cap %v (default TDP) rejected: gave up after 5 attempts", spec.GPUArch.TDP)
+	if got := err.Error(); !strings.HasPrefix(got, want) || strings.Contains(got, "cap 0.0 W") {
+		t.Errorf("error %q, want it to start %q", got, want)
 	}
 }

@@ -475,7 +475,7 @@ func (p *Platform) SetCPUCap(socket int, cap units.Watts) error {
 		},
 	)
 	if err != nil {
-		return fmt.Errorf("platform: socket %d: cap %v rejected: %w", socket, cap, err)
+		return fmt.Errorf("platform: socket %d: cap %s rejected: %w", socket, capLabel(cap, p.CPUArch.TDP), err)
 	}
 	return nil
 }

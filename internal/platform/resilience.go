@@ -117,10 +117,19 @@ func (p *Platform) applyGPUCap(g int, cap units.Watts) error {
 		if p.NoteCapWriteFailure(g) {
 			return nil // breaker tripped: run degrades instead of failing
 		}
-		return fmt.Errorf("platform: GPU %d: cap %v rejected: %w", g, cap, err)
+		return fmt.Errorf("platform: GPU %d: cap %s rejected: %w", g, capLabel(cap, p.GPUArch.TDP), err)
 	}
 	p.NoteCapWriteSuccess(g)
 	return nil
+}
+
+// capLabel words a cap request for an error message.  Cap 0 requests
+// the default limit, so it is named by the TDP it stands for.
+func capLabel(cap, tdp units.Watts) string {
+	if cap == 0 {
+		return tdp.String() + " (default TDP)"
+	}
+	return cap.String()
 }
 
 // ---- cap-write circuit breaker ----

@@ -99,13 +99,15 @@ func TestNoAllocsSteadyState(t *testing.T) {
 		t.Errorf("task attempt start/complete allocates %.2f times per cycle, want 0", allocs)
 	}
 
-	// Scoring kernel: every worker's estimate for one warm task.
+	// Scoring kernel: the transfer vector and every worker's estimate
+	// for one warm task.
 	task := rt.Tasks()[20]
 	n := fm.NumWorkers()
+	xfer := make([]units.Seconds, fm.NumNodes())
 	allocs = testing.AllocsPerRun(500, func() {
+		rt.transferEstimates(xfer, task)
 		for i := 0; i < n; i++ {
 			rt.estimate(task, i)
-			rt.transferEstimate(task, rt.workers[i].Info.Node)
 			rt.localBytes(task, i)
 		}
 	})

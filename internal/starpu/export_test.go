@@ -61,15 +61,36 @@ func dm(rt *Runtime) *dmSched {
 	return rt.sched.(*dmSched)
 }
 
+// Pricings reports how many group members a dm-family runtime's
+// grouped Push has priced.
+func Pricings(rt *Runtime) uint64 { return dm(rt).priced }
+
 // SetValid overwrites the set of nodes holding a valid copy of h.
 func SetValid(h *Handle, nodes uint64) { h.valid = nodeSet(nodes) }
 
 // PickSource exposes the runtime's source choice for staging h to dst.
 func PickSource(rt *Runtime, h *Handle, dst int) int { return rt.pickSource(h, dst) }
 
-// TransferEstimate exposes dmda's transfer term for t on node.
+// TransferEstimate is dmda's transfer term for t on node, priced one
+// node at a time from the transfer table: the per-group walk that
+// transferEstimates replaced.
 func TransferEstimate(rt *Runtime, t *Task, node int) units.Seconds {
-	return rt.transferEstimate(t, node)
+	var sum units.Seconds
+	for _, h := range t.Handles {
+		if h.valid.has(node) {
+			continue
+		}
+		sum += rt.transferTime(h, rt.pickSource(h, node), node)
+	}
+	return units.Seconds(float64(sum) * transferPenalty)
+}
+
+// TransferEstimates exposes the one-walk transfer vector for t, one
+// entry per memory node.
+func TransferEstimates(rt *Runtime, t *Task) []units.Seconds {
+	xfer := make([]units.Seconds, rt.nodes)
+	rt.transferEstimates(xfer, t)
+	return xfer
 }
 
 // RefPickSource is pickSource priced straight from the machine: every
@@ -88,7 +109,7 @@ func RefPickSource(rt *Runtime, h *Handle, dst int) int {
 	return best
 }
 
-// RefTransferEstimate is transferEstimate priced straight from the
+// RefTransferEstimate is TransferEstimate priced straight from the
 // machine.
 func RefTransferEstimate(rt *Runtime, t *Task, node int) units.Seconds {
 	var sum units.Seconds

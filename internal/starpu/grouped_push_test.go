@@ -1,6 +1,8 @@
 package starpu_test
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -264,27 +266,37 @@ func comparePush(t testing.TB, machine, sched string, ops []byte) (decisions, ti
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("%s/%s step %d: error %v, reference %v", machine, sched, step, gotErr, wantErr)
 		}
-		if len(got.decisions) != len(want.decisions) {
-			t.Fatalf("%s/%s step %d: %d decisions, reference %d", machine, sched, step, len(got.decisions), len(want.decisions))
-		}
-		for k := decisions; k < len(got.decisions); k++ {
-			g, w := got.decisions[k], want.decisions[k]
-			if g.Task.ID != w.Task.ID || g.Chosen != w.Chosen || g.Reason != w.Reason || g.Time != w.Time ||
-				!reflect.DeepEqual(g.Candidates, w.Candidates) {
-				t.Fatalf("%s/%s step %d decision %d:\n got  %+v\n want %+v", machine, sched, step, k, g, w)
-			}
-			if hasTie(g.Candidates) {
-				ties++
-			}
-		}
+		ties += checkLockStep(t, fmt.Sprintf("%s/%s step %d", machine, sched, step), got, want, decisions)
 		decisions = len(got.decisions)
-		for i := range got.rt.Workers() {
-			if g, w := starpu.ExpEnd(got.rt, i), starpu.ExpEnd(want.rt, i); g != w {
-				t.Fatalf("%s/%s step %d: worker %d exp_end %v, reference %v", machine, sched, step, i, g, w)
-			}
-		}
 	}
 	return decisions, ties
+}
+
+// checkLockStep fails unless got and want made the same decisions from
+// the from'th on (chosen worker, reason, full Candidates) and agree on
+// every worker's exp_end.  It reports how many of those decisions had
+// a tie for the least metric.
+func checkLockStep(t testing.TB, label string, got, want *pushEnv, from int) (ties int) {
+	t.Helper()
+	if len(got.decisions) != len(want.decisions) {
+		t.Fatalf("%s: %d decisions, reference %d", label, len(got.decisions), len(want.decisions))
+	}
+	for k := from; k < len(got.decisions); k++ {
+		g, w := got.decisions[k], want.decisions[k]
+		if g.Task.ID != w.Task.ID || g.Chosen != w.Chosen || g.Reason != w.Reason || g.Time != w.Time ||
+			!reflect.DeepEqual(g.Candidates, w.Candidates) {
+			t.Fatalf("%s decision %d:\n got  %+v\n want %+v", label, k, g, w)
+		}
+		if hasTie(g.Candidates) {
+			ties++
+		}
+	}
+	for i := range got.rt.Workers() {
+		if g, w := starpu.ExpEnd(got.rt, i), starpu.ExpEnd(want.rt, i); g != w {
+			t.Fatalf("%s: worker %d exp_end %v, reference %v", label, i, g, w)
+		}
+	}
+	return ties
 }
 
 // hasTie reports whether two candidates share the least metric.
@@ -371,10 +383,11 @@ func FuzzGroupedPush(f *testing.F) {
 	})
 }
 
-// TestTransferTableMatchesMachine: pickSource and transferEstimate read
-// the cached transfer table; over random valid sets and every tile
-// size they must equal the choice and sum priced straight from
-// Machine.TransferTime.
+// TestTransferTableMatchesMachine: pickSource and the transfer terms
+// read the cached transfer table; over random valid sets (the empty
+// set and every node included) and every tile size they must equal the
+// choice and sum priced straight from Machine.TransferTime, and the
+// one-walk vector must hold each node's per-node sum bit for bit.
 func TestTransferTableMatchesMachine(t *testing.T) {
 	for _, machine := range pushMachines() {
 		m, _ := newMachine(t, machine, false)
@@ -389,8 +402,19 @@ func TestTransferTableMatchesMachine(t *testing.T) {
 			task := &starpu.Task{Codelet: pushAny}
 			for n := 1 + rng.Intn(3); n > 0; n-- {
 				h := handles[rng.Intn(len(handles))]
-				starpu.SetValid(h, 1+uint64(rng.Intn(1<<nodes-1)))
+				valid := uint64(rng.Intn(1 << nodes))
+				switch k % 10 {
+				case 0: // no valid copy: pickSource's fallback to node 0
+					valid = 0
+				case 1: // valid everywhere: nothing to move
+					valid = 1<<nodes - 1
+				}
+				starpu.SetValid(h, valid)
 				task.Handles = append(task.Handles, h)
+			}
+			xfer := starpu.TransferEstimates(rt, task)
+			if len(xfer) != nodes {
+				t.Fatalf("%s: transfer vector has %d entries for %d nodes", machine, len(xfer), nodes)
 			}
 			for dst := 0; dst < nodes; dst++ {
 				for _, h := range task.Handles {
@@ -398,10 +422,134 @@ func TestTransferTableMatchesMachine(t *testing.T) {
 						t.Fatalf("%s: pickSource(%v -> node %d) = %d, direct %d", machine, h.Bytes(), dst, g, w)
 					}
 				}
-				if g, w := starpu.TransferEstimate(rt, task, dst), starpu.RefTransferEstimate(rt, task, dst); g != w {
-					t.Fatalf("%s: transferEstimate(node %d) = %v, direct %v", machine, dst, g, w)
+				node := starpu.TransferEstimate(rt, task, dst)
+				if w := starpu.RefTransferEstimate(rt, task, dst); node != w {
+					t.Fatalf("%s: transferEstimate(node %d) = %v, direct %v", machine, dst, node, w)
+				}
+				if math.Float64bits(float64(xfer[dst])) != math.Float64bits(float64(node)) {
+					t.Fatalf("%s: transfer vector[%d] = %v, per-node walk %v", machine, dst, xfer[dst], node)
 				}
 			}
+		}
+	}
+}
+
+// TestGroupedPushIdleMemberStop pins Push's stop at a group's first
+// idle member against the per-worker reference, on a paper platform
+// whose CPU groups hold many members.  Busy low-index members sit ahead
+// of idle ones (some at now, some before it), so the winner is an idle
+// member the scan must price before it stops, and with every idle
+// member at exactly now the scan must stop at the first of them.  Then
+// a member one ulp above now sits ahead of an idle one, and must not
+// stop the scan: the idle member's metric is strictly less.
+func TestGroupedPushIdleMemberStop(t *testing.T) {
+	const machine = platform.TwoV100Name
+	for _, sched := range pushScheds {
+		got := newPushEnv(t, machine, sched, false)
+		want := newPushEnv(t, machine, sched, true)
+		// cpus lists the CPU workers, pos their rank within their power
+		// domain (their scoring group), size the domain's CPU count.
+		var cpus []int
+		pos := map[int]int{}
+		size := map[int]int{}
+		for i, w := range got.rt.Workers() {
+			if w.Info.Kind == starpu.CPUWorker {
+				d := got.plat.Domain(i)
+				cpus = append(cpus, i)
+				pos[i] = size[d]
+				size[d]++
+			}
+		}
+		if len(size) < 2 || size[got.plat.Domain(cpus[0])] < 8 {
+			t.Fatalf("%s: CPU domains %v; the scenario needs several multi-member CPU groups", machine, size)
+		}
+		const now = 100 // large enough that one ulp above it survives adding an estimate
+		// horizons sets every GPU busy and each CPU to idle(k): the
+		// offset of the k'th CPU worker's exp_end from now.
+		horizons := func(e *pushEnv, idle func(k int) units.Seconds) {
+			for i, w := range e.rt.Workers() {
+				if w.Info.Kind != starpu.CPUWorker {
+					starpu.SetExpEnd(e.rt, i, now+10)
+				}
+			}
+			for k, i := range cpus {
+				starpu.SetExpEnd(e.rt, i, now+idle(k))
+			}
+		}
+		submit := func(e *pushEnv, h int, cl *starpu.Codelet) {
+			task := &starpu.Task{Codelet: cl, Work: 1e7, Handles: []*starpu.Handle{e.handles[h]}, Modes: []starpu.AccessMode{starpu.R}}
+			if err := e.rt.Submit(task); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, e := range []*pushEnv{got, want} {
+			e.rt.Machine().Engine().RunUntil(now)
+			// In every group, the busy first half, then idle members
+			// alternating between exactly now and before it.
+			horizons(e, func(k int) units.Seconds {
+				i := cpus[k]
+				switch {
+				case pos[i] < size[got.plat.Domain(i)]/2:
+					return 1 + units.Seconds(k)*1e-3
+				case k%2 == 0:
+					return 0
+				}
+				return -1
+			})
+		}
+		decisions := 0
+		for k := 0; k < len(cpus); k++ {
+			cl := []*starpu.Codelet{pushCPU, pushAny}[k%2]
+			submit(got, k%len(got.handles), cl)
+			submit(want, k%len(want.handles), cl)
+			checkLockStep(t, fmt.Sprintf("%s/%s busy-then-idle push %d", machine, sched, k), got, want, decisions)
+			decisions = len(got.decisions)
+		}
+		if c := got.decisions[0].Chosen; c != cpus[size[got.plat.Domain(cpus[0])]/2] {
+			t.Fatalf("%s/%s: first push chose worker %d, want the first group's first idle member", machine, sched, c)
+		}
+
+		// In every group, the busy first half, then members idle at
+		// exactly now: the scan prices each group up to its first idle
+		// member and no further.
+		for _, e := range []*pushEnv{got, want} {
+			horizons(e, func(k int) units.Seconds {
+				if i := cpus[k]; pos[i] < size[got.plat.Domain(i)]/2 {
+					return 1
+				}
+				return 0
+			})
+		}
+		before := starpu.Pricings(got.rt)
+		submit(got, 1, pushCPU)
+		submit(want, 1, pushCPU)
+		checkLockStep(t, fmt.Sprintf("%s/%s idle at now", machine, sched), got, want, decisions)
+		decisions = len(got.decisions)
+		wantPriced := 0
+		for _, n := range size {
+			wantPriced += n/2 + 1
+		}
+		if n := starpu.Pricings(got.rt) - before; n != uint64(wantPriced) {
+			t.Fatalf("%s/%s: push priced %d members, want %d (each CPU group up to its first idle member)", machine, sched, n, wantPriced)
+		}
+
+		// One ulp above now, ahead of an idle member.
+		for _, e := range []*pushEnv{got, want} {
+			horizons(e, func(k int) units.Seconds {
+				switch k {
+				case 0:
+					return units.Seconds(math.Nextafter(now, math.Inf(1))) - now
+				case 1:
+					return 0
+				}
+				return 1
+			})
+		}
+		submit(got, 0, pushCPU)
+		submit(want, 0, pushCPU)
+		checkLockStep(t, fmt.Sprintf("%s/%s one ulp above now", machine, sched), got, want, decisions)
+		if c := got.decisions[decisions].Chosen; c != cpus[1] {
+			t.Fatalf("%s/%s: chose worker %d beside a member one ulp above now, want the idle worker %d", machine, sched, c, cpus[1])
 		}
 	}
 }

@@ -32,12 +32,6 @@ type Worker struct {
 	running []*Task
 	dead    bool
 
-	// wake is the worker's preallocated poll callback (rt.tryStart(w)),
-	// built once at runtime construction: workers are woken on every
-	// push and completion, and a fresh closure per wake was a measurable
-	// allocation source on the hot path.
-	wake func()
-
 	// Statistics.
 	tasksRun int
 	busyTime units.Seconds
@@ -184,10 +178,11 @@ func newRuntime(machine Machine, cfg Config, a *Arena) (*Runtime, error) {
 		sizeIDs:    make(map[units.Bytes]int32),
 		nodes:      machine.NumNodes(),
 	}
-	for i := 0; i < machine.NumWorkers(); i++ {
-		w := &Worker{ID: i, Info: machine.Worker(i)}
-		w.wake = func() { rt.tryStart(w) }
-		rt.workers = append(rt.workers, w)
+	workers := make([]Worker, machine.NumWorkers())
+	rt.workers = make([]*Worker, len(workers))
+	for i := range workers {
+		workers[i] = Worker{ID: i, Info: machine.Worker(i)}
+		rt.workers[i] = &workers[i]
 		rt.lastClass[i].id = -1
 	}
 	rt.initGroups()
@@ -392,24 +387,30 @@ func (rt *Runtime) markReady(t *Task) {
 }
 
 // WakeWorker prompts a worker with pipeline room to poll the scheduler
-// (scheduled as a zero-delay event so it runs inside the simulation
-// loop).
+// (scheduled as an event at the current time so it runs inside the
+// simulation loop).
 func (rt *Runtime) WakeWorker(i int) {
 	w := rt.workers[i]
 	if w.dead || w.inflight >= w.pipelineDepth() {
 		return
 	}
-	rt.machine.Engine().After(0, w.wake)
+	engine := rt.machine.Engine()
+	engine.Schedule(engine.Now(), wakeEvents{rt}, uint64(i))
 }
 
 // WakeAll prompts every worker with pipeline room.
 func (rt *Runtime) WakeAll() {
-	for _, w := range rt.workers {
-		if !w.dead && w.inflight < w.pipelineDepth() {
-			rt.machine.Engine().After(0, w.wake)
-		}
+	for i := range rt.workers {
+		rt.WakeWorker(i)
 	}
 }
+
+// wakeEvents fires worker wake-ups; the argument is the worker index.
+// Workers are woken on every push and completion, and like
+// attemptEvents the typed event allocates nothing.
+type wakeEvents struct{ rt *Runtime }
+
+func (e wakeEvents) Fire(arg uint64) { e.rt.tryStart(e.rt.workers[arg]) }
 
 // tryStart pulls work for a worker with pipeline room and schedules its
 // execution: data staging on the links now, compute when both the data
@@ -799,17 +800,33 @@ func (rt *Runtime) estimateUncached(t *Task, id int32) (units.Seconds, bool) {
 	return units.Seconds(float64(t.Work) / rate), false
 }
 
-// transferEstimate reports dmda's data-arrival cost for t on memory
-// node: the uncontended transfer time of every handle missing from it.
-func (rt *Runtime) transferEstimate(t *Task, node int) units.Seconds {
-	var sum units.Seconds
+// transferEstimates fills xfer[node] with dmda's data-arrival cost for
+// t on every memory node, in one walk of t's handles: the uncontended
+// transfer time of each handle missing from the node, weighted by
+// transferPenalty.  Each node's sum adds its terms in handle order.
+func (rt *Runtime) transferEstimates(xfer []units.Seconds, t *Task) {
+	clear(xfer)
 	for _, h := range t.Handles {
-		if h.valid.has(node) {
+		row := rt.ttab[h.sizeID]
+		if v := uint64(h.valid); v != 0 && v&(v-1) == 0 {
+			// A single valid copy is every other node's source.
+			src := bits.TrailingZeros64(v)
+			for n := range xfer {
+				if n != src {
+					xfer[n] += row[src*rt.nodes+n]
+				}
+			}
 			continue
 		}
-		sum += rt.transferTime(h, rt.pickSource(h, node), node)
+		for n := range xfer {
+			if !h.valid.has(n) {
+				xfer[n] += row[rt.pickSource(h, n)*rt.nodes+n]
+			}
+		}
 	}
-	return units.Seconds(float64(sum) * transferPenalty)
+	for n, sum := range xfer {
+		xfer[n] = units.Seconds(float64(sum) * transferPenalty)
+	}
 }
 
 // localBytes reports how many of t's input bytes already sit on worker

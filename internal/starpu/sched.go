@@ -241,11 +241,18 @@ type dmSched struct {
 	// expEnd is each worker's expected-availability horizon, the
 	// "exp_end" of StarPU's dequeue-model schedulers.
 	expEnd []units.Seconds
+	// xfer is the current push's transfer term per memory node (dmda,
+	// dmdas): one walk of the task's handles fills it, and each group
+	// reads it at its node.  It shares expEnd's allocation.
+	xfer []units.Seconds
 	// members lists each scoring group's live workers in index order
 	// (DrainWorker drops evicted ones), and scores holds each group's
 	// terms for the current push.
 	members [][]int32
 	scores  []groupScore
+	// priced counts the members Push has priced: the cost the idle-
+	// member stop bounds, which no decision reveals, so tests read it.
+	priced uint64
 }
 
 // groupScore is one worker group's share of a Push: every worker in
@@ -267,7 +274,8 @@ func (s *dmSched) Init(rt *Runtime) {
 	for i := range s.queues {
 		s.queues[i].sorted = s.sorted
 	}
-	s.expEnd = make([]units.Seconds, n)
+	horizons := make([]units.Seconds, n+rt.nodes)
+	s.expEnd, s.xfer = horizons[:n:n], horizons[n:]
 	// Carve every group's member list out of one backing array; each
 	// list is clipped to its own group's span.
 	counts := make([]int, rt.groups)
@@ -297,13 +305,18 @@ func (s *dmSched) Init(rt *Runtime) {
 // the lowest worker index winning among equals.  The scan is group-
 // major: the estimate, transfer and energy terms are computed once per
 // worker group, from the group's first live member, then the group's
-// live members are priced from their exp_end alone.
+// live members are priced from their exp_end alone, up to the first
+// idle one.  The transfer terms of every node come from one walk of
+// the task's handles.
 func (s *dmSched) Push(t *Task) {
 	rt := s.rt
 	now := rt.machine.Engine().Now()
 	best := -1
 	bestMetric := units.Seconds(math.Inf(1))
 	var bestECT units.Seconds
+	if s.dataAware {
+		rt.transferEstimates(s.xfer, t)
+	}
 	for g, members := range s.members {
 		if len(members) == 0 {
 			continue
@@ -315,8 +328,15 @@ func (s *dmSched) Push(t *Task) {
 		}
 		for _, i := range members {
 			ect, metric := sc.price(s.expEnd[i], now)
+			s.priced++
 			if metric < bestMetric || metric == bestMetric && int(i) < best {
 				best, bestMetric, bestECT = int(i), metric, ect
+			}
+			if s.expEnd[i] <= now {
+				// An idle member's avail is now, the least any member
+				// can have, and the later members have higher indices:
+				// none of them can beat or tie-win this metric.
+				break
 			}
 		}
 	}
@@ -371,7 +391,7 @@ func (s *dmSched) scoreGroup(g *groupScore, t *Task, i int) {
 	}
 	g.est, g.calibrated = rt.estimate(t, i)
 	if s.dataAware {
-		g.xfer = rt.transferEstimate(t, rt.workers[i].Info.Node)
+		g.xfer = s.xfer[rt.workers[i].Info.Node]
 	}
 	if s.power != nil {
 		energy := float64(s.power.ExecPower(i, t)) * float64(g.est)

@@ -50,10 +50,17 @@ type Stats struct {
 // Collect digests a finished runtime.
 func Collect(rt *starpu.Runtime) *Stats {
 	tasks := rt.Tasks()
-	s := &Stats{
-		ByKind:    make(map[starpu.WorkerKind]int),
-		ByCodelet: make(map[string]int),
+	s := &Stats{}
+	// The task loop counts into dense slices: kinds (CPU, CUDA) by
+	// value, codelets (a handful of per-kernel singletons) by pointer;
+	// the maps are built once at the end.
+	var byKind [2]int
+	type codeletCount struct {
+		c *starpu.Codelet
+		n int
 	}
+	var countsBacking [8]codeletCount
+	counts := countsBacking[:0]
 	var start, end units.Seconds
 	first := true
 	for _, t := range tasks {
@@ -61,9 +68,15 @@ func Collect(rt *starpu.Runtime) *Stats {
 			continue
 		}
 		s.TotalTasks++
-		w := rt.Workers()[t.WorkerID]
-		s.ByKind[w.Info.Kind]++
-		s.ByCodelet[t.Codelet.Name]++
+		byKind[rt.Workers()[t.WorkerID].Info.Kind]++
+		k := 0
+		for k < len(counts) && counts[k].c != t.Codelet {
+			k++
+		}
+		if k == len(counts) {
+			counts = append(counts, codeletCount{c: t.Codelet})
+		}
+		counts[k].n++
 		s.TransferBytes += t.TransferBytes
 		if first || t.StartT < start {
 			start = t.StartT
@@ -74,6 +87,16 @@ func Collect(rt *starpu.Runtime) *Stats {
 		first = false
 	}
 	s.Makespan = end - start
+	s.ByKind = make(map[starpu.WorkerKind]int, len(byKind))
+	for k, n := range byKind {
+		if n > 0 {
+			s.ByKind[starpu.WorkerKind(k)] = n
+		}
+	}
+	s.ByCodelet = make(map[string]int, len(counts))
+	for _, c := range counts {
+		s.ByCodelet[c.c.Name] += c.n
+	}
 	if s.TotalTasks > 0 {
 		s.GPUShare = float64(s.ByKind[starpu.CUDAWorker]) / float64(s.TotalTasks)
 	}
