@@ -92,6 +92,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzOperatingPointMemo$$' -fuzztime $(FUZZTIME) ./internal/platform
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/ckpt
+	$(GO) test -run '^$$' -fuzz '^FuzzRecordLine$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/ckpt
 
 # Race-enabled chaos fleet: seeded fault schedules through the full
 # core.Run path, checking completion-or-DegradedRun, attribution

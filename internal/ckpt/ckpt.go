@@ -12,7 +12,10 @@
 //   - journal.jsonl — an append-only record log, one JSON object per
 //     line.  Records map a cell's stable key to its status and, for
 //     completed cells, an opaque payload (the encoded result) with its
-//     SHA-256 digest.
+//     SHA-256 digest.  A line is exactly what json.Marshal writes for
+//     its Record; this package encodes and decodes it with its own
+//     codec (line.go), and DecodeRecord is the one decoder other
+//     packages read journals with.
 //
 // Durability point: a Commit is fsynced before it returns, unless a
 // group-commit scope is open (Defer), in which case the scope's Sync
@@ -23,11 +26,15 @@
 // Crash model: a SIGKILL can land between any two syscalls.  Appends
 // are therefore self-delimiting (newline-framed JSON) and the loader
 // stops at the first torn or corrupt line — every record before it
-// reached the file intact, everything after it is re-run.  Payload
-// digests are verified at load, so a corrupt-but-parseable record
-// degrades to "absent" (the cell re-runs) rather than resurrecting bad
-// bytes.  The worst outcome of any crash is repeated work, never wrong
-// results.
+// reached the file intact, everything after it is re-run.  A line
+// counts only if it is the canonical encoding of the record it decodes
+// to; any other line is torn or corrupt.  Payload digests are verified
+// at load, so a corrupt-but-canonical record degrades to "absent" (the
+// cell re-runs) rather than resurrecting bad bytes.  Resume and Open cut
+// the writer's own journal back to the end of its last accepted line
+// before the first append, so a new record never joins a torn tail on
+// one line; other writers' journals are never touched.  The worst
+// outcome of any crash is repeated work, never wrong results.
 //
 // The open journal holds an exclusive advisory flock, so two live
 // processes can never interleave appends into one checkpoint; the
@@ -116,8 +123,9 @@ type Journal struct {
 	f        *os.File
 	records  map[string]Record
 	resumed  int
-	deferred int  // open group-commit scopes (Defer without its Sync)
-	dirty    bool // records appended since the last fsync
+	deferred int    // open group-commit scopes (Defer without its Sync)
+	dirty    bool   // records appended since the last fsync
+	line     []byte // Commit's encoding buffer, reused under mu
 }
 
 // HashIdentity returns the hex SHA-256 of an identity string.
@@ -141,7 +149,7 @@ func Create(dir string, m Manifest) (*Journal, error) {
 	if err := writeManifest(dir, m); err != nil {
 		return nil, err
 	}
-	return open(dir, "", nil)
+	return open(dir, "", false)
 }
 
 // Resume opens an existing checkpoint, verifying its identity hash
@@ -153,11 +161,7 @@ func Resume(dir string, m Manifest) (*Journal, error) {
 	if err := verifyManifest(dir, m); err != nil {
 		return nil, err
 	}
-	records, err := loadAllJournals(dir)
-	if err != nil {
-		return nil, err
-	}
-	return open(dir, "", records)
+	return open(dir, "", true)
 }
 
 // Open opens a checkpoint for one named writer of a multi-process
@@ -187,11 +191,7 @@ func Open(dir string, m Manifest, writer string) (*Journal, error) {
 	if err := verifyManifest(dir, m); err != nil {
 		return nil, err
 	}
-	records, err := loadAllJournals(dir)
-	if err != nil {
-		return nil, err
-	}
-	return open(dir, writer, records)
+	return open(dir, writer, true)
 }
 
 // validWriter bounds writer names to filename-safe characters so a
@@ -247,12 +247,14 @@ func verifyManifest(dir string, m Manifest) error {
 	return nil
 }
 
-// open finishes construction: the journal file is opened append-only so
-// every commit lands after the loaded prefix, and flocked so a second
-// live process cannot interleave its appends with ours (the lock dies
-// with the process, so it never outlives a crash).
-func open(dir, writer string, records map[string]Record) (*Journal, error) {
-	f, err := os.OpenFile(filepath.Join(dir, journalFile(writer)), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+// open finishes construction: the writer's journal file is opened
+// append-only and flocked, so a second live process cannot interleave
+// its appends with ours (the lock dies with the process, so it never
+// outlives a crash).  With load set, the directory is then replayed
+// under that lock.
+func open(dir, writer string, load bool) (*Journal, error) {
+	name := filepath.Join(dir, journalFile(writer))
+	f, err := os.OpenFile(name, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		return nil, err
 	}
@@ -260,74 +262,124 @@ func open(dir, writer string, records map[string]Record) (*Journal, error) {
 		f.Close()
 		return nil, err
 	}
-	if records == nil {
-		records = make(map[string]Record)
-	}
-	return &Journal{dir: dir, f: f, records: records}, nil
-}
-
-// loadAllJournals merges every journal in the directory, filename
-// order.  Within one file the last record per key wins (the
-// single-writer replay rule); across files a StatusDone record is
-// never displaced by a non-Done one — a second writer re-running a
-// straggler commits "running" after the first writer's "done", and the
-// done result (byte-identical by the determinism contract wherever it
-// was computed) must survive the merge.
-func loadAllJournals(dir string) (map[string]Record, error) {
-	names, err := filepath.Glob(filepath.Join(dir, "journal*.jsonl"))
-	if err != nil {
-		return nil, err
-	}
-	sort.Strings(names)
-	merged := make(map[string]Record)
-	for _, name := range names {
-		records, err := loadJournal(name)
-		if err != nil {
+	j := &Journal{dir: dir, f: f, records: make(map[string]Record)}
+	if load {
+		if err := j.load(name); err != nil {
+			f.Close()
 			return nil, err
 		}
-		for key, r := range records {
-			if have, ok := merged[key]; ok && have.Status == StatusDone && r.Status != StatusDone {
-				continue
-			}
-			merged[key] = r
-		}
 	}
-	return merged, nil
+	return j, nil
 }
 
-// loadJournal replays a record log, last record per key winning.  The
-// scan stops at the first unparseable line: records are only ever
+// load merges every journal in the directory into j.records, filename
+// order, and trims own, the writer's journal, to its accepted prefix:
+// a torn tail left there would join the next record on one line and
+// hide it, and everything after it, from every later replay.  Within
+// one file the last record per key wins (the single-writer
+// replay rule); across files a StatusDone record is never displaced by
+// a non-Done one — a second writer re-running a straggler commits
+// "running" after the first writer's "done", and the done result
+// (byte-identical by the determinism contract wherever it was computed)
+// must survive the merge.
+func (j *Journal) load(own string) error {
+	names, err := filepath.Glob(filepath.Join(j.dir, "journal*.jsonl"))
+	if err != nil {
+		return err
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		records, accepted, err := loadJournal(name)
+		if err != nil {
+			return err
+		}
+		for key, r := range records {
+			if have, ok := j.records[key]; ok && have.Status == StatusDone && r.Status != StatusDone {
+				continue
+			}
+			j.records[key] = r
+		}
+		if name == own {
+			if err := accepted.trim(j.f); err != nil {
+				return fmt.Errorf("ckpt: trimming %s: %w", name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// prefix is the part of a journal file a replay accepted: its first
+// size bytes, which end in a newline unless newline is false (the
+// last accepted line reached the end of the file without one).
+type prefix struct {
+	size    int64
+	newline bool
+}
+
+// trim cuts the journal open as f back to p and ends it with a newline,
+// so the next append starts a line of its own.
+func (p prefix) trim(f *os.File) error {
+	st, err := f.Stat()
+	if err != nil {
+		return err
+	}
+	if st.Size() == p.size && (p.size == 0 || p.newline) {
+		return nil // a clean journal, the common case
+	}
+	if err := f.Truncate(p.size); err != nil {
+		return err
+	}
+	if p.size > 0 && !p.newline {
+		if _, err := f.Write([]byte{'\n'}); err != nil {
+			return err
+		}
+	}
+	return f.Sync()
+}
+
+// loadJournal replays a record log, last record per key winning, and
+// reports the prefix of the file it accepted.  The scan stops at the
+// first line that is not a canonical record: records are only ever
 // appended, so corruption can only be a torn tail.
-func loadJournal(path string) (map[string]Record, error) {
+func loadJournal(path string) (map[string]Record, prefix, error) {
 	records := make(map[string]Record)
+	var accepted prefix
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return records, nil
+		return records, accepted, nil
 	}
 	if err != nil {
-		return nil, err
+		return nil, accepted, err
 	}
 	defer f.Close()
+	var next prefix // the end of the line the scanner last returned
 	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 1<<20), 1<<28)
+	sc.Buffer(make([]byte, 0, 64<<10), 1<<28)
+	sc.Split(func(data []byte, atEOF bool) (int, []byte, error) {
+		adv, tok, err := bufio.ScanLines(data, atEOF)
+		if adv > 0 {
+			next = prefix{next.size + int64(adv), data[adv-1] == '\n'}
+		}
+		return adv, tok, err
+	})
+	var scratch []byte
 	for sc.Scan() {
-		line := sc.Bytes()
-		if len(line) == 0 {
-			continue
+		if line := sc.Bytes(); len(line) != 0 {
+			var r Record
+			if r, scratch, err = decodeRecord(line, scratch); err != nil {
+				break // torn tail: everything after the last fsync re-runs
+			}
+			if r.Status == StatusDone && r.Digest != hashPayload(r.Payload) {
+				// Canonical but corrupt payload: forget the cell entirely
+				// so the stale record below it cannot resurface either.
+				delete(records, r.Key)
+			} else {
+				records[r.Key] = r
+			}
 		}
-		var r Record
-		if err := json.Unmarshal(line, &r); err != nil {
-			break // torn tail: everything after the last fsync re-runs
-		}
-		if r.Status == StatusDone && r.Digest != hashPayload(r.Payload) {
-			// Parseable but corrupt payload: forget the cell entirely so
-			// the stale record below it cannot resurface either.
-			delete(records, r.Key)
-			continue
-		}
-		records[r.Key] = r
+		accepted = next
 	}
-	return records, nil
+	return records, accepted, sc.Err()
 }
 
 func hashPayload(p []byte) string {
@@ -399,17 +451,13 @@ func (j *Journal) Commit(r Record) error {
 	if r.Status == StatusDone {
 		r.Digest = hashPayload(r.Payload)
 	}
-	line, err := json.Marshal(r)
-	if err != nil {
-		return err
-	}
-	line = append(line, '\n')
 	j.mu.Lock()
 	if j.f == nil {
 		j.mu.Unlock()
 		return fmt.Errorf("ckpt: journal closed")
 	}
-	if _, err := j.f.Write(line); err != nil {
+	j.line = append(commitLine(j.line[:0], r), '\n')
+	if _, err := j.f.Write(j.line); err != nil {
 		j.mu.Unlock()
 		return err
 	}

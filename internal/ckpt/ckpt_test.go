@@ -1,6 +1,7 @@
 package ckpt
 
 import (
+	"bytes"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -122,12 +123,212 @@ func TestResumeTornTail(t *testing.T) {
 	if _, ok := r.Lookup("c"); ok {
 		t.Error("torn record resurfaced")
 	}
-	// The journal stays appendable: the torn bytes are simply dead weight
-	// before the next newline-framed record.
+	// The journal stays appendable: Resume cut the torn bytes off, so the
+	// next record starts a line of its own.
 	if err := r.Commit(Record{Key: "d", Status: StatusRunning}); err != nil {
 		t.Fatal(err)
 	}
 	r.Close()
+	data, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := journalLines(
+		Record{Key: "a", Status: StatusDone, Payload: []byte("pa")},
+		Record{Key: "b", Status: StatusDone, Payload: []byte("pb")},
+		Record{Key: "d", Status: StatusRunning})
+	if !bytes.Equal(data, want) {
+		t.Errorf("journal after torn tail and commit:\n%s\nwant\n%s", data, want)
+	}
+}
+
+// TestTornTailKeepsLaterCommits: records committed after resuming past a
+// torn tail must survive the next resume.  Appending them behind the
+// torn bytes put the first on the torn line, where every later replay
+// stopped, forgetting them all.
+func TestTornTailKeepsLaterCommits(t *testing.T) {
+	for _, writer := range []string{"", "w1"} {
+		dir := t.TempDir()
+		m := Manifest{Identity: "torn-later"}
+		reopen := func() *Journal {
+			t.Helper()
+			var j *Journal
+			var err error
+			if writer == "" {
+				j, err = Resume(dir, m)
+			} else {
+				j, err = Open(dir, m, writer)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			return j
+		}
+		j, err := Create(dir, m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		j = reopen()
+		if err := j.Commit(Record{Key: "a", Status: StatusDone, Payload: []byte("pa")}); err != nil {
+			t.Fatal(err)
+		}
+		j.Close()
+		f, err := os.OpenFile(filepath.Join(dir, journalFile(writer)), os.O_WRONLY|os.O_APPEND, 0o644)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.WriteString(`{"key":"c","sta`); err != nil {
+			t.Fatal(err)
+		}
+		f.Close()
+
+		j = reopen()
+		for _, key := range []string{"d", "e"} {
+			if err := j.Commit(Record{Key: key, Status: StatusDone, Payload: []byte("p" + key)}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		j.Close()
+
+		j = reopen()
+		if n := j.Done(); n != 3 {
+			t.Errorf("writer %q: Done() after commits past a torn tail = %d, want 3 (a, d, e)", writer, n)
+		}
+		for _, key := range []string{"d", "e"} {
+			if rec, ok := j.Lookup(key); !ok || string(rec.Payload) != "p"+key {
+				t.Errorf("writer %q: Lookup(%s) = %+v, %v; want the record committed after the torn tail", writer, key, rec, ok)
+			}
+		}
+		j.Close()
+	}
+}
+
+// TestOpenLeavesOtherWritersTornTail: a writer trims only its own
+// journal.  Another writer's torn tail stays as that writer left it.
+func TestOpenLeavesOtherWritersTornTail(t *testing.T) {
+	dir := t.TempDir()
+	m := Manifest{Identity: "two-writers"}
+	other := append(journalLines(Record{Key: "a", Status: StatusDone, Payload: []byte("pa")}), `{"key":"b","sta`...)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, journalFile("w2")), other, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Open(dir, m, "w1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if rec, ok := j.Lookup("a"); !ok || rec.Status != StatusDone {
+		t.Fatalf("Lookup(a) = %+v, %v; want w2's done record", rec, ok)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, journalFile("w2")))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(data, other) {
+		t.Errorf("w1's open rewrote w2's journal:\n%q\nwant\n%q", data, other)
+	}
+}
+
+// TestResumeUnterminatedLastLine: a final record whose newline never
+// reached the file still counts, and Resume ends its line so the next
+// record does not join it.
+func TestResumeUnterminatedLastLine(t *testing.T) {
+	dir := t.TempDir()
+	m := Manifest{Identity: "unterminated"}
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := writeManifest(dir, m); err != nil {
+		t.Fatal(err)
+	}
+	lines := journalLines(Record{Key: "a", Status: StatusDone, Payload: []byte("pa")})
+	if err := os.WriteFile(filepath.Join(dir, journalName), lines[:len(lines)-1], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := Resume(dir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.Done() != 1 {
+		t.Fatalf("Done() = %d, want the unterminated record", j.Done())
+	}
+	if err := j.Commit(Record{Key: "b", Status: StatusRunning}); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	r, err := Resume(dir, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if _, ok := r.Lookup("b"); !ok || r.Done() != 1 {
+		t.Errorf("after resume and commit: Lookup(b) %v, Done() %d; want both records", ok, r.Done())
+	}
+}
+
+// TestParentJournalResumesUnchanged pins the line format: a journal
+// written by the encoding/json-based writer of earlier versions
+// (testdata/parent, every field combination and the escapes encoding/json
+// applies) resumes with every record, each line is byte for byte the
+// encoding of the record it holds, and resuming leaves the file as it was.
+func TestParentJournalResumesUnchanged(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{manifestName, journalName} {
+		data, err := os.ReadFile(filepath.Join("testdata", "parent", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	orig, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := bytes.Split(bytes.TrimSuffix(orig, []byte("\n")), []byte("\n"))
+	for i, line := range lines {
+		r, err := DecodeRecord(line)
+		if err != nil {
+			t.Fatalf("line %d: %v\n%s", i+1, err, line)
+		}
+		if enc := appendRecord(nil, &r); !bytes.Equal(enc, line) {
+			t.Errorf("line %d re-encodes differently:\n got %s\nwant %s", i+1, enc, line)
+		}
+		if ref, _ := json.Marshal(r); !bytes.Equal(ref, line) {
+			t.Errorf("line %d is not what encoding/json writes for its record:\n got %s\nwant %s", i+1, line, ref)
+		}
+	}
+	j, err := Resume(dir, Manifest{Identity: "grid|platform=24-Intel-2-V100|scale=8|seed=7"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n, want := len(j.Records()), 7; n != want {
+		t.Errorf("resumed %d keys, want %d", n, want)
+	}
+	if n := j.Done(); n != 4 {
+		t.Errorf("Done() = %d, want 4", n)
+	}
+	if rec, ok := j.Lookup("cell <a&b> \"quoted\" \\ back"); !ok || rec.Status != StatusHung {
+		t.Errorf("escaped key: %+v, %v", rec, ok)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.ReadFile(filepath.Join(dir, journalName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, orig) {
+		t.Error("resuming a clean journal changed its bytes")
+	}
 }
 
 // TestResumeDigestCorruption checks that a parseable record whose

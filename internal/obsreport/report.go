@@ -8,6 +8,7 @@ package obsreport
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"html/template"
@@ -225,12 +226,12 @@ func readJournal(path string) ([]timelineRow, error) {
 	sc.Buffer(make([]byte, 0, 1<<20), 1<<24)
 	seq := 0
 	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
+		line := bytes.TrimSpace(sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
-		var r ckpt.Record
-		if err := json.Unmarshal([]byte(line), &r); err != nil {
+		r, err := ckpt.DecodeRecord(line)
+		if err != nil {
 			continue // torn tail line after a crash
 		}
 		seq++

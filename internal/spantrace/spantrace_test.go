@@ -15,6 +15,7 @@ import (
 
 	"repro/internal/chameleon"
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/fsutil"
 	"repro/internal/platform"
 	"repro/internal/powercap"
@@ -246,6 +247,51 @@ func TestEdgeSetShape(t *testing.T) {
 	}
 	if roots != 1 {
 		t.Errorf("POTRF DAG has %d roots, want 1 (the first panel)", roots)
+	}
+}
+
+// TestSpanOrderWithRetries pins Finalize's span order on a run whose
+// tasks fail and retry: spans sorted by (Task, StartT), every attempt of
+// a task but its last aborted, each retry starting no earlier than the
+// attempt before it ended, and the attribution still closing.
+func TestSpanOrderWithRetries(t *testing.T) {
+	row := testRow()
+	spec, err := platform.SpecByName(row.Platform)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs, err := faults.ParseSpec("taskfail=0.3,retries=8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := core.Run(core.Config{
+		Spec: spec, Workload: row.Workload(), Plan: powercap.MustParsePlan("HB"),
+		BestFrac: row.BestFrac, Seed: 4, Trace: true, Faults: fs,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans := res.Trace.Spans
+	retried := 0
+	for i := 1; i < len(spans); i++ {
+		prev, s := &spans[i-1], &spans[i]
+		if prev.Task > s.Task || (prev.Task == s.Task && prev.StartT > s.StartT) {
+			t.Fatalf("span %d (task %d at %v) after span %d (task %d at %v): not in (Task, StartT) order",
+				i, s.Task, s.StartT, i-1, prev.Task, prev.StartT)
+		}
+		if prev.Task == s.Task {
+			retried++
+			if !prev.Aborted || s.StartT < prev.EndT {
+				t.Errorf("task %d: attempt at %v follows an attempt (aborted %v) ending at %v",
+					s.Task, s.StartT, prev.Aborted, prev.EndT)
+			}
+		}
+	}
+	if retried == 0 {
+		t.Fatal("no task retried: the fault schedule exercised nothing")
+	}
+	if worst := res.Trace.MaxDeviceRelError(); worst > 0.001 {
+		t.Errorf("MaxDeviceRelError = %.5f, want <= 0.001", worst)
 	}
 }
 

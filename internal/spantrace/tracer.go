@@ -1,8 +1,8 @@
 package spantrace
 
 import (
-	"fmt"
 	"sort"
+	"strconv"
 	"sync"
 
 	"repro/internal/eventsim"
@@ -170,35 +170,58 @@ func (tr *Tracer) Finalize(measured map[string]units.Joules) *Trace {
 	out := &Trace{T0: tr.t0, T1: t1}
 
 	m := tr.rt.Machine()
-	for i := 0; i < m.NumWorkers(); i++ {
+	nGPU, nPkg := 0, 0
+	out.Workers = make([]WorkerMeta, m.NumWorkers())
+	for i := range out.Workers {
 		wi := m.Worker(i)
-		out.Workers = append(out.Workers, WorkerMeta{ID: i, Name: wi.Name, Kind: wi.Kind.String()})
+		out.Workers[i] = WorkerMeta{ID: i, Name: wi.Name, Kind: wi.Kind.String()}
+		nGPU = max(nGPU, tr.model.WorkerGPU(i)+1)
+		nPkg = max(nPkg, tr.model.WorkerPackage(i)+1)
 	}
 
-	out.Spans = append(out.Spans, tr.spans...)
+	// Place the spans by task ID in one counting pass: task IDs index
+	// rt.Tasks(), and spans were appended in start order, so a retried
+	// task's attempts land in execution order — the (Task, StartT) order.
+	tasks := tr.rt.Tasks()
+	first := make([]int, len(tasks)+1) // first[id]: id's first slot
+	for i := range tr.spans {
+		first[tr.spans[i].Task+1]++
+	}
+	for id := range tasks {
+		first[id+1] += first[id]
+	}
+	if len(tr.spans) > 0 {
+		out.Spans = make([]Span, len(tr.spans))
+	}
+	for i := range tr.spans {
+		id := tr.spans[i].Task
+		out.Spans[first[id]] = tr.spans[i]
+		first[id]++
+	}
 	putSpans(tr.spans) // the Trace owns the copy; the backing recycles
 	tr.spans = nil
-	// Retries duplicate task IDs (the aborted attempt plus the rerun), so
-	// the sort falls back to start time: attempts stay in execution order.
-	sort.Slice(out.Spans, func(i, j int) bool {
-		if out.Spans[i].Task != out.Spans[j].Task {
-			return out.Spans[i].Task < out.Spans[j].Task
-		}
-		return out.Spans[i].StartT < out.Spans[j].StartT
-	})
 
 	// Causal edges from the DAG: each task's recorded predecessors are
 	// already sorted by ID, and tasks are visited in ID order, so the
 	// edge list comes out ordered by (To, From) with no extra sort.
 	// Aborted attempts do not count as execution — only the span that
 	// actually completed carries the dependency.
-	executed := make(map[int]bool, len(out.Spans))
+	executed := make([]bool, len(tasks))
 	for i := range out.Spans {
 		if !out.Spans[i].Aborted {
 			executed[out.Spans[i].Task] = true
 		}
 	}
-	for _, t := range tr.rt.Tasks() {
+	nEdges := 0
+	for _, t := range tasks {
+		if executed[t.ID] {
+			nEdges += len(t.Dependencies())
+		}
+	}
+	if nEdges > 0 {
+		out.Edges = make([]Edge, 0, nEdges)
+	}
+	for _, t := range tasks {
 		if !executed[t.ID] {
 			continue
 		}
@@ -209,16 +232,24 @@ func (tr *Tracer) Finalize(measured map[string]units.Joules) *Trace {
 		}
 	}
 
-	// Per-device reconciliation: dynamic span energy by meter name plus
-	// the static baseline over the window.
+	// Per-device reconciliation: dynamic span energy per meter plus the
+	// static baseline over the window.  The span sums run in span order,
+	// as they always have, so they are bit-identical.
 	window := t1 - tr.t0
-	spanJ := make(map[string]units.Joules)
+	gpuJ, pkgJ := make([]units.Joules, nGPU), make([]units.Joules, nPkg)
 	for i := range out.Spans {
 		s := &out.Spans[i]
 		if s.GPU >= 0 {
-			spanJ[fmt.Sprintf("GPU%d", s.GPU)] += s.AccelEnergy()
+			gpuJ[s.GPU] += s.AccelEnergy()
 		}
-		spanJ[fmt.Sprintf("CPU%d", s.Package)] += s.HostEnergy()
+		pkgJ[s.Package] += s.HostEnergy()
+	}
+	spanJ := make(map[string]units.Joules, nGPU+nPkg)
+	for g, e := range gpuJ {
+		spanJ["GPU"+strconv.Itoa(g)] = e
+	}
+	for p, e := range pkgJ {
+		spanJ["CPU"+strconv.Itoa(p)] = e
 	}
 	baselines := tr.model.IdleBaselines()
 	names := make([]string, 0, len(baselines))
@@ -226,6 +257,9 @@ func (tr *Tracer) Finalize(measured map[string]units.Joules) *Trace {
 		names = append(names, name)
 	}
 	sort.Strings(names)
+	if len(names) > 0 {
+		out.Devices = make([]DeviceEnergy, 0, len(names))
+	}
 	for _, name := range names {
 		out.Devices = append(out.Devices, DeviceEnergy{
 			Device:    name,

@@ -81,9 +81,12 @@ func TestSuspectIsolation(t *testing.T) {
 // cancelled in its first heartbeat.  The worker aborts the one and
 // skips the other, still runs and reports the six between them in one
 // message, in grant order, with the exact bytes its journal holds, and
-// never reports a cancelled cell.
+// never reports a cancelled cell.  The cells are full size, each running
+// tens of milliseconds, so the first 1 ms heartbeat reaches the fake
+// coordinator while the first cell still runs.
 func TestWorkerBatchHeartbeatCancel(t *testing.T) {
 	spec := testSpec()
+	spec.Scale = 1
 	cells, err := spec.Cells()
 	if err != nil {
 		t.Fatal(err)
@@ -469,6 +472,9 @@ func TestBatchExpiryRetracted(t *testing.T) {
 // batch reports what it finished and releases the rest, so no lease is
 // left to expire and no cell is charged a kill — not at the stop, not
 // after the TTL, not when the coordinator declares the worker lost.
+// The cells are full size, each running tens of milliseconds, so the
+// first 1 ms heartbeat, which stops the worker, reaches the server long
+// before the 8-cell batch could finish.
 func TestWorkerStopMidBatchReleases(t *testing.T) {
 	const ttl = 200 * time.Millisecond
 	c, err := New(Config{Lease: LeaseConfig{TTL: ttl}, HeartbeatEvery: time.Millisecond})
@@ -488,7 +494,9 @@ func TestWorkerStopMidBatchReleases(t *testing.T) {
 		h.ServeHTTP(w, r)
 	}))
 	defer func() { srv.Close(); ccancel(); c.Close() }()
-	job, err := c.Submit(testSpec())
+	spec := testSpec()
+	spec.Scale = 1
+	job, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
