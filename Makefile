@@ -72,7 +72,9 @@ bench-gate:
 # under adversarial schedules), the grouped dm-family Push (identity
 # with the per-worker reference under fuzzed operation schedules), the
 # dmdas ready queue (pop order identity with a plain-slice oracle), the
-# sweep service's result-batch intake (adversarial wire bodies), the
+# sweep service's result-batch intake (adversarial wire bodies) and
+# every worker- and client-facing protocol path (undecodable bodies
+# answered 4xx, the active job's table keeps its total), the
 # result codec's decoder (never panics; every accepted payload
 # re-encodes to itself), the platform's operating-point memo (bit
 # identity with the device models under fuzzed cap, throttle and
@@ -89,6 +91,7 @@ fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzGroupedPush$$' -fuzztime $(FUZZTIME) ./internal/starpu
 	$(GO) test -run '^$$' -fuzz '^FuzzReadyQueue$$' -fuzztime $(FUZZTIME) ./internal/starpu
 	$(GO) test -run '^$$' -fuzz '^FuzzResultBatch$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sweepd
+	$(GO) test -run '^$$' -fuzz '^FuzzProtoBodies$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/sweepd
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeResult$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzOperatingPointMemo$$' -fuzztime $(FUZZTIME) ./internal/platform
 	$(GO) test -run '^$$' -fuzz '^FuzzJournalReplay$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 1s ./internal/ckpt

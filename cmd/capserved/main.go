@@ -62,7 +62,7 @@ type options struct {
 func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{}
 	fs.StringVar(&o.listen, "listen", "127.0.0.1:0", "dispatch + telemetry address (host:port; :0 picks a free port)")
-	fs.StringVar(&o.checkpoint, "checkpoint", "", "base directory for per-job checkpoint journals (shared with workers; empty = no crash safety)")
+	fs.StringVar(&o.checkpoint, "checkpoint", "", "base directory for the state journal and per-job checkpoint journals (empty = no crash safety)")
 	fs.StringVar(&o.aggDir, "agg-dir", "", "base directory for per-job artifacts (surface.json, digests.json, jobreport.json, events.jsonl)")
 	fs.IntVar(&o.workers, "workers", 0, "supervise this many local capworker processes (0 = external workers only)")
 	fs.StringVar(&o.workerBin, "worker-bin", "", "capworker binary for the supervised fleet (default: next to this binary, then $PATH)")

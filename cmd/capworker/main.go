@@ -2,9 +2,9 @@
 // coordinator, expands the job independently (the spec is declared,
 // not shipped — the CheckpointKey on each lease guards against
 // version skew), executes each lease grant's batch of cells through the
-// guarded executor with its own checkpoint journal namespace, under one
-// heartbeat, and reports the batch's results as checkpoint-codec bytes
-// in one message.
+// guarded executor under one heartbeat, and reports the batch's results
+// as checkpoint-codec bytes in one message.  It keeps nothing on disk:
+// the coordinator journals every cell it acknowledges.
 //
 //	capworker -coordinator http://host:port [-id w0]
 //	          [-cell-timeout 0]
@@ -44,7 +44,7 @@ type options struct {
 // parseArgs parses capworker's flags; an error is a usage error.
 func parseArgs(fs *flag.FlagSet, args []string) (*options, error) {
 	o := &options{}
-	fs.StringVar(&o.id, "id", "", "worker identity: lease holder and journal writer namespace (default w-<pid>)")
+	fs.StringVar(&o.id, "id", "", "worker identity: the lease holder name, unique per live worker (default w-<pid>)")
 	fs.StringVar(&o.coordinator, "coordinator", "", "coordinator base URL (http://host:port)")
 	fs.DurationVar(&o.cellTimeout, "cell-timeout", 0, "per-cell watchdog (0 = off)")
 	netFaults := fs.String("net-faults", "", "wire fault spec on every coordinator call (faults.ParseNetSpec syntax)")

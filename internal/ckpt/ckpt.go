@@ -41,16 +41,17 @@
 // kernel drops the lock when the holder dies, so even a SIGKILL'd
 // writer never blocks a later resume.
 //
-// Multi-writer checkpoints: a sharded sweep has several processes
-// committing cells of one grid at once.  Open gives each writer its
-// own namespaced journal file (journal-<writer>.jsonl) under the same
-// manifest, so every writer keeps the single-writer guarantees above —
-// exclusive flock, append-only, durable before acknowledged — while
-// resume loads the union of every journal in the directory.  Two
-// writers can commit the same cell (a re-leased straggler whose first
-// runner was slow, not dead); the determinism contract makes their payloads
-// byte-identical, so the merge prefers any StatusDone record for a key
-// over non-Done records and is otherwise order-insensitive.
+// Writer namespaces: Open names the writer, whose journal file is
+// journal-<writer>.jsonl under the directory's manifest and keeps the
+// single-writer guarantees above — exclusive flock, append-only,
+// durable before acknowledged.  The sweep service's coordinator is the
+// only writer of a job's cells ("coord"); its workers keep no journal.
+// Resume still loads the union of every journal in the directory, so a
+// job directory that workers of an earlier version also journalled
+// into stays resumable.  Two journals can hold the same cell; the
+// determinism contract makes their payloads byte-identical, so the
+// merge prefers any StatusDone record for a key over non-Done records
+// and is otherwise order-insensitive.
 package ckpt
 
 import (

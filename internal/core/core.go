@@ -312,13 +312,15 @@ func run(cfg Config, dyn *dyncap.Config, powerTraces bool, a *starpu.Arena) (*In
 	// The fault injector must be installed before the first cap write so
 	// the verified applicator sees its failures/clamps from the start.
 	var inj *faults.Injector
+	var faultSpec string
 	if !cfg.Faults.Zero() {
 		// Seed by cell identity, not cfg.Seed alone: a sweep hands every
 		// cell the same root seed, and reusing it verbatim would replay
 		// one fault schedule (same draws, same doomed board) across the
 		// whole sweep.
+		faultSpec = cfg.Faults.String()
 		injSeed := CellSeed(cfg.Seed, fmt.Sprintf("faults|%s|%s|%s|%s",
-			cfg.Spec.Name, cfg.Workload, cfg.Plan, cfg.Faults))
+			cfg.Spec.Name, cfg.Workload, cfg.Plan, faultSpec))
 		inj = faults.NewInjector(cfg.Faults, injSeed)
 		inj.BindLimits(cfg.Spec.GPUArch.MinPower, cfg.Spec.GPUArch.TDP)
 		p.InstallCapFaults(inj)
@@ -483,7 +485,7 @@ func run(cfg Config, dyn *dyncap.Config, powerTraces bool, a *starpu.Arena) (*In
 		res.Efficiency = float64(flops) / float64(res.Energy) / units.Giga
 	}
 	if inj != nil {
-		rep := &FaultReport{Spec: cfg.Faults.String(), Injected: inj.Stats()}
+		rep := &FaultReport{Spec: faultSpec, Injected: inj.Stats()}
 		capStats := p.CapStats()
 		rep.CapRetries = capStats.Retries
 		rep.CapClamped = capStats.Clamped

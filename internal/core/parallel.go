@@ -161,7 +161,7 @@ func RunCells(cfgs []Config, opt ParallelOptions) ([]*Result, error) {
 	if bus != nil {
 		totals := make(map[string]int)
 		for i := range cfgs {
-			totals[planName(cfgs[i])]++
+			totals[cfgs[i].PlanLabel()]++
 		}
 		bus.Publish(obs.Event{Type: obs.SweepStarted, Total: len(cfgs), PlanTotals: totals})
 	}
@@ -204,21 +204,23 @@ func RunCells(cfgs []Config, opt ParallelOptions) ([]*Result, error) {
 			defer wg.Done()
 			for i := range indices {
 				cfg := cfgs[i]
-				var ident string
-				if bus != nil || opt.OnCellStall != nil {
+				// One key per cell labels its events and stall reports
+				// and, when the cell is journalled, keys its records.
+				journalled := opt.Checkpoint != nil && cfg.checkpointable()
+				var ident, key string
+				if bus != nil || opt.OnCellStall != nil || journalled {
 					ident = cfg.CheckpointKey()
 				}
 				if bus != nil && cfg.Events == nil {
 					cfg.Events = bus
 				}
-				var key string
-				if opt.Checkpoint != nil && cfg.checkpointable() {
-					key = cfg.CheckpointKey()
+				if journalled {
+					key = ident
 					if res, ok := restoreCell(opt.Checkpoint, key); ok {
 						results[i] = res
 						if bus != nil {
 							bus.Publish(obs.Event{Type: obs.CellResumed, Cell: ident,
-								Plan: planName(cfg), Workload: cfg.Workload.String(),
+								Plan: cfg.PlanLabel(), Workload: cfg.Workload.String(),
 								SimTime: float64(res.Makespan), Efficiency: res.Efficiency})
 						}
 						if cfg.Telemetry != nil {
@@ -248,7 +250,7 @@ func RunCells(cfgs []Config, opt ParallelOptions) ([]*Result, error) {
 				}
 				if bus != nil {
 					bus.Publish(obs.Event{Type: obs.CellStarted, Cell: ident,
-						Plan: planName(cfg), Workload: cfg.Workload.String()})
+						Plan: cfg.PlanLabel(), Workload: cfg.Workload.String()})
 				}
 				res, err := runGuarded(cfg, opt.CellTimeout, opt.SoftTimeout, stall)
 				if err != nil {
@@ -261,7 +263,7 @@ func RunCells(cfgs []Config, opt ParallelOptions) ([]*Result, error) {
 						status = ckpt.StatusPanicked
 						if bus != nil {
 							bus.Publish(obs.Event{Type: obs.CellPanicked, Cell: ident,
-								Plan: planName(cfg), Detail: eventDetail(err)})
+								Plan: cfg.PlanLabel(), Detail: eventDetail(err)})
 						}
 						if cfg.Telemetry != nil {
 							cfg.Telemetry.ObserveCellPanic()
@@ -271,7 +273,7 @@ func RunCells(cfgs []Config, opt ParallelOptions) ([]*Result, error) {
 						status = ckpt.StatusHung
 						if bus != nil {
 							bus.Publish(obs.Event{Type: obs.CellHung, Cell: ident,
-								Plan: planName(cfg), Detail: eventDetail(err)})
+								Plan: cfg.PlanLabel(), Detail: eventDetail(err)})
 						}
 						if cfg.Telemetry != nil {
 							cfg.Telemetry.ObserveCellHung()
@@ -299,7 +301,7 @@ func RunCells(cfgs []Config, opt ParallelOptions) ([]*Result, error) {
 				results[i] = res
 				if bus != nil {
 					bus.Publish(obs.Event{Type: obs.CellFinished, Cell: ident,
-						Plan: planName(cfg), Workload: cfg.Workload.String(),
+						Plan: cfg.PlanLabel(), Workload: cfg.Workload.String(),
 						SimTime: float64(res.Makespan), Efficiency: res.Efficiency})
 				}
 				if opt.Rollups != nil {
@@ -338,9 +340,9 @@ feed:
 	return results, nil
 }
 
-// planName renders a cell's plan for event labels ("H*" when the
+// PlanLabel renders a cell's plan for event labels ("H*" when the
 // Config leaves it to default).
-func planName(c Config) string {
+func (c Config) PlanLabel() string {
 	if c.Plan != nil {
 		return c.Plan.String()
 	}

@@ -1,7 +1,7 @@
 // Tests for batched dispatch: suspect isolation and fair-share grants
 // in the lease table, a heartbeat revoking one cell of a running batch,
-// a worker stopping mid-batch, the stale single-cell report, and a
-// fuzzed result-batch intake.
+// a worker stopping mid-batch, the stale single-cell report, a fuzzed
+// result-batch intake and fuzzed bodies on every worker-facing path.
 package sweepd
 
 import (
@@ -11,13 +11,13 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
 	"repro/internal/units"
 )
@@ -80,8 +80,8 @@ func TestSuspectIsolation(t *testing.T) {
 // eight cells and names the first (running) and the last (queued)
 // cancelled in its first heartbeat.  The worker aborts the one and
 // skips the other, still runs and reports the six between them in one
-// message, in grant order, with the exact bytes its journal holds, and
-// never reports a cancelled cell.  The cells are full size, each running
+// message, in grant order, each with the exact bytes the same cell
+// encodes to when run in-process, and never reports a cancelled cell.  The cells are full size, each running
 // tens of milliseconds, so the first 1 ms heartbeat reaches the fake
 // coordinator while the first cell still runs.
 func TestWorkerBatchHeartbeatCancel(t *testing.T) {
@@ -93,7 +93,6 @@ func TestWorkerBatchHeartbeatCancel(t *testing.T) {
 	}
 	const k = 8
 	victims := []string{cells[0].CheckpointKey(), cells[k-1].CheckpointKey()}
-	ckptDir := t.TempDir()
 
 	var mu sync.Mutex
 	granted := false
@@ -101,7 +100,7 @@ func TestWorkerBatchHeartbeatCancel(t *testing.T) {
 	results := make(chan ResultRequest, 4)
 	mux := http.NewServeMux()
 	mux.HandleFunc(PathJoin, func(w http.ResponseWriter, r *http.Request) {
-		writeJSON(w, http.StatusOK, JoinReply{JobID: spec.ID(), Job: &spec, CkptDir: ckptDir,
+		writeJSON(w, http.StatusOK, JoinReply{JobID: spec.ID(), Job: &spec,
 			LeaseTTLMs: 10000, HeartbeatMs: 1})
 	})
 	mux.HandleFunc(PathLease, func(w http.ResponseWriter, r *http.Request) {
@@ -177,11 +176,6 @@ func TestWorkerBatchHeartbeatCancel(t *testing.T) {
 	}
 	mu.Unlock()
 
-	journal, err := ckpt.Open(ckptDir, ckpt.Manifest{Identity: spec.Identity(), RootSeed: spec.Seed}, "reader")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer journal.Close()
 	got := batches[0]
 	if got.JobID != spec.ID() || len(got.Results) != k-2 {
 		t.Fatalf("batch = job %q with %d results, want %q with %d", got.JobID, len(got.Results), spec.ID(), k-2)
@@ -190,10 +184,42 @@ func TestWorkerBatchHeartbeatCancel(t *testing.T) {
 		if r.CellIndex != i+1 || r.CellKey != cells[i+1].CheckpointKey() || !r.OK {
 			t.Fatalf("result %d = {%d %q ok=%v %q}, want cell %d OK in grant order", i, r.CellIndex, r.CellKey, r.OK, r.Error, i+1)
 		}
-		rec, ok := journal.Lookup(r.CellKey)
-		if !ok || rec.Status != ckpt.StatusDone || !bytes.Equal(rec.Payload, r.Payload) {
-			t.Fatalf("result %d payload differs from the journal's done record", i)
+		res, err := core.Run(cells[i+1])
+		if err != nil {
+			t.Fatal(err)
 		}
+		want, err := core.EncodeResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(r.Payload, want) {
+			t.Fatalf("result %d payload differs from the cell's in-process encoding", i)
+		}
+	}
+}
+
+// TestWorkerWritesNoJournal: a worker keeps no state on disk.  After it
+// finishes a job for a coordinator with a checkpoint directory, the
+// job's directory holds the coordinator's manifest and journal and
+// nothing a worker wrote.
+func TestWorkerWritesNoJournal(t *testing.T) {
+	s := startService(t, Config{CheckpointDir: t.TempDir()})
+	job, err := s.coord.Submit(testSpec())
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, s, "w0", nil)
+	waitDone(t, job, 90*time.Second)
+	entries, err := os.ReadDir(job.CheckpointDirUsed())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, e := range entries {
+		names = append(names, e.Name())
+	}
+	if want := []string{"journal-coord.jsonl", "manifest.json"}; !slices.Equal(names, want) {
+		t.Fatalf("job checkpoint dir holds %v, want %v", names, want)
 	}
 }
 
@@ -298,6 +324,65 @@ func FuzzResultBatch(f *testing.F) {
 		}
 		if done := job.table.Counts().Done; done != len(wins) {
 			t.Fatalf("table done %d != %d winning results", done, len(wins))
+		}
+	})
+}
+
+// FuzzProtoBodies posts arbitrary bytes as the body of each protocol
+// path a worker or a client sends JSON to, through the coordinator's
+// handler, while a small job is active.  Nothing may panic, a body that
+// does not decode as the path's request must be answered with a 4xx,
+// and the active job's lease table must keep its total.
+func FuzzProtoBodies(f *testing.F) {
+	c, err := New(Config{})
+	if err != nil {
+		f.Fatal(err)
+	}
+	job, err := c.Submit(testSpec())
+	if err != nil {
+		f.Fatal(err)
+	}
+	total := job.table.Counts().Total
+	paths := []struct {
+		path string
+		req  func() any
+	}{
+		{PathJoin, func() any { return new(JoinRequest) }},
+		{PathLease, func() any { return new(LeaseRequest) }},
+		{PathHeartbeat, func() any { return new(HeartbeatRequest) }},
+		{PathResult, func() any { return new(ResultRequest) }},
+		{PathSubmit, func() any { return new(JobSpec) }},
+	}
+	seed := func(which int, v any) {
+		b, err := json.Marshal(v)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(which), b)
+	}
+	seed(0, JoinRequest{WorkerID: "w0", PID: 1})
+	seed(1, LeaseRequest{WorkerID: "w0", JobID: job.id, Max: 8})
+	seed(2, HeartbeatRequest{WorkerID: "w0", JobID: job.id, CellKeys: job.keys[:2]})
+	seed(3, ResultRequest{WorkerID: "w0", JobID: job.id, Released: job.keys[:1],
+		Results: []CellResult{{CellIndex: 1, CellKey: job.keys[1], Error: "boom"}}})
+	seed(4, JobSpec{Experiment: "grid", Platform: "24-Intel-2-V100", Scale: 4, Seed: 8})
+	for i := range paths {
+		f.Add(uint8(i), []byte(`{"worker_id":`))
+		f.Add(uint8(i), []byte(`[1,2]`))
+		f.Add(uint8(i), []byte(``))
+	}
+
+	h := c.Handler()
+	f.Fuzz(func(t *testing.T, which uint8, body []byte) {
+		p := paths[int(which)%len(paths)]
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, p.path, bytes.NewReader(body)))
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(p.req()); err != nil &&
+			(rec.Code < 400 || rec.Code >= 500) {
+			t.Fatalf("%s answered %d to a body that does not decode (%v)", p.path, rec.Code, err)
+		}
+		if got := job.table.Counts().Total; got != total {
+			t.Fatalf("after a %s body the job's table counts %d cells, want %d", p.path, got, total)
 		}
 	})
 }

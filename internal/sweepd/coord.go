@@ -52,7 +52,7 @@ import (
 type Config struct {
 	// CheckpointDir is the base directory journals live under: the
 	// coordinator's own state journal (coordstate/) plus one cell-journal
-	// subdirectory per job, shared with workers on the same filesystem.
+	// subdirectory per job.  Workers never read or write it.
 	// Empty disables all durability (state lives only in memory).
 	CheckpointDir string
 	// AggDir is the base directory job artifacts are written under
@@ -589,13 +589,14 @@ func (c *Coordinator) activate(job *activeJob) error {
 	}
 	totals := make(map[string]int)
 	for i := range job.cells {
-		totals[cellPlanName(job.cells[i])]++
+		totals[job.cells[i].PlanLabel()]++
 	}
 	c.bus.Publish(obs.Event{Type: obs.SweepStarted, Total: len(job.cells), PlanTotals: totals})
 
-	// Resume: every cell any previous process committed — coordinator or
-	// worker journals alike — is restored, fed to the surface and the
-	// digest ledger, and never dispatched.
+	// Resume: every cell the job's journals hold — the coordinator's,
+	// and any that workers of an earlier version wrote into the same
+	// directory — is restored, fed to the surface and the digest ledger,
+	// and never dispatched.
 	if job.journal != nil {
 		undecodable := 0
 		for i, key := range job.keys {
@@ -614,7 +615,7 @@ func (c *Coordinator) activate(job *activeJob) error {
 			job.resumed++
 			c.acceptResult(job, i, res, rec.Payload, true)
 			c.bus.Publish(obs.Event{Type: obs.CellResumed, Cell: key,
-				Plan: cellPlanName(job.cells[i]), Workload: job.cells[i].Workload.String(),
+				Plan: job.cells[i].PlanLabel(), Workload: job.cells[i].Workload.String(),
 				SimTime: float64(res.Makespan), Efficiency: res.Efficiency})
 		}
 		if job.resumed > 0 {
@@ -833,11 +834,3 @@ func (job *activeJob) ArtifactDir() string { return job.dir }
 // CheckpointDirUsed reports the job's journal directory ("" without
 // checkpointing or before activation).
 func (job *activeJob) CheckpointDirUsed() string { return job.ckptDir }
-
-// cellPlanName renders a cell's plan for event labels.
-func cellPlanName(cfg core.Config) string {
-	if cfg.Plan != nil {
-		return cfg.Plan.String()
-	}
-	return "H*"
-}

@@ -37,10 +37,6 @@ type JoinRequest struct {
 type JoinReply struct {
 	JobID string   `json:"job_id,omitempty"`
 	Job   *JobSpec `json:"job,omitempty"`
-	// CkptDir is the shared checkpoint directory workers journal into
-	// (each under its own writer namespace); empty disables shared
-	// journaling.
-	CkptDir string `json:"ckpt_dir,omitempty"`
 	// LeaseTTLMs and HeartbeatMs pace the worker's heartbeats.
 	LeaseTTLMs  int64 `json:"lease_ttl_ms"`
 	HeartbeatMs int64 `json:"heartbeat_ms"`

@@ -109,7 +109,6 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 		spec := job.spec
 		reply.JobID = job.id
 		reply.Job = &spec
-		reply.CkptDir = job.ckptDir
 	}
 	c.mu.Unlock()
 	if fresh {
@@ -159,7 +158,7 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 		}
 		cfg := job.cells[l.CellIndex]
 		c.bus.Publish(obs.Event{Type: obs.CellStarted, Cell: l.CellKey,
-			Plan: cellPlanName(cfg), Workload: cfg.Workload.String()})
+			Plan: cfg.PlanLabel(), Workload: cfg.Workload.String()})
 	}
 	c.syncGauges()
 	writeJSON(w, http.StatusOK, LeaseReply{Leases: leases, Wait: len(leases) == 0})
@@ -280,7 +279,7 @@ func (c *Coordinator) intake(job *activeJob, worker string, cr CellResult) Resul
 		c.countResult("error")
 		cfg := job.cells[cr.CellIndex]
 		c.bus.Publish(obs.Event{Type: obs.CellPanicked, Cell: cr.CellKey,
-			Plan: cellPlanName(cfg), Workload: cfg.Workload.String(), Detail: errMsg})
+			Plan: cfg.PlanLabel(), Workload: cfg.Workload.String(), Detail: errMsg})
 	case first:
 		c.acceptResult(job, cr.CellIndex, res, cr.Payload, false)
 		c.countResult("ok")
@@ -490,7 +489,7 @@ func (c *Coordinator) acceptResult(job *activeJob, idx int, res *core.Result, pa
 	}
 	if !restored {
 		c.bus.Publish(obs.Event{Type: obs.CellFinished, Cell: key,
-			Plan: cellPlanName(cfg), Workload: cfg.Workload.String(),
+			Plan: cfg.PlanLabel(), Workload: cfg.Workload.String(),
 			SimTime: float64(res.Makespan), Efficiency: res.Efficiency})
 	}
 }

@@ -21,8 +21,7 @@ type SupervisorConfig struct {
 	Workers int
 	// Spawn builds the command for one worker slot.  The id is unique
 	// per spawned process (slot plus generation), so a respawn never
-	// collides with its dead predecessor's lease-holder identity or
-	// journal namespace.
+	// collides with its dead predecessor's lease-holder identity.
 	Spawn func(slot int, id string) *exec.Cmd
 	// OnExit is called with the pid of every reaped worker process
 	// (wire to Coordinator.WorkerExited).

@@ -463,3 +463,48 @@ func TestResumeLogsUndecodableCells(t *testing.T) {
 		t.Fatalf("undecodable-cell log lines = %q, want one counting %d cells", undecodable, stale)
 	}
 }
+
+// TestResumeOlderWorkerJournal: workers no longer journal, but a job
+// directory a worker of an earlier version journalled into still
+// resumes that worker's cells.
+func TestResumeOlderWorkerJournal(t *testing.T) {
+	spec := testSpec().withDefaults()
+	cells, err := spec.Cells()
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := t.TempDir()
+	j, err := ckpt.Open(filepath.Join(root, spec.Name+"-"+spec.ID()),
+		ckpt.Manifest{Identity: spec.Identity(), RootSeed: spec.Seed}, "w0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const done = 3
+	for _, cell := range cells[:done] {
+		res, err := core.Run(cell)
+		if err != nil {
+			t.Fatal(err)
+		}
+		payload, err := core.EncodeResult(res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := j.Commit(ckpt.Record{Key: cell.CheckpointKey(), Status: ckpt.StatusDone, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s := startService(t, Config{CheckpointDir: root})
+	job, err := s.coord.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	startWorker(t, s, "w1", nil)
+	waitDone(t, job, 90*time.Second)
+	if rep := job.Report(); rep == nil || rep.Done != len(cells) || rep.Resumed != done {
+		t.Fatalf("report = %+v, want all %d cells done and %d resumed", rep, len(cells), done)
+	}
+}

@@ -1,8 +1,10 @@
 // The worker side: join the coordinator, expand the job independently,
 // execute each lease grant's batch of cells through the guarded
-// executor (watchdog, panic containment, per-worker checkpoint
-// journal) under one heartbeat, and report the batch's results as
-// checkpoint-codec bytes in one message.
+// executor (watchdog, panic containment) under one heartbeat, and
+// report the batch's results as checkpoint-codec bytes in one message.
+// A worker keeps no state on disk: the coordinator's job journal is the
+// only writer of a job's cell records, so a worker that dies re-runs at
+// most its batch.
 package sweepd
 
 import (
@@ -20,7 +22,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/ckpt"
 	"repro/internal/core"
 )
 
@@ -33,17 +34,17 @@ var ErrPoisoned = errors.New("sweepd: worker crashed on poisoned cell")
 var errRejoin = errors.New("sweepd: rejoin")
 
 // leaseBatch bounds the cells one lease grant hands a worker (one
-// batch: one heartbeat, one result message, one journal fsync).  The
-// coordinator may grant fewer: each grant is capped at the worker's fair
-// share of the pending cells.
+// batch: one heartbeat, one result message, and at most this many
+// cells re-run when the worker dies mid-batch).  The coordinator may
+// grant fewer: each grant is capped at the worker's fair share of the
+// pending cells.
 const leaseBatch = 8
 
 // WorkerConfig tunes a Worker.
 type WorkerConfig struct {
-	// ID names the worker; it is the lease holder identity and the
-	// checkpoint journal writer namespace, so it must be unique per
-	// concurrently-live worker and survive a respawn only if the old
-	// process is truly dead.
+	// ID names the worker; it is the lease holder identity, so it must
+	// be unique per concurrently-live worker and survive a respawn only
+	// if the old process is truly dead.
 	ID string
 	// Coordinator is the coordinator's base URL (http://host:port).
 	Coordinator string
@@ -232,20 +233,11 @@ func (w *Worker) idlePoll(jr JoinReply) time.Duration {
 
 // runJob expands the job and works leases until drain or rejoin.
 func (w *Worker) runJob(ctx context.Context, jr JoinReply) error {
-	job := *jr.Job
-	cells, err := job.Cells()
+	cells, err := jr.Job.Cells()
 	if err != nil {
 		// The job does not expand on this binary (version skew at the
 		// spec level); nothing this worker leases can be right.
 		return fmt.Errorf("sweepd: %s: job %s does not expand: %w", w.cfg.ID, jr.JobID, err)
-	}
-	var journal *ckpt.Journal
-	if jr.CkptDir != "" {
-		journal, err = ckpt.Open(jr.CkptDir, ckpt.Manifest{Identity: job.Identity(), RootSeed: job.Seed}, w.cfg.ID)
-		if err != nil {
-			return fmt.Errorf("sweepd: %s: journal: %w", w.cfg.ID, err)
-		}
-		defer journal.Close()
 	}
 	hb := time.Duration(jr.HeartbeatMs) * time.Millisecond
 	if hb <= 0 {
@@ -274,7 +266,7 @@ func (w *Worker) runJob(ctx context.Context, jr JoinReply) error {
 			}
 			continue
 		}
-		if err := w.runBatch(ctx, jr, cells, lr.Leases, journal, hb); err != nil {
+		if err := w.runBatch(ctx, jr, cells, lr.Leases, hb); err != nil {
 			return err
 		}
 	}
@@ -300,15 +292,14 @@ func (h *heldCell) revoked() bool { return errors.Is(context.Cause(h.ctx), errRe
 
 // runBatch executes one grant's cells in grant order under a single
 // heartbeat goroutine, then reports every unrevoked outcome in one
-// result message.  The worker's journal takes one fsync for the whole
-// batch, before the report leaves, so nothing is acknowledged that a
-// crash could lose.  A cancellation the coordinator names aborts or
-// skips just that cell; its abort is the coordinator's bookkeeping, not
-// a failure of the cell, so a revoked cell is never reported.  A worker
-// shutting down mid-batch still reports the cells it finished and
-// releases the rest, so their leases re-queue at once instead of
-// expiring and charging each cell a kill.
-func (w *Worker) runBatch(ctx context.Context, jr JoinReply, cells []core.Config, leases []Lease, journal *ckpt.Journal, hb time.Duration) error {
+// result message; the coordinator makes the batch durable before it
+// acks.  A cancellation the coordinator names aborts or skips just that
+// cell; its abort is the coordinator's bookkeeping, not a failure of
+// the cell, so a revoked cell is never reported.  A worker shutting
+// down mid-batch still reports the cells it finished and releases the
+// rest, so their leases re-queue at once instead of expiring and
+// charging each cell a kill.
+func (w *Worker) runBatch(ctx context.Context, jr JoinReply, cells []core.Config, leases []Lease, hb time.Duration) error {
 	batch := make([]*heldCell, len(leases))
 	for i, l := range leases {
 		h := &heldCell{Lease: l}
@@ -322,18 +313,9 @@ func (w *Worker) runBatch(ctx context.Context, jr JoinReply, cells []core.Config
 		defer close(hbDone)
 		w.heartbeat(hbCtx, jr.JobID, batch, hb)
 	}()
-	if journal != nil {
-		journal.Defer()
-	}
-	err := w.runCells(ctx, jr, cells, batch, journal)
+	err := w.runCells(ctx, jr, cells, batch)
 	stopHB()
 	<-hbDone
-	if journal != nil {
-		if serr := journal.Sync(); serr != nil {
-			// A checkpoint that cannot record is worse than none.
-			return fmt.Errorf("sweepd: %s: journal sync: %w", w.cfg.ID, serr)
-		}
-	}
 	if errors.Is(err, ErrPoisoned) {
 		return err
 	}
@@ -364,7 +346,7 @@ func (w *Worker) runBatch(ctx context.Context, jr JoinReply, cells []core.Config
 // each outcome on its heldCell.  It stops early with ctx's error when
 // the worker is shutting down, and with ErrPoisoned when a poisoned
 // cell's crash hook returns.
-func (w *Worker) runCells(ctx context.Context, jr JoinReply, cells []core.Config, batch []*heldCell, journal *ckpt.Journal) error {
+func (w *Worker) runCells(ctx context.Context, jr JoinReply, cells []core.Config, batch []*heldCell) error {
 	for _, h := range batch {
 		if ctx.Err() != nil {
 			return ctx.Err() // shutting down; runBatch releases the rest
@@ -393,12 +375,11 @@ func (w *Worker) runCells(ctx context.Context, jr JoinReply, cells []core.Config
 		res, err := core.RunCells([]core.Config{cells[h.CellIndex]}, core.ParallelOptions{
 			Workers:     1,
 			Context:     h.ctx,
-			Checkpoint:  journal,
 			CellTimeout: w.cfg.CellTimeout,
 		})
 		switch {
 		case err == nil:
-			payload, perr := resultPayload(journal, h.CellKey, res[0])
+			payload, perr := core.EncodeResult(res[0])
 			if perr != nil {
 				r.Error = "encode: " + perr.Error()
 			} else {
@@ -412,18 +393,6 @@ func (w *Worker) runCells(ctx context.Context, jr JoinReply, cells []core.Config
 		h.result = r
 	}
 	return nil
-}
-
-// resultPayload returns the wire bytes for a finished cell: with a
-// journal, the done record RunCells just committed (or restored), so
-// the result is encoded once per cell; without one, a fresh encode.
-func resultPayload(journal *ckpt.Journal, key string, res *core.Result) ([]byte, error) {
-	if journal != nil {
-		if rec, ok := journal.Lookup(key); ok && rec.Status == ckpt.StatusDone {
-			return rec.Payload, nil
-		}
-	}
-	return core.EncodeResult(res)
 }
 
 // heartbeat extends every lease the batch still holds, one request per
